@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <variant>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
 #include "fbs/fam.hpp"
+#include "fbs/header.hpp"
 #include "fbs/keying.hpp"
 #include "fbs/principal.hpp"
 #include "fbs/replay.hpp"
@@ -171,6 +173,14 @@ struct ReceiveStats {
   }
 };
 
+/// Receive bursts are processed in chunks of at most this many datagrams.
+/// Deliberately NOT tied to CryptoBatch::kLanes: the chunk sizes the
+/// receive scratch every WorkContext carries, so it must stay modest even
+/// when the bitslice engine widens; 64 datagrams of a few blocks each
+/// already fill the wide passes, since CBC decrypt splits datagrams across
+/// lanes.
+inline constexpr std::size_t kBurstChunk = 64;
+
 /// Per-worker scratch making protect_into/unprotect_into re-entrant: every
 /// buffer the single-threaded engine kept as an endpoint member now travels
 /// with the calling thread. One WorkContext per concurrent caller; reusing
@@ -190,6 +200,26 @@ class WorkContext {
   /// not per domain: the lane registers are scratch, and keeping them with
   /// the calling thread lets every worker run wide passes concurrently.
   crypto::CryptoBatch batch;
+
+  /// Receive-chunk scratch (FbsEndpoint::unprotect_burst_into), one slot
+  /// and one open_cbc job per datagram of the largest chunk seen so far:
+  /// a burst of one -- every unprotect_into -- keeps one slot, not
+  /// kBurstChunk of them. Grown on first use, then reused.
+  struct ReceiveSlot {
+    std::optional<FbsHeaderView> header;
+    std::size_t shard = 0;
+    double parse_ns = 0;
+    FlowCryptoContext* fctx = nullptr;  // valid for the locked group only
+    bool grouped = false;
+    bool batched = false;  // decrypted by open_cbc, padding not yet checked
+  };
+  std::vector<ReceiveSlot> recv_slots;
+  std::vector<crypto::CbcOpenJob> open_jobs;
+  /// Flow contexts rebuilt for one locked receive group when an RFKC entry
+  /// was evicted (or re-suited) by a later datagram of the same chunk.
+  /// Capacity is reserved to kBurstChunk on first use so pointers into it
+  /// stay valid for the whole group; emptied when the group ends.
+  std::vector<FlowCryptoContext> rebuilt;
 };
 
 /// One row of the merged FST+TFKC (Section 7.2).

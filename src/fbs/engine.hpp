@@ -7,6 +7,13 @@
 // moment is safe and merely costs re-derivation, which is what preserves
 // datagram semantics.
 //
+// There is one send path and one receive path. protect_into is the only
+// sealing body: MAC, then encrypt_into for the flow's DES or 3DES schedule.
+// unprotect_burst_into is the only opening body (freshness, key, decrypt,
+// MAC, accept); unprotect_into is a burst of one. The Section 5.3 single
+// pass over the data (crypto/fused.hpp) is measured as a bench ablation,
+// not used here (EXPERIMENTS.md).
+//
 // Concurrency (DESIGN.md section 5f): per-flow state is striped across
 // config.shards independent FlowDomains. The WorkContext overloads of
 // protect_into/unprotect_into are re-entrant -- any number of threads may
@@ -91,27 +98,26 @@ class FbsEndpoint {
   bool protect_into(WorkContext& ctx, const Datagram& d, bool secret,
                     util::Bytes& wire_out);
 
-  /// Re-entrant FBSReceive; same threading contract as the protect_into
-  /// overload above. Replay check+commit executes atomically under the
-  /// owning shard's lock, so a duplicated wire racing itself from two
-  /// threads is accepted exactly once (strict-replay mode).
+  /// Re-entrant FBSReceive: a burst of one through unprotect_burst_into;
+  /// same threading contract as the protect_into overload above. Replay
+  /// check+commit executes atomically under the owning shard's lock, so a
+  /// duplicated wire racing itself from two threads is accepted exactly
+  /// once (strict-replay mode).
   ReceiveIntoOutcome unprotect_into(WorkContext& ctx,
                                     const Principal& source,
                                     util::BytesView wire,
                                     util::Bytes& body_out);
 
-  /// Burst FBSReceive: the batched counterpart of the re-entrant
-  /// unprotect_into, built for the pipeline workers' per-ring-visit bursts.
+  /// Burst FBSReceive, the one receive implementation (unprotect_into is a
+  /// burst of one), built for the pipeline workers' per-ring-visit bursts.
   /// Items are grouped by owning shard and each group is processed under
-  /// ONE domain lock; within a group, every eligible ciphertext (secret
-  /// DES-CBC body of valid length, with config().bitslice_crypto set) is
-  /// decrypted by the 64-wide bitsliced batch engine in ctx.batch -- mixed
-  /// flow keys included -- before per-datagram MAC verification and the
-  /// replay commit. Ineligible items (plaintext, 3DES, stream modes, other
-  /// failures) take the scalar path inside the same critical section.
-  /// Outcome and plaintext land in each item. Observable results match
-  /// calling unprotect_into per item; only the grouping of lock
-  /// acquisitions and the cipher core differ.
+  /// ONE domain lock, in phases that each run in submission order: admit
+  /// (parse, suite, freshness), resolve flow contexts, open, then MAC
+  /// verify and replay commit. Every secret DES-CBC body of whole blocks
+  /// (with config().bitslice_crypto set) goes to one CryptoBatch::open_cbc
+  /// on ctx.batch -- mixed flow keys included; 3DES, ECB/CFB/OFB and
+  /// plaintext bodies are opened inline. Outcome and plaintext land in each
+  /// item. Verdicts do not depend on how datagrams are grouped into bursts.
   void unprotect_burst_into(WorkContext& ctx,
                             std::span<ReceiveBurstItem> items);
 
@@ -168,20 +174,19 @@ class FbsEndpoint {
                                  util::BytesView wire) const;
 
   // --- Stats, aggregated across domains ---
-  // Each accessor locks every domain in turn and sums into a stable
-  // endpoint-owned struct, so the returned reference stays valid (and keeps
-  // the pre-sharding signatures) but its contents are a snapshot taken at
-  // call time, not a live view. Per-domain figures: shard(i).
-  const SendStats& send_stats() const;
-  const ReceiveStats& receive_stats() const;
-  const CacheStats& tfkc_stats() const;
-  const CacheStats& rfkc_stats() const;
-  const FreshnessChecker::Stats& freshness_stats() const;
-  const FamStats& fam_stats() const;
-  /// Aggregated megaflow control-plane counters; nullptr when the paper's
+  // Each accessor locks every domain in turn and returns the sum by value:
+  // a snapshot taken at call time, safe to call from any number of threads
+  // concurrently. Per-domain figures: shard(i).
+  SendStats send_stats() const;
+  ReceiveStats receive_stats() const;
+  CacheStats tfkc_stats() const;
+  CacheStats rfkc_stats() const;
+  FreshnessChecker::Stats freshness_stats() const;
+  FamStats fam_stats() const;
+  /// Aggregated megaflow control-plane counters; nullopt when the paper's
   /// fixed-table policy is active (max_flows_per_shard == 0). Counters and
   /// footprints sum across shards; map_load_factor reports the worst shard.
-  const MegaflowStats* megaflow_stats() const;
+  std::optional<MegaflowStats> megaflow_stats() const;
 
   /// Domain 0's tracer (per-domain tracers: shard(i).tracer).
   obs::StageTracer& tracer() { return domains_.front()->tracer; }
@@ -196,9 +201,11 @@ class FbsEndpoint {
                         const std::string& prefix) const;
 
  private:
-  /// Lifetime policy check (combined path tracks usage in the entry; the
-  /// split path tracks it on the FlowStateEntry via the policy).
-  bool key_worn_out(const CombinedFlowEntry& e, util::TimeUs now) const;
+  /// Lifetime policy check over a flow's usage so far (the combined path
+  /// tracks it in the CombinedFlowEntry, the split path on the policy's
+  /// FlowStateEntry).
+  bool key_worn_out(std::uint64_t datagrams, std::uint64_t bytes,
+                    util::TimeUs created, util::TimeUs now) const;
 
   /// Record a rejection in the domain's named field and by-kind array.
   /// Caller holds dom.mu.
@@ -211,18 +218,8 @@ class FbsEndpoint {
   /// datagram).
   std::optional<std::pair<Sfl, FlowCryptoContext*>> outgoing_flow(
       FlowDomain& dom, WorkContext& ctx, const Datagram& d);
-  FlowCryptoContext* incoming_flow_context(FlowDomain& dom, WorkContext& ctx,
-                                           const Principal& source, Sfl sfl,
-                                           crypto::AlgorithmSuite suite);
 
-  /// The in-lock body of unprotect_into, from the post-parse header checks
-  /// through accept/reject. Caller holds dom.mu.
-  ReceiveIntoOutcome unprotect_item_locked(FlowDomain& dom, WorkContext& ctx,
-                                           const Principal& source,
-                                           const FbsHeaderView& header,
-                                           util::Bytes& body_out);
-  /// One ≤64-item slice of a burst (the batch engine's lane width bounds
-  /// the per-chunk stack state, not the lane assignment).
+  /// One slice of at most kBurstChunk items of a burst.
   void unprotect_burst_chunk(WorkContext& ctx,
                              std::span<ReceiveBurstItem> items);
   static void cache_key_into(Sfl sfl, const Principal& a, const Principal& b,
@@ -247,16 +244,6 @@ class FbsEndpoint {
 
   /// Serves the legacy (context-free) protect/unprotect overloads.
   WorkContext default_ctx_;
-
-  /// Aggregation staging for the stats accessors: mutable so the accessors
-  /// can keep returning stable references with const signatures.
-  mutable SendStats agg_send_;
-  mutable ReceiveStats agg_recv_;
-  mutable CacheStats agg_tfkc_;
-  mutable CacheStats agg_rfkc_;
-  mutable FreshnessChecker::Stats agg_freshness_;
-  mutable FamStats agg_fam_;
-  mutable MegaflowStats agg_mega_;
 };
 
 }  // namespace fbs::core

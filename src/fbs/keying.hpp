@@ -211,12 +211,10 @@ class KeyManager {
     mkc_.clear();
   }
 
-  /// Snapshot taken under the lock; the reference stays valid (same
-  /// stable-address contract as the endpoint's aggregated stats).
-  const CacheStats& mkc_stats() const {
+  /// Snapshot taken under the lock.
+  CacheStats mkc_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_snapshot_ = mkc_.stats();
-    return stats_snapshot_;
+    return mkc_.stats();
   }
   std::uint64_t upcalls() const {
     return upcalls_.load(std::memory_order_relaxed);
@@ -231,7 +229,6 @@ class KeyManager {
   mutable std::mutex mu_;  // guards mkc_ and the daemon upcall
   SetAssociativeCache<util::Bytes> mkc_;
   std::atomic<std::uint64_t> upcalls_{0};
-  mutable CacheStats stats_snapshot_;
 };
 
 }  // namespace fbs::core

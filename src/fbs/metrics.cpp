@@ -127,7 +127,7 @@ void FbsEndpoint::register_metrics(obs::MetricsRegistry& registry,
     emit_fresh(emit, prefix + ".freshness", freshness_stats());
     emit_fam(emit, prefix + ".fam", fam_stats());
     emit.gauge(prefix + ".shards", static_cast<double>(shard_count()));
-    if (const MegaflowStats* m = megaflow_stats()) {
+    if (const auto m = megaflow_stats()) {
       const std::string mp = prefix + ".megaflow";
       emit.counter(mp + ".budget_evictions", m->budget_evictions);
       emit.counter(mp + ".wheel_cascades", m->wheel_cascades);

@@ -8,14 +8,12 @@ const char* to_string(Stage stage) {
     case Stage::kSendKeyDerive: return "send.key_derive";
     case Stage::kSendMac: return "send.mac";
     case Stage::kSendCipher: return "send.cipher";
-    case Stage::kSendFused: return "send.fused";
     case Stage::kSendWire: return "send.wire";
     case Stage::kRecvParse: return "recv.parse";
     case Stage::kRecvFreshness: return "recv.freshness";
     case Stage::kRecvKey: return "recv.key";
     case Stage::kRecvCipher: return "recv.cipher";
     case Stage::kRecvMac: return "recv.mac";
-    case Stage::kRecvFused: return "recv.fused";
     case Stage::kRecvBatchCrypto: return "recv.batch_crypto";
   }
   return "unknown";

@@ -22,17 +22,15 @@ enum class Stage {
   kSendKeyDerive,     // flow key derivation (H over sfl|K_SD|S|D)
   kSendMac,           // MAC computation
   kSendCipher,        // body encryption
-  kSendFused,         // fused MAC+cipher pass (replaces kSendMac+kSendCipher)
   kSendWire,          // header serialization
   kRecvParse,         // wire parse + header checks
   kRecvFreshness,     // freshness window / strict-replay probe
   kRecvKey,           // receive-side key recovery (RFKC / derivation)
-  kRecvCipher,        // body decryption
+  kRecvCipher,        // inline body decryption (3DES, ECB/CFB/OFB, scalar)
   kRecvMac,           // MAC verification
-  kRecvFused,         // fused decrypt+MAC pass (replaces kRecvCipher+kRecvMac)
-  kRecvBatchCrypto,   // cross-datagram bitsliced decrypt of a worker burst
+  kRecvBatchCrypto,   // one open_cbc over a burst's DES-CBC bodies
 };
-inline constexpr std::size_t kStageCount = 13;
+inline constexpr std::size_t kStageCount = 11;
 
 const char* to_string(Stage stage);
 

@@ -254,5 +254,77 @@ TEST_F(BurstTest, LargeBurstSpansMultipleChunks) {
   EXPECT_EQ(bob_burst->receive_stats().accepted, 150u);
 }
 
+TEST_F(BurstTest, TinyRfkcRebuildsEvictedContextsMidBurst) {
+  // rfkc_size = 1: every datagram's RFKC insert evicts its predecessor's
+  // context, so by the time the burst takes context pointers only the last
+  // flow is still cached and every other one is rebuilt for the group --
+  // three alternating DES-CBC flows, a 3DES flow and a plaintext flow
+  // included. Verdicts and plaintexts must still equal one-item bursts.
+  FbsConfig cfg;
+  FbsConfig des3_cfg;
+  des3_cfg.suite.cipher = crypto::CipherAlgorithm::kDes3Ede;
+  auto alice = sender(cfg);
+  auto alice_des3 = sender(des3_cfg);
+  std::vector<util::Bytes> wires;
+  const auto seal = [&](FbsEndpoint& s, std::uint16_t sport, bool secret,
+                        const std::string& body) {
+    const auto wire =
+        s.protect(datagram(s.self(), bob_node_->principal, body, sport),
+                  secret);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  };
+  for (int round = 0; round < 2; ++round)
+    for (std::uint16_t flow = 0; flow < 3; ++flow)
+      seal(*alice, static_cast<std::uint16_t>(7000 + flow), true,
+           "flow " + std::to_string(flow) + " round " +
+               std::to_string(round) + std::string(300, 'r'));
+  seal(*alice_des3, 7100, true, "three keys " + std::string(80, 't'));
+  seal(*alice, 7200, false, "in the clear " + std::string(40, 'p'));
+
+  FbsConfig rx_cfg;
+  rx_cfg.rfkc_size = 1;
+  auto bob_item = receiver(rx_cfg);
+  auto bob_burst = receiver(rx_cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, alice->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, wires.size());
+  // One-item bursts miss once per datagram (each insert evicts the
+  // previous flow). The burst misses as often and then derives once more
+  // for every datagram but the last, whose context is the one still cached;
+  // those rebuilds are key derivations too and are counted as such.
+  EXPECT_EQ(bob_item->receive_stats().flow_keys_derived, wires.size());
+  EXPECT_EQ(bob_burst->receive_stats().flow_keys_derived,
+            2 * wires.size() - 1);
+}
+
+TEST_F(BurstTest, ResuitedCopyDoesNotDisturbGenuineDatagram) {
+  // A copy of a genuine wire whose suite byte was rewritten (keyed MD5 ->
+  // HMAC-MD5) shares the genuine datagram's flow. Resolving the copy
+  // re-suits the cached flow context; the genuine datagram earlier in the
+  // same burst must still verify under its own suite and be accepted, the
+  // copy rejected -- exactly as when each arrives alone.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  const auto wire = alice->protect(
+      datagram(alice->self(), bob_node_->principal,
+               "genuine " + std::string(200, 'g')),
+      /*secret=*/true);
+  ASSERT_TRUE(wire.has_value());
+  auto header = FbsHeaderView::parse(*wire);
+  ASSERT_TRUE(header.has_value());
+  header->suite.mac = crypto::MacAlgorithm::kHmacMd5;
+  util::Bytes resuited;
+  header->serialize_into(resuited);
+  resuited.insert(resuited.end(), header->body.begin(), header->body.end());
+  std::vector<util::Bytes> wires{*wire, resuited};
+
+  auto bob_item = receiver(cfg);
+  auto bob_burst = receiver(cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, alice->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, 1u);
+  EXPECT_EQ(bob_burst->receive_stats().rejected_by(ReceiveError::kBadMac),
+            1u);
+}
+
 }  // namespace
 }  // namespace fbs::core

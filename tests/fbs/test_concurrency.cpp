@@ -484,5 +484,64 @@ TEST_F(ConcurrencyTest, MetricsSnapshotsRaceTrafficSafely) {
   EXPECT_EQ(receiver.receive_stats().accepted, 4u * 300u);
 }
 
+TEST_F(ConcurrencyTest, ConcurrentStatsReadersRaceTrafficSafely) {
+  // Two readers -- one calling receive_stats() directly, one taking
+  // registry snapshots (which aggregate through the same accessors) -- run
+  // against each other and against live traffic. The accessors return
+  // their sums by value, so the readers share no staging state; under
+  // -DFBS_TSAN=ON this is the regression test for that.
+  FbsEndpoint sender(a_.principal, sharded(4), *a_.keys, world_.clock,
+                     world_.rng);
+  FbsEndpoint receiver(b_.principal, sharded(4), *b_.keys, world_.clock,
+                       world_.rng);
+  ASSERT_TRUE(sender
+                  .protect(datagram(a_.principal, b_.principal,
+                                    util::to_bytes("prime"), 999),
+                           true)
+                  .has_value());
+  obs::MetricsRegistry reg;
+  receiver.register_metrics(reg, "recv");
+  b_.keys->register_metrics(reg, "keys");
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const ReceiveStats stats = receiver.receive_stats();
+      EXPECT_GE(stats.accepted, last);
+      last = stats.accepted;
+    }
+  });
+  readers.emplace_back([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto snap = reg.snapshot();
+      const std::uint64_t accepted = snap.counters.at("recv.recv.accepted");
+      EXPECT_GE(accepted, last);
+      last = accepted;
+    }
+  });
+  std::vector<std::thread> traffic;
+  for (int t = 0; t < 2; ++t) {
+    traffic.emplace_back([&, t] {
+      WorkContext send_ctx, recv_ctx;
+      util::Bytes wire, body;
+      for (int i = 0; i < 300; ++i) {
+        const Datagram d =
+            datagram(a_.principal, b_.principal, util::to_bytes("s"),
+                     static_cast<std::uint16_t>(10 + t));
+        ASSERT_TRUE(sender.protect_into(send_ctx, d, true, wire));
+        ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(
+            receiver.unprotect_into(recv_ctx, a_.principal, wire, body)));
+      }
+    });
+  }
+  for (auto& t : traffic) t.join();
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(receiver.receive_stats().accepted, 2u * 300u);
+}
+
 }  // namespace
 }  // namespace fbs::core

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "fuzz/corpus.hpp"
@@ -12,6 +13,14 @@
 #include "fuzz/targets.hpp"
 
 namespace fbs::fuzz {
+
+// gtest would otherwise print the parameter as a pointer, and the address
+// (which ASLR moves on every run) would end up in the discovered ctest
+// names, so no two builds would agree on them.
+void PrintTo(const FuzzTarget* target, std::ostream* os) {
+  *os << target->name;
+}
+
 namespace {
 
 std::uint64_t iteration_budget(const std::string& name) {

@@ -76,16 +76,19 @@ TEST(RegistryIntegration, OneSnapshotCoversEveryLayer) {
   EXPECT_TRUE(snap.counters.count("a.cache.mkc.hits"));
   EXPECT_TRUE(snap.counters.count("a.cache.pvc.hits"));
   EXPECT_GE(snap.counters.at("dir.fetches"), 1u);
-  // Freshness and stage latencies. The five secret datagrams take the
-  // fused decrypt+MAC pass on receive; only the tampered plaintext one
-  // exercises the standalone MAC stage.
+  // Freshness and stage latencies. Every datagram is MACed on send and
+  // verified on receive; the five secret DES-CBC datagrams are encrypted by
+  // the send cipher stage and decrypted by the receive batch (a burst of
+  // one each), the tampered plaintext one by neither.
   EXPECT_EQ(snap.counters.at("b.freshness.fresh"), 6u);
-  ASSERT_TRUE(snap.latencies.count("b.stage.recv.fused"));
-  EXPECT_EQ(snap.latencies.at("b.stage.recv.fused").count, 5u);
+  ASSERT_TRUE(snap.latencies.count("b.stage.recv.batch_crypto"));
+  EXPECT_EQ(snap.latencies.at("b.stage.recv.batch_crypto").count, 5u);
   ASSERT_TRUE(snap.latencies.count("b.stage.recv.mac"));
-  EXPECT_EQ(snap.latencies.at("b.stage.recv.mac").count, 1u);
-  ASSERT_TRUE(snap.latencies.count("a.stage.send.fused"));
-  EXPECT_EQ(snap.latencies.at("a.stage.send.fused").count, 5u);
+  EXPECT_EQ(snap.latencies.at("b.stage.recv.mac").count, 6u);
+  ASSERT_TRUE(snap.latencies.count("a.stage.send.mac"));
+  EXPECT_EQ(snap.latencies.at("a.stage.send.mac").count, 6u);
+  ASSERT_TRUE(snap.latencies.count("a.stage.send.cipher"));
+  EXPECT_EQ(snap.latencies.at("a.stage.send.cipher").count, 5u);
 
   // The JSON export carries the same names.
   const std::string json = snap.to_json();
