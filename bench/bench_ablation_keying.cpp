@@ -10,6 +10,8 @@
 //   host-pair raw             cheapest and weakest (no MAC)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "baselines/hostpair.hpp"
@@ -216,6 +218,62 @@ void print_setup_cost_table() {
               "(Section 2.1's efficiency-vs-semantics tradeoff dissolved).\n\n");
 }
 
+/// What one flow-key miss costs, in ns, self-timed as the best of several
+/// short repetitions (a shared host only ever adds time):
+///   keying.flow_context_ns  building a flow's crypto context from K_f (DES
+///                           key schedule + keyed-MD5 MAC context)
+///   keying.rfkc_miss_ns     a whole receive-side RFKC miss on a new flow:
+///                           lookup (and miss classification), master key,
+///                           K_f derivation, context build, insert
+void emit_miss_costs(KeyedPair& world, obs::MetricsRegistry& reg) {
+  constexpr int kOps = 4096;
+  constexpr int kReps = 7;
+  const auto best_ns = [&](auto&& op) {
+    double best = 1e30;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kOps; ++i) op(rep * kOps + i);
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - start;
+      best = std::min(best, elapsed.count() / kOps);
+    }
+    return best;
+  };
+  const auto mac = crypto::make_mac(crypto::MacAlgorithm::kKeyedMd5);
+  const crypto::AlgorithmSuite suite = crypto::default_suite();
+  crypto::Md5 kdf;
+  util::Bytes master;
+  core::FlowKey key{};
+  reg.gauge("keying.flow_context_ns").set(best_ns([&](int i) {
+    key[0] = static_cast<std::uint8_t>(i);
+    key[1] = static_cast<std::uint8_t>(i >> 8);
+    benchmark::DoNotOptimize(core::make_flow_crypto_context(key, suite, *mac));
+  }));
+
+  // The engine's receive resolve for a datagram of a flow never seen: the
+  // RFKC key is (sfl, S, D) and every sfl is new.
+  core::SetAssociativeCache<core::FlowCryptoContext> rfkc(256);
+  const core::Principal& src = world.a.principal;
+  const core::Principal& self = world.b.principal;
+  util::Bytes cache_key;
+  reg.gauge("keying.rfkc_miss_ns").set(best_ns([&](int i) {
+    const core::Sfl sfl = 0x5000'0000u + static_cast<core::Sfl>(i);
+    cache_key.clear();
+    for (int b = 7; b >= 0; --b)
+      cache_key.push_back(static_cast<std::uint8_t>(sfl >> (8 * b)));
+    cache_key.insert(cache_key.end(), src.address.begin(), src.address.end());
+    cache_key.insert(cache_key.end(), self.address.begin(),
+                     self.address.end());
+    if (rfkc.lookup(cache_key) != nullptr ||
+        !world.b.keys->master_key_into(src, master))
+      return;
+    rfkc.insert(cache_key,
+                core::make_flow_crypto_context(
+                    core::derive_flow_key(kdf, sfl, master, src, self), suite,
+                    *mac));
+  }));
+}
+
 /// Instrumented steady-state pass (separate from the timed loops above):
 /// both FBS table layouts protect the same stream with stage tracing on,
 /// so the snapshot carries per-stage latencies and the cache/FAM counters
@@ -239,6 +297,7 @@ void emit_metrics() {
     (void)combined.protect(d, true);
     (void)split.protect(d, true);
   }
+  emit_miss_costs(world, reg);
   bench::write_metrics(reg.snapshot(), "fbs_bench_ablation_keying");
 }
 

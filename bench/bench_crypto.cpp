@@ -109,14 +109,12 @@ struct BitsliceBurst {
     for (std::size_t i = 0; i < batch; ++i) {
       const util::Bytes key = buffer_of(8 + i);
       des.emplace_back(key);
-      scheds.push_back(crypto::DesBitsliceKeySchedule::from_key(key));
       cts.push_back(buffer_of(kCtBytes));
       plains.emplace_back(kCtBytes);
     }
     for (std::size_t i = 0; i < batch; ++i)
-      jobs.push_back(crypto::CbcOpenJob{&des[i], &scheds[i],
-                                        0x0123456789ABCDEFull, cts[i],
-                                        plains[i].data()});
+      jobs.push_back(crypto::CbcOpenJob{&des[i], 0x0123456789ABCDEFull,
+                                        cts[i], plains[i].data()});
   }
 
   std::size_t bytes() const { return jobs.size() * kCtBytes; }
@@ -137,14 +135,13 @@ struct BitsliceBurst {
   }
 
   std::vector<crypto::Des> des;
-  std::vector<crypto::DesBitsliceKeySchedule> scheds;
   std::vector<util::Bytes> cts;
   std::vector<util::Bytes> plains;
   std::vector<crypto::CbcOpenJob> jobs;
 };
 
 void BM_DesBitsliceCbcDecryptBatch(benchmark::State& state) {
-  // Cross-datagram 64-wide decrypt, mixed keys: the pipeline worker's
+  // Cross-datagram 256-lane decrypt, mixed keys: the pipeline worker's
   // steady-state burst shape, swept over burst widths.
   BitsliceBurst burst(static_cast<std::size_t>(state.range(0)));
   crypto::CryptoBatch batch;

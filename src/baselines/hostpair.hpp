@@ -9,11 +9,18 @@
 
 #include <optional>
 
+#include "crypto/des.hpp"
 #include "fbs/keying.hpp"
 #include "fbs/principal.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::baselines {
+
+/// The DES cipher a host-pair scheme keys straight from the master key
+/// K_{S,D}: the first 8 bytes of MD5(K_{S,D}), hashed as FBS hashes its
+/// flow keys. K_{S,D} is as long as the DH group's elements, which can be
+/// shorter than a DES key.
+crypto::Des master_key_des(util::BytesView master);
 
 class HostPairProtocol {
  public:

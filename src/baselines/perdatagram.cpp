@@ -1,5 +1,6 @@
 #include "baselines/perdatagram.hpp"
 
+#include "baselines/hostpair.hpp"
 #include "crypto/block_modes.hpp"
 #include "crypto/des.hpp"
 #include "crypto/mac.hpp"
@@ -20,8 +21,7 @@ std::optional<util::Bytes> PerDatagramKeyProtocol::protect(
   const util::Bytes datagram_key = key_rng_.next_bytes(kDatagramKeySize);
 
   // The master key only ever encrypts the datagram key.
-  const crypto::Des master_des(
-      util::BytesView(*master).subspan(0, crypto::Des::kKeySize));
+  const crypto::Des master_des = master_key_des(*master);
   const util::Bytes wrapped = crypto::encrypt(
       master_des, crypto::CipherMode::kEcb, 0, datagram_key);
 
@@ -51,8 +51,7 @@ std::optional<util::Bytes> PerDatagramKeyProtocol::unprotect(
 
   const auto master = keys_.master_key(source);
   if (!master) return std::nullopt;
-  const crypto::Des master_des(
-      util::BytesView(*master).subspan(0, crypto::Des::kKeySize));
+  const crypto::Des master_des = master_key_des(*master);
   const auto datagram_key =
       crypto::decrypt(master_des, crypto::CipherMode::kEcb, 0, *wrapped);
   if (!datagram_key || datagram_key->size() != kDatagramKeySize)

@@ -95,25 +95,25 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
     }
   }
 
-  const DesBitsliceKeySchedule* lane_sched[kLanes];
+  const Des* lane_key[kLanes];
   bool single_key = true;
   for (const CbcOpenJob& job : jobs) {
-    if (job.schedule != jobs.front().schedule) {
+    if (job.des != jobs.front().des) {
       single_key = false;
       break;
     }
   }
   if (single_key) {
-    engine_.set_all_lanes(*jobs.front().schedule);
+    engine_.set_all_lanes(jobs.front().des->round_keys());
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      lane_sched[lane] = jobs.front().schedule;
+      lane_key[lane] = jobs.front().des;
     }
   } else {
-    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+    std::array<const DesRoundKeys*, kLanes> ptrs;
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      ptrs[lane] = cur[lane].remaining != 0 ? jobs[cur[lane].job].schedule
-                                            : jobs.front().schedule;
-      lane_sched[lane] = ptrs[lane];
+      lane_key[lane] = cur[lane].remaining != 0 ? jobs[cur[lane].job].des
+                                                : jobs.front().des;
+      ptrs[lane] = &lane_key[lane]->round_keys();
     }
     engine_.set_lanes(ptrs);
   }
@@ -145,10 +145,9 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
         c.pt = job.plaintext;
         c.chain = job.iv;
         c.left_in_job = open_blocks(job);
-        const DesBitsliceKeySchedule* next = job.schedule;
-        if (next != lane_sched[lane]) {
-          engine_.set_lane(lane, *next);
-          lane_sched[lane] = next;
+        if (job.des != lane_key[lane]) {
+          engine_.set_lane(lane, job.des->round_keys());
+          lane_key[lane] = job.des;
           ++stats_.lane_rekeys;
         }
       }
@@ -207,17 +206,17 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
 
   bool single_key = true;
   for (const CbcSealJob& job : jobs) {
-    if (job.schedule != jobs.front().schedule) {
+    if (job.des != jobs.front().des) {
       single_key = false;
       break;
     }
   }
   if (single_key) {
-    engine_.set_all_lanes(*jobs.front().schedule);
+    engine_.set_all_lanes(jobs.front().des->round_keys());
   } else {
-    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+    std::array<const DesRoundKeys*, kLanes> ptrs;
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      ptrs[lane] = jobs[std::min(lane, jobs.size() - 1)].schedule;
+      ptrs[lane] = &jobs[std::min(lane, jobs.size() - 1)].des->round_keys();
     }
     engine_.set_lanes(ptrs);
   }

@@ -38,11 +38,10 @@ namespace fbs::crypto {
 /// One datagram's CBC-decrypt work order. `ciphertext` must be a non-empty
 /// multiple of 8 bytes; `plaintext` receives the same length (padding is
 /// NOT stripped here -- callers validate PKCS#7 afterwards, exactly as the
-/// scalar path does). Both `des` and `schedule` must be non-null and agree
-/// on the key.
+/// scalar path does). `des` must be non-null; the wide engine keys its lane
+/// from des->round_keys(), and jobs sharing a Des share a lane key.
 struct CbcOpenJob {
   const Des* des = nullptr;
-  const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
   util::BytesView ciphertext;
   std::uint8_t* plaintext = nullptr;
@@ -53,7 +52,6 @@ struct CbcOpenJob {
 /// bytes of PKCS#7-padded CBC output.
 struct CbcSealJob {
   const Des* des = nullptr;
-  const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
   util::BytesView plaintext;
   std::uint8_t* ciphertext = nullptr;

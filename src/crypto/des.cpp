@@ -32,6 +32,38 @@ constexpr std::array<std::array<std::uint32_t, 64>, 8> build_sp_tables() {
 
 constexpr auto kSp = build_sp_tables();
 
+/// Nibble tables for the key schedule: kPc1Nibble[n][v] is PC-1 applied to
+/// a key whose only set bits are value v in nibble n (n = 0 holds FIPS bits
+/// 1-4), giving its share of the 56-bit C|D; kPc2Nibble[n][v] is likewise
+/// nibble n's share of a 48-bit round key from C|D. Each permutation is then
+/// an OR of one lookup per nibble. 16x16 + 14x16 words, ~3.8 KB.
+constexpr std::array<std::array<std::uint64_t, 16>, 16> build_pc1_nibbles() {
+  std::array<std::array<std::uint64_t, 16>, 16> t{};
+  for (unsigned n = 0; n < 16; ++n)
+    for (std::uint64_t v = 0; v < 16; ++v)
+      t[n][v] = des_tables::permute(v << (60 - 4 * n), des_tables::kPc1, 64);
+  return t;
+}
+
+constexpr std::array<std::array<std::uint64_t, 16>, 14> build_pc2_nibbles() {
+  std::array<std::array<std::uint64_t, 16>, 14> t{};
+  for (unsigned n = 0; n < 14; ++n)
+    for (std::uint64_t v = 0; v < 16; ++v)
+      t[n][v] = des_tables::permute(v << (52 - 4 * n), des_tables::kPc2, 56);
+  return t;
+}
+
+constexpr auto kPc1Nibble = build_pc1_nibbles();
+constexpr auto kPc2Nibble = build_pc2_nibbles();
+
+/// A 48-bit round key's eight 6-bit chunks spread one per byte, chunk 0
+/// (FIPS round-key bits 1-6) in the top byte: three halving steps.
+constexpr std::uint64_t spread_chunks(std::uint64_t k) {
+  std::uint64_t x = (k & 0xFFFFFFull) | (k & 0xFFFFFF000000ull) << 8;
+  x = (x & 0x00000FFF00000FFFull) | (x & 0x00FFF00000FFF000ull) << 4;
+  return (x & 0x003F003F003F003Full) | (x & 0x0FC00FC00FC00FC0ull) << 2;
+}
+
 /// IP as a 5-stage bit-swap network on the big-endian-loaded halves
 /// (l = FIPS bits 1-32, r = 33-64); verified bit-exact against the kIp
 /// table walk. FP is the inverse: the same involutive stages in reverse.
@@ -71,14 +103,30 @@ inline std::uint32_t feistel(std::uint32_t r, const std::uint8_t* k) {
 
 }  // namespace
 
+DesRoundKeys Des::key_schedule(std::uint64_t k64) {
+  std::uint64_t pc1 = 0;
+  for (unsigned n = 0; n < 16; ++n)
+    pc1 |= kPc1Nibble[n][(k64 >> (60 - 4 * n)) & 0xF];
+  std::uint32_t c = static_cast<std::uint32_t>(pc1 >> 28);
+  std::uint32_t d = static_cast<std::uint32_t>(pc1 & 0x0FFFFFFFull);
+  DesRoundKeys keys;
+  for (std::size_t round = 0; round < 16; ++round) {
+    c = des_tables::rotl28(c, des_tables::kShifts[round]);
+    d = des_tables::rotl28(d, des_tables::kShifts[round]);
+    const std::uint64_t cd = static_cast<std::uint64_t>(c) << 28 | d;
+    std::uint64_t k = 0;
+    for (unsigned n = 0; n < 14; ++n)
+      k |= kPc2Nibble[n][(cd >> (52 - 4 * n)) & 0xF];
+    keys[round] = k;
+  }
+  return keys;
+}
+
 Des::Des(util::BytesView key) {
   assert(key.size() == kKeySize);
-  const des_tables::KeySchedule ks =
-      des_tables::key_schedule(load_be64(key.data()));
-  for (int round = 0; round < 16; ++round)
-    for (int chunk = 0; chunk < 8; ++chunk)
-      subkeys_[round][chunk] = static_cast<std::uint8_t>(
-          (ks.subkeys[round] >> (42 - 6 * chunk)) & 0x3F);
+  round_keys_ = key_schedule(load_be64(key.data()));
+  for (std::size_t round = 0; round < 16; ++round)
+    store_be64(spread_chunks(round_keys_[round]), subkeys_[round].data());
 }
 
 std::uint64_t Des::crypt(std::uint64_t block, bool decrypt) const {

@@ -7,10 +7,15 @@
 // (generated at compile time from the FIPS tables in des_tables.hpp), the E
 // expansion is done with shifts and masks on a rotated copy of the right
 // half, and IP/FP are O(log n) bit-swap networks instead of 64-entry
-// permutation walks. The key schedule is computed once at construction, so
-// a Des object cached per flow amortizes it across every datagram. The
-// bit-at-a-time transcription of the standard survives as DesReference
-// (des_reference.hpp) and the two are tested bit-exact round by round.
+// permutation walks. The key schedule is table-driven too: PC-1 and PC-2
+// are applied a nibble at a time through constexpr tables (~4 KB), so
+// building a Des -- once per flow key, on every flow-key cache miss -- costs
+// a few hundred table lookups instead of a ~800-step bit walk. The 16
+// 48-bit round keys it produces are kept for the bitsliced batch engine
+// (des_bitslice.hpp), which keys its lanes straight from a Des; there is
+// one schedule per key. The bit-at-a-time transcription of the standard
+// survives as DesReference (des_reference.hpp) and the two are tested
+// bit-exact round by round.
 #pragma once
 
 #include <array>
@@ -20,6 +25,10 @@
 
 namespace fbs::crypto {
 
+/// The 16 48-bit round keys K1..K16 of one DES key, bit 47 = the standard's
+/// round-key bit 1.
+using DesRoundKeys = std::array<std::uint64_t, 16>;
+
 class Des {
  public:
   static constexpr std::size_t kBlockSize = 8;
@@ -27,6 +36,12 @@ class Des {
 
   /// Key is 8 bytes; the 8 parity bits are ignored, per the standard.
   explicit Des(util::BytesView key);
+
+  /// The table-driven PC-1/PC-2 schedule for a key loaded big-endian.
+  static DesRoundKeys key_schedule(std::uint64_t k64);
+
+  /// This key's round keys, for keying the bitsliced engine's lanes.
+  const DesRoundKeys& round_keys() const { return round_keys_; }
 
   /// Encrypt/decrypt exactly one 8-byte block, in-place variants included.
   std::uint64_t encrypt_block(std::uint64_t block) const;
@@ -50,8 +65,9 @@ class Des {
  private:
   std::uint64_t crypt(std::uint64_t block, bool decrypt) const;
 
-  /// Round keys as eight 6-bit chunks, pre-split to line up with the
-  /// shift/mask E expansion (chunk i feeds S-box i).
+  DesRoundKeys round_keys_{};
+  /// The same round keys as eight 6-bit chunks, pre-split to line up with
+  /// the shift/mask E expansion (chunk i feeds S-box i).
   std::array<std::array<std::uint8_t, 8>, 16> subkeys_{};
 };
 

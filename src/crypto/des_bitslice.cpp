@@ -251,19 +251,6 @@ inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
 
 }  // namespace
 
-DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key(util::BytesView key) {
-  return from_key64(Des::load_be64(key.data()));
-}
-
-DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key64(std::uint64_t k64) {
-  const des_tables::KeySchedule ks = des_tables::key_schedule(k64);
-  DesBitsliceKeySchedule out;
-  for (int round = 0; round < 16; ++round) {
-    out.subkeys[static_cast<std::size_t>(round)] = ks.subkeys[round];
-  }
-  return out;
-}
-
 void DesBitslice::transpose64(std::uint64_t m[kGroupLanes]) {
   // Hacker's Delight 7-3, in place: swap progressively smaller off-diagonal
   // sub-blocks. Three nested log-steps, ~700 ops total.
@@ -277,9 +264,9 @@ void DesBitslice::transpose64(std::uint64_t m[kGroupLanes]) {
   }
 }
 
-void DesBitslice::set_all_lanes(const DesBitsliceKeySchedule& ks) {
+void DesBitslice::set_all_lanes(const DesRoundKeys& ks) {
   for (int round = 0; round < 16; ++round) {
-    const std::uint64_t sk = ks.subkeys[static_cast<std::size_t>(round)];
+    const std::uint64_t sk = ks[static_cast<std::size_t>(round)];
     auto& dst = ks_[static_cast<std::size_t>(round)];
     for (std::size_t t = 0; t < 48; ++t) {
       const std::uint64_t v = (sk >> (47 - t)) & 1 ? ~0ull : 0;
@@ -289,7 +276,7 @@ void DesBitslice::set_all_lanes(const DesBitsliceKeySchedule& ks) {
 }
 
 void DesBitslice::set_lanes(
-    const std::array<const DesBitsliceKeySchedule*, kLanes>& lanes) {
+    const std::array<const DesRoundKeys*, kLanes>& lanes) {
   // Per round, per 64-lane group: gather the group's 48-bit subkeys
   // left-aligned, transpose, and the first 48 rows are exactly the group's
   // lane-mask words. 16 x kWords transposes ~= a cipher pass, vs ~100
@@ -299,8 +286,7 @@ void DesBitslice::set_lanes(
     for (std::size_t w = 0; w < kWords; ++w) {
       std::uint64_t m[kGroupLanes];
       for (std::size_t i = 0; i < kGroupLanes; ++i) {
-        m[i] = lanes[w * kGroupLanes + i]
-                   ->subkeys[static_cast<std::size_t>(round)]
+        m[i] = (*lanes[w * kGroupLanes + i])[static_cast<std::size_t>(round)]
                << 16;
       }
       transpose64(m);
@@ -309,11 +295,11 @@ void DesBitslice::set_lanes(
   }
 }
 
-void DesBitslice::set_lane(std::size_t lane, const DesBitsliceKeySchedule& ks) {
+void DesBitslice::set_lane(std::size_t lane, const DesRoundKeys& ks) {
   const std::size_t w = lane / kGroupLanes;
   const std::uint64_t bit = 1ull << (63 - lane % kGroupLanes);
   for (int round = 0; round < 16; ++round) {
-    const std::uint64_t sk = ks.subkeys[static_cast<std::size_t>(round)];
+    const std::uint64_t sk = ks[static_cast<std::size_t>(round)];
     auto& dst = ks_[static_cast<std::size_t>(round)];
     for (std::size_t t = 0; t < 48; ++t) {
       if ((sk >> (47 - t)) & 1) {

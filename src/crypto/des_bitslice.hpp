@@ -15,11 +15,12 @@
 // so this implementation shares only the standard's constants with the
 // scalar cores and is differentially tested against DesReference.
 //
-// Key handling supports mixed keys across lanes: the compact per-key form
-// (DesBitsliceKeySchedule, 16 x 48-bit round keys -- what FlowCryptoContext
-// caches per flow) expands into the engine's 16x48 lane-mask vectors either
-// all at once (broadcast or per-lane transpose, cheap) or one lane at a
-// time (the batch scheduler's job-boundary rekey).
+// Key handling supports mixed keys across lanes: a key's 16 48-bit round
+// keys (DesRoundKeys, read straight from the scalar Des that a flow's
+// crypto context already holds -- there is no second schedule) expand into
+// the engine's 16x48 lane-mask vectors either all at once (broadcast or
+// per-lane transpose, cheap) or one lane at a time (the batch scheduler's
+// job-boundary rekey).
 //
 // CBC interaction: decryption is block-parallel even within one datagram
 // (the chain input is ciphertext, all of it in hand), so a decrypt batch
@@ -31,22 +32,9 @@
 #include <array>
 #include <cstdint>
 
-#include "util/bytes.hpp"
+#include "crypto/des.hpp"
 
 namespace fbs::crypto {
-
-/// Compact per-key schedule: the 16 48-bit FIPS round keys, bit 47 = the
-/// standard's round-key bit 1. 128 bytes -- cheap enough to cache per flow
-/// next to the scalar Des object.
-struct DesBitsliceKeySchedule {
-  std::array<std::uint64_t, 16> subkeys{};
-
-  /// From an 8-byte DES key (parity bits ignored, as in Des).
-  static DesBitsliceKeySchedule from_key(util::BytesView key);
-  static DesBitsliceKeySchedule from_key64(std::uint64_t k64);
-
-  bool operator==(const DesBitsliceKeySchedule&) const = default;
-};
 
 class DesBitslice {
  public:
@@ -57,16 +45,16 @@ class DesBitslice {
   static constexpr std::size_t kLanes = kWords * kGroupLanes;
 
   /// All lanes share one key (~16x48 stores; the single-flow fast path).
-  void set_all_lanes(const DesBitsliceKeySchedule& ks);
+  void set_all_lanes(const DesRoundKeys& ks);
 
   /// Mixed keys, bulk: lane i takes lanes[i] (must all be non-null). Done
   /// with one 64x64 transpose per round per group -- a fraction of a
   /// cipher pass, so a fresh mixed-key batch amortizes after the first.
-  void set_lanes(const std::array<const DesBitsliceKeySchedule*, kLanes>& l);
+  void set_lanes(const std::array<const DesRoundKeys*, kLanes>& l);
 
   /// Rekey a single lane in place (the batch scheduler's incremental
   /// update when a lane's cursor crosses a job boundary).
-  void set_lane(std::size_t lane, const DesBitsliceKeySchedule& ks);
+  void set_lane(std::size_t lane, const DesRoundKeys& ks);
 
   /// Encrypt/decrypt kLanes blocks in place, one per lane; blocks[i] is
   /// lane i's block as loaded by Des::load_be64. Lanes with no real work

@@ -29,8 +29,16 @@ std::uint32_t feistel(std::uint32_t half, std::uint64_t subkey) {
 
 DesReference::DesReference(util::BytesView key) {
   assert(key.size() == kKeySize);
-  const KeySchedule ks = key_schedule(Des::load_be64(key.data()));
-  for (int round = 0; round < 16; ++round) subkeys_[round] = ks.subkeys[round];
+  // PC-1, then per round: rotate C and D, PC-2 -- one bit at a time.
+  const std::uint64_t pc1 = permute(Des::load_be64(key.data()), kPc1, 64);
+  std::uint32_t c = static_cast<std::uint32_t>(pc1 >> 28);
+  std::uint32_t d = static_cast<std::uint32_t>(pc1 & 0x0FFFFFFFull);
+  for (std::size_t round = 0; round < 16; ++round) {
+    c = rotl28(c, kShifts[round]);
+    d = rotl28(d, kShifts[round]);
+    const std::uint64_t cd = static_cast<std::uint64_t>(c) << 28 | d;
+    subkeys_[round] = permute(cd, kPc2, 56);
+  }
 }
 
 std::uint64_t DesReference::crypt(std::uint64_t block, bool decrypt,

@@ -2,9 +2,10 @@
 // that walks the permutation tables entry by entry. Roughly two orders of
 // magnitude slower than the table-driven Des and kept ONLY as the oracle
 // for its correctness tests (round-by-round intermediate values, Monte
-// Carlo chains): the two implementations share the FIPS constant tables in
-// des_tables.hpp but nothing else, so an error in the fused-table
-// generation or the IP/FP swap networks cannot hide.
+// Carlo chains, the key schedule): the two implementations share the FIPS
+// constant tables in des_tables.hpp but nothing else, so an error in the
+// fused-table or nibble-table generation or the IP/FP swap networks cannot
+// hide.
 //
 // Nothing on the datagram path may use this class.
 #pragma once

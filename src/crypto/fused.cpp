@@ -122,8 +122,7 @@ void fused_seal_batch(CryptoBatch& batch, std::span<FusedSealJob> jobs) {
       j.mac->update(j.body);
       j.mac->finish_into(j.mac_out);
       j.ciphertext->resize(CryptoBatch::padded_size(j.body.size()));
-      wide[i] = CbcSealJob{j.des, j.schedule, j.iv, j.body,
-                           j.ciphertext->data()};
+      wide[i] = CbcSealJob{j.des, j.iv, j.body, j.ciphertext->data()};
     }
     batch.seal_cbc({wide, n});
   }
@@ -143,8 +142,7 @@ void fused_open_batch(CryptoBatch& batch, std::span<FusedOpenJob> jobs) {
           j.ciphertext.size() % Des::kBlockSize != 0)
         continue;
       j.body->resize(j.ciphertext.size());
-      wide[m] = CbcOpenJob{j.des, j.schedule, j.iv, j.ciphertext,
-                           j.body->data()};
+      wide[m] = CbcOpenJob{j.des, j.iv, j.ciphertext, j.body->data()};
       live[m++] = &j;
     }
     if (m > 0) batch.open_cbc({wide, m});

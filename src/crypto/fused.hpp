@@ -51,11 +51,10 @@ bool fused_open_into(const Des& des, std::uint64_t iv, MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView ciphertext,
                      std::uint8_t* mac_out, util::Bytes& body);
 
-/// One datagram of a batch seal: the inputs of fused_seal_into plus the
-/// bitslice schedule matching `des`. Jobs may carry different keys.
+/// One datagram of a batch seal: the inputs of fused_seal_into. Jobs may
+/// carry different keys.
 struct FusedSealJob {
   const Des* des = nullptr;
-  const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
   MacContext* mac = nullptr;
   util::BytesView mac_prefix;
@@ -69,7 +68,6 @@ struct FusedSealJob {
 /// case `body` and `mac_out` are unspecified.
 struct FusedOpenJob {
   const Des* des = nullptr;
-  const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
   MacContext* mac = nullptr;
   util::BytesView mac_prefix;
@@ -80,7 +78,7 @@ struct FusedOpenJob {
 };
 
 /// Batch-aware forms of fused_seal_into/fused_open_into: the DES-CBC leg of
-/// every job runs through the 64-wide bitsliced batch engine (cross-job for
+/// every job runs through the 256-lane bitsliced batch engine (cross-job for
 /// open, job-per-lane for seal; `batch` decides scalar fallback for small
 /// bursts), while each MAC stays per-datagram. Outputs are bit-identical,
 /// job by job, to calling the _into forms in sequence -- the "fused" single

@@ -12,7 +12,8 @@
 namespace fbs::crypto {
 
 /// Streaming hash context. Implementations are value-semantic enough to be
-/// reset and reused; clone() supports HMAC's precomputed pads.
+/// reset and reused, and copyable: MAC contexts hold MD5/SHA-1 states by
+/// value (crypto::HashState) to keep their precomputed pads.
 class Hash {
  public:
   virtual ~Hash() = default;
@@ -24,10 +25,6 @@ class Hash {
   /// Finish into a caller-provided buffer of digest_size() bytes without
   /// allocating; the context must be reset() before reuse.
   virtual void finish_into(std::uint8_t* out) = 0;
-  /// Become a copy of `other`, which must be the same concrete type. The
-  /// allocation-free counterpart of clone(): MAC contexts restore their
-  /// precomputed key states with this per message.
-  virtual void copy_from(const Hash& other) = 0;
   virtual std::unique_ptr<Hash> clone() const = 0;
 
   /// Finish and return the digest (allocating convenience wrapper).

@@ -1,9 +1,9 @@
 #include "crypto/mac.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstring>
-
-#include "crypto/md5.hpp"
-#include "crypto/sha1.hpp"
 
 namespace fbs::crypto {
 
@@ -11,141 +11,117 @@ namespace {
 
 /// Large enough for any digest we produce (MD5 = 16, SHA-1 = 20).
 constexpr std::size_t kMaxDigestSize = 64;
+/// Both hashes absorb 64-byte blocks.
+constexpr std::size_t kMaxBlockSize = 64;
 
-/// Keyed-prefix context: the key is absorbed into `key_state_` once; each
-/// message restores that state into the working hash and streams from there.
-class KeyedPrefixContext final : public MacContext {
- public:
-  KeyedPrefixContext(const Hash& hash, util::BytesView key)
-      : key_state_(hash.clone()), work_(hash.clone()) {
-    key_state_->reset();
-    key_state_->update(key);
-  }
+/// A freshly reset state of `hash`'s concrete type.
+HashState state_of(const Hash& hash) {
+  if (dynamic_cast<const Md5*>(&hash)) return Md5{};
+  assert(dynamic_cast<const Sha1*>(&hash));
+  return Sha1{};
+}
 
-  std::size_t mac_size() const override { return work_->digest_size(); }
-  void begin() override { work_->copy_from(*key_state_); }
-  void update(util::BytesView chunk) override { work_->update(chunk); }
-  void finish_into(std::uint8_t* out) override { work_->finish_into(out); }
+std::size_t digest_size(const HashState& h) {
+  return std::visit([](const auto& s) { return s.digest_size(); }, h);
+}
 
- private:
-  std::unique_ptr<Hash> key_state_;  // hash state with the key absorbed
-  std::unique_ptr<Hash> work_;
-};
+void absorb(HashState& h, util::BytesView data) {
+  std::visit([&](auto& s) { s.update(data); }, h);
+}
 
-/// RFC 2104 HMAC context: the construction hashes overlong keys and absorbs
-/// the ipad/opad blocks exactly once, here; per message only the two
-/// precomputed states are restored.
-class HmacContext final : public MacContext {
- public:
-  HmacContext(const Hash& hash, util::BytesView key)
-      : inner_state_(hash.clone()),
-        outer_state_(hash.clone()),
-        work_(hash.clone()) {
-    const std::size_t block = hash.block_size();
-    util::Bytes k(key.begin(), key.end());
-    if (k.size() > block) {
-      work_->reset();
-      work_->update(k);
-      k = work_->finish();
-    }
-    k.resize(block, 0);
-
-    util::Bytes pad(block);
-    for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x36;
-    inner_state_->reset();
-    inner_state_->update(pad);
-    for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x5c;
-    outer_state_->reset();
-    outer_state_->update(pad);
-  }
-
-  std::size_t mac_size() const override { return work_->digest_size(); }
-  void begin() override { work_->copy_from(*inner_state_); }
-  void update(util::BytesView chunk) override { work_->update(chunk); }
-  void finish_into(std::uint8_t* out) override {
-    std::uint8_t inner_digest[kMaxDigestSize];
-    const std::size_t n = work_->digest_size();
-    work_->finish_into(inner_digest);
-    work_->copy_from(*outer_state_);
-    work_->update({inner_digest, n});
-    work_->finish_into(out);
-  }
-
- private:
-  std::unique_ptr<Hash> inner_state_;  // H after absorbing K ^ ipad
-  std::unique_ptr<Hash> outer_state_;  // H after absorbing K ^ opad
-  std::unique_ptr<Hash> work_;
-};
-
-class NullContext final : public MacContext {
- public:
-  explicit NullContext(std::size_t size) : size_(size) {}
-  std::size_t mac_size() const override { return size_; }
-  void begin() override {}
-  void update(util::BytesView) override {}
-  void finish_into(std::uint8_t* out) override { std::memset(out, 0, size_); }
-
- private:
-  std::size_t size_;
-};
+void finish_state(HashState& h, std::uint8_t* out) {
+  std::visit([&](auto& s) { s.finish_into(out); }, h);
+}
 
 }  // namespace
 
-std::unique_ptr<MacContext> KeyedPrefixMac::make_context(
-    util::BytesView key) const {
-  return std::make_unique<KeyedPrefixContext>(*hash_, key);
+void MacContext::begin() {
+  if (kind_ != Kind::kNull) work_ = start_;
 }
 
-std::unique_ptr<MacContext> HmacMac::make_context(util::BytesView key) const {
-  return std::make_unique<HmacContext>(*hash_, key);
+void MacContext::update(util::BytesView chunk) {
+  if (kind_ != Kind::kNull) absorb(work_, chunk);
 }
 
-std::unique_ptr<MacContext> NullMac::make_context(util::BytesView) const {
-  return std::make_unique<NullContext>(size_);
-}
-
-util::Bytes KeyedPrefixMac::compute(
-    util::BytesView key,
-    std::initializer_list<util::BytesView> chunks) const {
-  auto ctx = hash_->clone();
-  ctx->reset();
-  ctx->update(key);
-  for (auto c : chunks) ctx->update(c);
-  return ctx->finish();
-}
-
-util::Bytes HmacMac::compute(
-    util::BytesView key,
-    std::initializer_list<util::BytesView> chunks) const {
-  const std::size_t block = hash_->block_size();
-
-  // Keys longer than a block are hashed first (RFC 2104).
-  util::Bytes k(key.begin(), key.end());
-  if (k.size() > block) {
-    auto ctx = hash_->clone();
-    ctx->reset();
-    ctx->update(k);
-    k = ctx->finish();
+void MacContext::finish_into(std::uint8_t* out) {
+  switch (kind_) {
+    case Kind::kNull:
+      std::memset(out, 0, size_);
+      return;
+    case Kind::kKeyedPrefix:
+      finish_state(work_, out);
+      return;
+    case Kind::kHmac: {
+      std::uint8_t inner_digest[kMaxDigestSize];
+      finish_state(work_, inner_digest);
+      work_ = outer_;
+      absorb(work_, {inner_digest, size_});
+      finish_state(work_, out);
+      return;
+    }
   }
-  k.resize(block, 0);
+}
 
-  util::Bytes ipad(block), opad(block);
-  for (std::size_t i = 0; i < block; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+util::Bytes Mac::compute(util::BytesView key,
+                         std::initializer_list<util::BytesView> chunks) const {
+  MacContext ctx = make_context(key);
+  ctx.begin();
+  for (const util::BytesView c : chunks) ctx.update(c);
+  return ctx.finish();
+}
+
+KeyedPrefixMac::KeyedPrefixMac(std::unique_ptr<Hash> hash)
+    : hash_(state_of(*hash)) {}
+
+std::size_t KeyedPrefixMac::mac_size() const { return digest_size(hash_); }
+
+MacContext KeyedPrefixMac::make_context(util::BytesView key) const {
+  // The key is absorbed into start_ once; each message restores that state
+  // into work_ and streams from there.
+  MacContext ctx;
+  ctx.kind_ = MacContext::Kind::kKeyedPrefix;
+  ctx.size_ = digest_size(hash_);
+  ctx.start_ = hash_;
+  absorb(ctx.start_, key);
+  return ctx;
+}
+
+HmacMac::HmacMac(std::unique_ptr<Hash> hash) : hash_(state_of(*hash)) {}
+
+std::size_t HmacMac::mac_size() const { return digest_size(hash_); }
+
+MacContext HmacMac::make_context(util::BytesView key) const {
+  // RFC 2104: hash overlong keys and absorb the ipad/opad blocks exactly
+  // once, here; per message only the two precomputed states are restored.
+  MacContext ctx;
+  ctx.kind_ = MacContext::Kind::kHmac;
+  ctx.size_ = digest_size(hash_);
+  const std::size_t block =
+      std::visit([](const auto& s) { return s.block_size(); }, hash_);
+  assert(block <= kMaxBlockSize);
+  std::array<std::uint8_t, kMaxBlockSize> k{};
+  if (key.size() > block) {
+    ctx.work_ = hash_;
+    absorb(ctx.work_, key);
+    finish_state(ctx.work_, k.data());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
   }
 
-  auto inner = hash_->clone();
-  inner->reset();
-  inner->update(ipad);
-  for (auto c : chunks) inner->update(c);
-  const util::Bytes inner_digest = inner->finish();
+  std::array<std::uint8_t, kMaxBlockSize> pad;
+  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x36;
+  ctx.start_ = hash_;
+  absorb(ctx.start_, {pad.data(), block});
+  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x5c;
+  ctx.outer_ = hash_;
+  absorb(ctx.outer_, {pad.data(), block});
+  return ctx;
+}
 
-  auto outer = hash_->clone();
-  outer->reset();
-  outer->update(opad);
-  outer->update(inner_digest);
-  return outer->finish();
+MacContext NullMac::make_context(util::BytesView) const {
+  MacContext ctx;
+  ctx.size_ = size_;
+  return ctx;
 }
 
 util::Bytes hmac(Hash& hash, util::BytesView key, util::BytesView message) {

@@ -22,9 +22,6 @@ class Md5 final : public Hash {
   void reset() override;
   void update(util::BytesView data) override;
   void finish_into(std::uint8_t* out) override;
-  void copy_from(const Hash& other) override {
-    *this = static_cast<const Md5&>(other);
-  }
   std::unique_ptr<Hash> clone() const override {
     return std::make_unique<Md5>(*this);
   }

@@ -21,9 +21,6 @@ class Sha1 final : public Hash {
   void reset() override;
   void update(util::BytesView data) override;
   void finish_into(std::uint8_t* out) override;
-  void copy_from(const Hash& other) override {
-    *this = static_cast<const Sha1&>(other);
-  }
   std::unique_ptr<Hash> clone() const override {
     return std::make_unique<Sha1>(*this);
   }

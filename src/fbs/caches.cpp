@@ -36,21 +36,8 @@ std::size_t cache_index(CacheHashKind kind, util::BytesView key,
   return 0;
 }
 
-std::size_t MissClassifier::stack_distance(util::BytesView key,
-                                           std::size_t limit) const {
-  // Bounded walk: callers only need to know whether the reuse distance is
-  // below the cache capacity, so stop once `limit` entries are passed.
-  std::size_t d = 0;
-  for (const auto& k : lru_) {
-    if (std::ranges::equal(k, key)) return d;
-    if (++d >= limit) break;
-  }
-  return SIZE_MAX;
-}
-
-void MissClassifier::note_evicted(util::BytesView key) {
+void MissClassifier::note_evicted(std::uint64_t h1) {
   if (ever_evicted_.empty()) ever_evicted_.assign(kBloomWords, 0);
-  const std::uint64_t h1 = util::flow_hash64(key);
   const std::uint64_t h2 = util::mix64(h1) | 1;  // odd stride
   for (std::uint64_t i = 0; i < 4; ++i) {
     const std::uint64_t bit = (h1 + i * h2) % (kBloomWords * 64);
@@ -58,9 +45,8 @@ void MissClassifier::note_evicted(util::BytesView key) {
   }
 }
 
-bool MissClassifier::ever_evicted(util::BytesView key) const {
+bool MissClassifier::ever_evicted(std::uint64_t h1) const {
   if (ever_evicted_.empty()) return false;
-  const std::uint64_t h1 = util::flow_hash64(key);
   const std::uint64_t h2 = util::mix64(h1) | 1;
   for (std::uint64_t i = 0; i < 4; ++i) {
     const std::uint64_t bit = (h1 + i * h2) % (kBloomWords * 64);
@@ -70,51 +56,70 @@ bool MissClassifier::ever_evicted(util::BytesView key) const {
   return true;
 }
 
-void MissClassifier::push_new(util::BytesView key) {
-  lru_.emplace_front(key.begin(), key.end());
-  pos_.try_emplace(lru_.front(), lru_.begin());
-  stack_key_bytes_ += key.size();
-  if (lru_.size() > max_depth_) {
-    const util::Bytes& victim = lru_.back();
-    note_evicted(victim);
-    stack_key_bytes_ -= victim.size();
-    pos_.erase(util::BytesView{victim});
-    lru_.pop_back();
+void MissClassifier::move_to_top(Stack::iterator it) {
+  // Positions above `it` shift down by one. A top node stays within the top
+  // capacity_ either way, so only the boundary iterator can change; a node
+  // from below the boundary pushes the boundary node out of the top.
+  if (it->top) {
+    if (capacity_ > 1 && lru_.size() >= capacity_ && it == boundary_)
+      boundary_ = std::prev(it);
+  } else {
+    boundary_->top = false;
+    boundary_ = capacity_ > 1 ? std::prev(boundary_) : it;
+    it->top = true;
   }
+  lru_.splice(lru_.begin(), lru_, it);
 }
 
-MissClassifier::MissKind MissClassifier::classify_miss(util::BytesView key,
-                                                       std::size_t capacity) {
-  auto* it = pos_.find(key);
+void MissClassifier::push_new(HashedKey key) {
+  // The new reference enters at the bottom of the stack -- a fresh node
+  // while the stack grows, the recycled bottom node (the one falling off
+  // the far end) once it is full -- and moves to the top from there.
+  if (lru_.size() < max_depth_) {
+    Node& n = lru_.emplace_back();
+    n.top = lru_.size() <= capacity_;
+    if (lru_.size() == capacity_) boundary_ = std::prev(lru_.end());
+  } else {
+    Node& victim = lru_.back();
+    note_evicted(victim.hash);
+    pos_.erase(HashedKey{victim.key, victim.hash});
+    stack_key_bytes_ -= victim.key.size();
+  }
+  const auto it = std::prev(lru_.end());
+  it->key.assign(key.bytes.begin(), key.bytes.end());
+  it->hash = key.hash;
+  stack_key_bytes_ += key.bytes.size();
+  pos_.try_emplace(HashedKey{it->key, it->hash}, it);
+  move_to_top(it);
+}
+
+MissClassifier::MissKind MissClassifier::classify_miss(util::BytesView key) {
+  const HashedKey hk{key, util::flow_hash64(key)};
+  auto* it = pos_.find(hk);
   if (it == nullptr) {
     // Not on the bounded stack. A key that fell off the far end has reuse
     // distance > max_depth >= capacity, so if it was ever evicted this is a
     // capacity miss; a genuinely new key is compulsory.
     const MissKind kind =
-        ever_evicted(key) ? MissKind::kCapacity : MissKind::kCold;
-    push_new(key);
+        ever_evicted(hk.hash) ? MissKind::kCapacity : MissKind::kCold;
+    push_new(hk);
     return kind;
   }
-  const MissKind kind = stack_distance(key, capacity) < capacity
-                            // A fully-associative cache of the same size
-                            // would have hit: the miss is due to set
-                            // conflicts only.
-                            ? MissKind::kCollision
-                            : MissKind::kCapacity;
-  lru_.splice(lru_.begin(), lru_, *it);
+  // Within the top capacity_, a fully-associative cache of the same size
+  // would have hit: the miss is due to set conflicts only.
+  const MissKind kind =
+      (*it)->top ? MissKind::kCollision : MissKind::kCapacity;
+  move_to_top(*it);
   return kind;
 }
 
 void MissClassifier::record_hit(util::BytesView key) {
-  // The node is spliced to the stack top in place: a cache hit costs no
-  // allocation here. (A hit on a key the classifier never saw miss -- e.g.
-  // one pinned directly into the cache -- still enters the stack.)
-  auto* it = pos_.find(key);
-  if (it != nullptr) {
-    lru_.splice(lru_.begin(), lru_, *it);
+  const HashedKey hk{key, util::flow_hash64(key)};
+  if (auto* it = pos_.find(hk)) {
+    move_to_top(*it);
     return;
   }
-  push_new(key);
+  push_new(hk);
 }
 
 }  // namespace fbs::core

@@ -13,13 +13,23 @@
 // total capacity would have hit in a fully-associative cache, so it is a
 // collision miss; otherwise it is a capacity miss. The simulated stack is
 // capped (default kDefaultMaxDepth, covering the largest Figure 11
-// capacity), so classification memory and per-miss cost are bounded no
-// matter how many flows pass through -- the million-flow requirement of
-// DESIGN.md 5i. References deeper than the cap are capacity misses by
-// definition (reuse distance > depth >= capacity); cold detection for keys
-// that fell off the stack uses a fixed-size Bloom filter of everything ever
-// evicted, whose rare false positives shift a cold miss to capacity but
-// never perturb the hit/miss split.
+// capacity), so classification memory is bounded no matter how many flows
+// pass through -- the million-flow requirement of DESIGN.md 5i. References
+// deeper than the cap are capacity misses by definition (reuse distance >
+// depth >= capacity); cold detection for keys that fell off the stack uses
+// a fixed-size Bloom filter of everything ever evicted, whose rare false
+// positives shift a cold miss to capacity but never perturb the hit/miss
+// split.
+//
+// Every classifier access is O(1) and, once the stack is full, allocation-
+// free: each stack node carries an "in the top `capacity`" flag and the
+// classifier keeps an iterator to the deepest flagged node, so "reuse
+// distance < capacity" is a flag read instead of a walk, and moving a node
+// to the top moves at most one other node across the boundary. A push onto
+// a full stack recycles the evicted bottom node and its key buffer, and the
+// position map is keyed by views into the nodes. Each access hashes its key
+// once: the position map and the Bloom filter share that hash, and each
+// node keeps its own for when it is evicted.
 #pragma once
 
 #include <algorithm>
@@ -71,7 +81,7 @@ struct ByteRangeLess {
 };
 
 /// Bounded LRU-stack miss classifier (fully-associative cache simulator,
-/// truncated at max_depth entries).
+/// truncated at max_depth entries) for a cache of a fixed total capacity.
 class MissClassifier {
  public:
   enum class MissKind { kCold, kCapacity, kCollision };
@@ -81,14 +91,24 @@ class MissClassifier {
   /// still exact.
   static constexpr std::size_t kDefaultMaxDepth = 1024;
 
-  explicit MissClassifier(std::size_t max_depth = kDefaultMaxDepth)
-      : max_depth_(max_depth ? max_depth : 1) {}
+  /// Classify for a cache holding `capacity` entries in total. A capacity
+  /// above max_depth classifies as max_depth would: every key still on the
+  /// stack is within it.
+  explicit MissClassifier(std::size_t capacity,
+                          std::size_t max_depth = kDefaultMaxDepth)
+      : max_depth_(max_depth ? max_depth : 1),
+        capacity_(std::clamp<std::size_t>(capacity, 1, max_depth_)) {}
 
-  /// Classify a miss on `key` for a cache holding `capacity` entries total,
-  /// then push the reference onto the stack.
-  MissKind classify_miss(util::BytesView key, std::size_t capacity);
-  /// Record a hit (moves the key to the top of the stack without
-  /// allocating: the list node is spliced, not reinserted).
+  // Moving keeps the stack's nodes, so boundary_ and pos_ stay valid; a
+  // copy's would point into the source.
+  MissClassifier(MissClassifier&&) = default;
+  MissClassifier& operator=(MissClassifier&&) = default;
+
+  /// Classify a miss on `key`, then push the reference onto the stack.
+  MissKind classify_miss(util::BytesView key);
+  /// Record a hit: the key moves to the top of the stack. (A hit on a key
+  /// the classifier never saw miss -- e.g. one pinned directly into the
+  /// cache -- still enters the stack.)
   void record_hit(util::BytesView key);
 
   std::size_t max_depth() const { return max_depth_; }
@@ -98,8 +118,7 @@ class MissClassifier {
   /// of distinct keys ever seen -- the regression test pins this.
   std::size_t approx_memory_bytes() const {
     return pos_.memory_bytes() + ever_evicted_.capacity() * sizeof(std::uint64_t) +
-           stack_key_bytes_ +
-           lru_.size() * (sizeof(void*) * 2 + sizeof(util::Bytes));
+           stack_key_bytes_ + lru_.size() * (sizeof(void*) * 2 + sizeof(Node));
   }
 
  private:
@@ -109,16 +128,41 @@ class MissClassifier {
   // effectively zero.
   static constexpr std::size_t kBloomWords = std::size_t{1} << 17;
 
-  std::size_t stack_distance(util::BytesView key, std::size_t limit) const;
-  void push_new(util::BytesView key);
-  void note_evicted(util::BytesView key);
-  bool ever_evicted(util::BytesView key) const;
+  struct Node {
+    util::Bytes key;
+    std::uint64_t hash = 0;  // util::flow_hash64(key)
+    bool top = false;  // within the top capacity_ positions of the stack
+  };
+  using Stack = std::list<Node>;
+
+  /// A position-map key: a view of the key bytes plus their flow_hash64.
+  struct HashedKey {
+    util::BytesView bytes;
+    std::uint64_t hash = 0;
+  };
+  struct HashedKeyHash {
+    std::uint64_t operator()(const HashedKey& k) const { return k.hash; }
+  };
+  struct HashedKeyEq {
+    bool operator()(const HashedKey& a, const HashedKey& b) const {
+      return std::ranges::equal(a.bytes, b.bytes);
+    }
+  };
+
+  void push_new(HashedKey key);
+  void move_to_top(Stack::iterator it);
+  /// Bloom filter of evicted keys, probed by a key's flow_hash64.
+  void note_evicted(std::uint64_t h1);
+  bool ever_evicted(std::uint64_t h1) const;
 
   std::size_t max_depth_;
-  std::list<util::Bytes> lru_;
-  util::FlatMap<util::Bytes, std::list<util::Bytes>::iterator,
-                util::ByteRangeHash, util::ByteRangeEq>
-      pos_;
+  std::size_t capacity_;  // in [1, max_depth_]
+  Stack lru_;
+  /// The node at stack position capacity_ - 1 (the deepest top node);
+  /// meaningful once the stack holds capacity_ nodes.
+  Stack::iterator boundary_;
+  util::FlatMap<HashedKey, Stack::iterator, HashedKeyHash, HashedKeyEq>
+      pos_;  // keys are views into the nodes' own key buffers
   std::vector<std::uint64_t> ever_evicted_;  // Bloom bits, sized lazily
   std::size_t stack_key_bytes_ = 0;
 };
@@ -134,7 +178,8 @@ class SetAssociativeCache {
         nsets_(capacity / (ways ? ways : 1) ? capacity / (ways ? ways : 1)
                                             : 1),
         hash_(hash),
-        sets_(nsets_ * ways_) {}
+        sets_(nsets_ * ways_),
+        classifier_(nsets_ * ways_) {}
 
   std::size_t capacity() const { return nsets_ * ways_; }
 
@@ -148,7 +193,7 @@ class SetAssociativeCache {
       classifier_.record_hit(key);
       return &e->value;
     }
-    switch (classifier_.classify_miss(key, capacity())) {
+    switch (classifier_.classify_miss(key)) {
       case MissClassifier::MissKind::kCold: ++stats_.cold_misses; break;
       case MissClassifier::MissKind::kCapacity: ++stats_.capacity_misses; break;
       case MissClassifier::MissKind::kCollision: ++stats_.collision_misses; break;

@@ -81,7 +81,7 @@ struct FbsConfig {
   std::uint64_t rekey_after_bytes = 0;
   util::TimeUs rekey_after_age = 0;
 
-  /// Route eligible DES-CBC decryption through the 64-wide bitsliced batch
+  /// Route eligible DES-CBC decryption through the 256-lane bitsliced batch
   /// engine: worker bursts are decrypted cross-datagram before per-datagram
   /// MAC verification, and single datagrams above the planner's threshold
   /// split their own blocks across lanes. false forces the scalar
@@ -195,8 +195,9 @@ class WorkContext {
   util::Bytes attrs;       // FlowAttributes encoding for FST/shard probes
   util::Bytes key;         // TFKC/RFKC cache key staging
   util::Bytes body;        // ciphertext staging on send
+  util::Bytes master;      // K_{S,D} staging for a flow-key derivation
   crypto::Md5 kdf_hash;    // H of Section 5.2 (need not equal the MAC hash)
-  /// The 64-wide bitsliced DES engine plus its batch planner. Per worker,
+  /// The 256-lane bitsliced DES engine plus its batch planner. Per worker,
   /// not per domain: the lane registers are scratch, and keeping them with
   /// the calling thread lets every worker run wide passes concurrently.
   crypto::CryptoBatch batch;
@@ -215,8 +216,10 @@ class WorkContext {
   };
   std::vector<ReceiveSlot> recv_slots;
   std::vector<crypto::CbcOpenJob> open_jobs;
-  /// Flow contexts rebuilt for one locked receive group when an RFKC entry
-  /// was evicted (or re-suited) by a later datagram of the same chunk.
+  /// Flow contexts rebuilt for one locked receive group: an RFKC entry
+  /// evicted by a later datagram of the same chunk, or a cached flow seen
+  /// under a different header suite (the cached context is never re-suited
+  /// from an unauthenticated header).
   /// Capacity is reserved to kBurstChunk on first use so pointers into it
   /// stay valid for the whole group; emptied when the group ends.
   std::vector<FlowCryptoContext> rebuilt;

@@ -224,20 +224,17 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
         return std::make_pair(e.sfl, &e.ctx);
       }
     }
-    const auto master = keys_.master_key(d.destination);
-    if (!master) return std::nullopt;
+    if (!keys_.master_key_into(d.destination, ctx.master)) return std::nullopt;
     const Sfl sfl = sfl_alloc_.allocate();
     ++dom.send_stats.flow_keys_derived;
     auto derive_timer = dom.tracer.start(obs::Stage::kSendKeyDerive);
-    util::Bytes key =
-        derive_flow_key(ctx.kdf_hash, sfl, *master, self_, d.destination);
-    FlowCryptoContext fctx = make_flow_crypto_context(
-        std::move(key), config_.suite, suite_mac(config_.suite.mac));
+    e.ctx = make_flow_crypto_context(
+        derive_flow_key(ctx.kdf_hash, sfl, ctx.master, self_, d.destination),
+        config_.suite, suite_mac(config_.suite.mac));
     derive_timer.finish();
     e.valid = true;
     e.attrs = d.attrs;
     e.sfl = sfl;
-    e.ctx = std::move(fctx);
     e.created = e.last = now;
     e.datagrams = 1;
     e.bytes = d.body.size();
@@ -256,14 +253,13 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
   cache_key_into(mapping.sfl, d.destination, self_, ctx.key);
   if (auto* cached = dom.tfkc.lookup(ctx.key))
     return std::make_pair(mapping.sfl, cached);
-  const auto master = keys_.master_key(d.destination);
-  if (!master) return std::nullopt;
+  if (!keys_.master_key_into(d.destination, ctx.master)) return std::nullopt;
   ++dom.send_stats.flow_keys_derived;
   auto derive_timer = dom.tracer.start(obs::Stage::kSendKeyDerive);
-  util::Bytes key = derive_flow_key(ctx.kdf_hash, mapping.sfl, *master, self_,
-                                    d.destination);
   FlowCryptoContext fctx = make_flow_crypto_context(
-      std::move(key), config_.suite, suite_mac(config_.suite.mac));
+      derive_flow_key(ctx.kdf_hash, mapping.sfl, ctx.master, self_,
+                      d.destination),
+      config_.suite, suite_mac(config_.suite.mac));
   derive_timer.finish();
   return std::make_pair(mapping.sfl,
                         dom.tfkc.insert(ctx.key, std::move(fctx)));
@@ -301,16 +297,16 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   mac_prefix_into(header.flags_byte(), header.suite_byte(),
                   header.confounder, header.timestamp_minutes, prefix);
   std::uint8_t mac_buf[kMaxMacSize];
-  const std::size_t mac_n = fctx->mac->mac_size();
+  const std::size_t mac_n = fctx->mac.mac_size();
 
   // (S6) the MAC covers the plaintext body, then (S8-9) the body is
   // encrypted under the confounder IV.
   {
     auto mac_timer = dom.tracer.start(obs::Stage::kSendMac);
-    fctx->mac->begin();
-    fctx->mac->update({prefix, kMacPrefixSize});
-    fctx->mac->update(d.body);
-    fctx->mac->finish_into(mac_buf);
+    fctx->mac.begin();
+    fctx->mac.update({prefix, kMacPrefixSize});
+    fctx->mac.update(d.body);
+    fctx->mac.finish_into(mac_buf);
   }
   util::BytesView body = d.body;
   if (header.secret) {
@@ -456,18 +452,18 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     // datagrams resolved to, so datagrams before the group's last insert
     // re-take their pointer by a peek, which cannot evict; from then on the
     // pointers stay valid to the end of the group. A context that is gone
-    // (set collision) or was re-suited by a later datagram's header is
-    // rebuilt into ctx.rebuilt for this group alone. derive() makes a flow
-    // key from the master key (counted); nullopt rejects the datagram as
-    // from an unknown peer.
-    const auto derive = [&](std::size_t j) -> std::optional<util::Bytes> {
-      const auto master = keys_.master_key(*items[j].source);
-      if (!master) {
+    // (set collision) is rebuilt into ctx.rebuilt for this group alone, and
+    // so is one whose suite differs from the datagram's header: the suite
+    // byte is not yet authenticated, so it never changes a cached context.
+    // derive() makes a flow key from the master key (counted); nullopt
+    // rejects the datagram as from an unknown peer.
+    const auto derive = [&](std::size_t j) -> std::optional<FlowKey> {
+      if (!keys_.master_key_into(*items[j].source, ctx.master)) {
         items[j].outcome = reject(dom, ReceiveError::kUnknownPeer);
         return std::nullopt;
       }
       ++dom.receive_stats.flow_keys_derived;
-      return derive_flow_key(ctx.kdf_hash, slot[j].header->sfl, *master,
+      return derive_flow_key(ctx.kdf_hash, slot[j].header->sfl, ctx.master,
                              *items[j].source, self_);
     };
     std::size_t pos = 0;
@@ -477,18 +473,15 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
       cache_key_into(h.sfl, *items[j].source, self_, ctx.key);
       if (auto* cached = dom.rfkc.lookup(ctx.key)) {
-        // A receiver can see the same sfl under a different header suite;
-        // the rare mismatch rebuilds the contexts from the cached key.
-        ensure_suite(*cached, h.suite, suite_mac(h.suite.mac));
         slot[j].fctx = cached;
         ++pos;
         return true;
       }
-      auto key = derive(j);
+      const auto key = derive(j);
       if (!key) return false;
       slot[j].fctx = dom.rfkc.insert(
-          ctx.key, make_flow_crypto_context(std::move(*key), h.suite,
-                                            suite_mac(h.suite.mac)));
+          ctx.key,
+          make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
       first_valid = pos++;
       return true;
     });
@@ -502,11 +495,11 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       }
       if (fctx && fctx->suite == h.suite) return true;
       auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
-      auto key = fctx ? std::optional<util::Bytes>(fctx->key) : derive(j);
+      const auto key = fctx ? std::optional<FlowKey>(fctx->key) : derive(j);
       if (!key) return false;
       ctx.rebuilt.reserve(kBurstChunk);
-      fctx = &ctx.rebuilt.emplace_back(make_flow_crypto_context(
-          std::move(*key), h.suite, suite_mac(h.suite.mac)));
+      fctx = &ctx.rebuilt.emplace_back(
+          make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
       return true;
     });
 
@@ -531,12 +524,12 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
         return false;
       }
       const std::uint64_t iv = confounder_iv(h.confounder);
-      if (config_.bitslice_crypto && f.bitslice &&
+      if (config_.bitslice_crypto && f.des &&
           h.suite.cipher == crypto::CipherAlgorithm::kDesCbc &&
           !h.body.empty() && h.body.size() % crypto::Des::kBlockSize == 0) {
         body.resize(h.body.size());
         ctx.open_jobs[njob++] =
-            crypto::CbcOpenJob{&*f.des, &*f.bitslice, iv, h.body, body.data()};
+            crypto::CbcOpenJob{&*f.des, iv, h.body, body.data()};
         s.batched = true;
         return true;
       }
@@ -570,7 +563,7 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       mac_prefix_into(h.flags_byte(), h.suite_byte(), h.confounder,
                       h.timestamp_minutes, prefix);
       std::uint8_t mac_buf[kMaxMacSize];
-      crypto::MacContext& mac = *slot[j].fctx->mac;
+      crypto::MacContext& mac = slot[j].fctx->mac;
       {
         auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
         mac.begin();

@@ -7,53 +7,44 @@
 
 namespace fbs::core {
 
-util::Bytes derive_flow_key(crypto::Hash& hash, Sfl sfl,
-                            util::BytesView master_key, const Principal& S,
-                            const Principal& D) {
-  util::ByteWriter sfl_bytes(8);
-  sfl_bytes.u64(sfl);
+FlowKey derive_flow_key(crypto::Md5& hash, Sfl sfl, util::BytesView master_key,
+                        const Principal& S, const Principal& D) {
+  std::uint8_t sfl_bytes[8];
+  for (int i = 0; i < 8; ++i)
+    sfl_bytes[i] = static_cast<std::uint8_t>(sfl >> (56 - 8 * i));
   hash.reset();
-  hash.update(sfl_bytes.view());
+  hash.update(sfl_bytes);
   hash.update(master_key);
   hash.update(S.address);
   hash.update(D.address);
-  return hash.finish();
+  FlowKey key;
+  hash.finish_into(key.data());
+  return key;
 }
 
-FlowCryptoContext make_flow_crypto_context(util::Bytes key,
+FlowCryptoContext make_flow_crypto_context(const FlowKey& key,
                                            crypto::AlgorithmSuite suite,
                                            const crypto::Mac& mac_alg) {
   FlowCryptoContext ctx;
-  ctx.key = std::move(key);
+  ctx.key = key;
   ctx.suite = suite;
-  if (suite.cipher == crypto::CipherAlgorithm::kDes3Ede &&
-      ctx.key.size() >= crypto::Des::kKeySize) {
+  ctx.mac = mac_alg.make_context(key);
+  if (suite.cipher == crypto::CipherAlgorithm::kDes3Ede) {
     // Stretch K_f to the 24-byte EDE key: K_f | MD5(K_f), truncated. The
     // derivation is deterministic from K_f alone, so both ends agree
     // without any extra negotiation.
     std::array<std::uint8_t, crypto::Des3::kKeySize> k3{};
     crypto::Md5 h;
-    h.update(ctx.key);
-    const util::Bytes ext = h.finish();
-    const std::size_t head = std::min(ctx.key.size(), k3.size());
-    std::copy_n(ctx.key.begin(), head, k3.begin());
-    for (std::size_t i = head; i < k3.size(); ++i) k3[i] = ext[i - head];
+    h.update(key);
+    std::uint8_t ext[crypto::Md5::kDigestSize];
+    h.finish_into(ext);
+    std::copy(key.begin(), key.end(), k3.begin());
+    std::copy_n(ext, k3.size() - key.size(), k3.begin() + key.size());
     ctx.des3.emplace(util::BytesView(k3));
-  } else if (suite.cipher != crypto::CipherAlgorithm::kNone &&
-             ctx.key.size() >= crypto::Des::kKeySize) {
-    const auto des_key =
-        util::BytesView(ctx.key).subspan(0, crypto::Des::kKeySize);
-    ctx.des.emplace(des_key);
-    ctx.bitslice = crypto::DesBitsliceKeySchedule::from_key(des_key);
+  } else if (suite.cipher != crypto::CipherAlgorithm::kNone) {
+    ctx.des.emplace(util::BytesView(key).first(crypto::Des::kKeySize));
   }
-  ctx.mac = mac_alg.make_context(ctx.key);
   return ctx;
-}
-
-void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite,
-                  const crypto::Mac& mac_alg) {
-  if (ctx.suite == suite && ctx.mac) return;
-  ctx = make_flow_crypto_context(std::move(ctx.key), suite, mac_alg);
 }
 
 MasterKeyDaemon::MasterKeyDaemon(Principal self, bignum::Uint private_value,
@@ -187,14 +178,24 @@ std::optional<util::Bytes> MasterKeyDaemon::upcall(const Principal& peer) {
   return crypto::dh_shared_secret_bytes(group_, private_value_, peer_public);
 }
 
-std::optional<util::Bytes> KeyManager::master_key(const Principal& peer) {
+bool KeyManager::master_key_into(const Principal& peer, util::Bytes& out) {
   // One lock across lookup AND upcall: two shards racing on a cold peer
   // must not drive two upcalls (the daemon is single-threaded by design).
   std::lock_guard<std::mutex> lock(mu_);
-  if (const auto* cached = mkc_.lookup(peer.address)) return *cached;
-  upcalls_.fetch_add(1, std::memory_order_relaxed);
-  auto key = daemon_.upcall(peer);
-  if (key) mkc_.insert(peer.address, *key);
+  const util::Bytes* key = mkc_.lookup(peer.address);
+  if (!key) {
+    upcalls_.fetch_add(1, std::memory_order_relaxed);
+    auto fresh = daemon_.upcall(peer);
+    if (!fresh) return false;
+    key = mkc_.insert(peer.address, std::move(*fresh));
+  }
+  out.assign(key->begin(), key->end());
+  return true;
+}
+
+std::optional<util::Bytes> KeyManager::master_key(const Principal& peer) {
+  util::Bytes key;
+  if (!master_key_into(peer, key)) return std::nullopt;
   return key;
 }
 

@@ -29,9 +29,8 @@
 #include "crypto/algorithms.hpp"
 #include "crypto/des.hpp"
 #include "crypto/des3.hpp"
-#include "crypto/des_bitslice.hpp"
 #include "crypto/dh.hpp"
-#include "crypto/hash.hpp"
+#include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
 #include "fbs/principal.hpp"
 #include "obs/metrics.hpp"
@@ -39,43 +38,38 @@
 
 namespace fbs::core {
 
-/// K_f = H(sfl | K_{S,D} | S | D). S and D are the principal addresses;
-/// their inclusion ties the flow key to this ordered pair (Section 5.2).
-util::Bytes derive_flow_key(crypto::Hash& hash, Sfl sfl,
-                            util::BytesView master_key, const Principal& S,
-                            const Principal& D);
+/// A flow key K_f: one MD5 digest.
+using FlowKey = std::array<std::uint8_t, crypto::Md5::kDigestSize>;
+
+/// K_f = H(sfl | K_{S,D} | S | D) with H = MD5. S and D are the principal
+/// addresses; their inclusion ties the flow key to this ordered pair
+/// (Section 5.2). Allocation-free: `hash` is caller scratch.
+FlowKey derive_flow_key(crypto::Md5& hash, Sfl sfl, util::BytesView master_key,
+                        const Principal& S, const Principal& D);
 
 /// Everything the datagram hot path needs from a flow key, derived once
-/// when the flow key is: the DES key schedule (16 subkey expansions) and
-/// the keyed MAC context (key hashing plus, for HMAC, both pad blocks).
-/// This is what the TFKC/RFKC and the combined FST+TFKC store, so a cache
-/// hit hands back ready-to-run cryptography instead of raw key bytes.
+/// when the flow key is: the DES key schedule (whose round keys also key
+/// the bitsliced batch engine's lanes) and the keyed MAC context (key
+/// hashing plus, for HMAC, both pad blocks). This is what the TFKC/RFKC and
+/// the combined FST+TFKC store, so a cache hit hands back ready-to-run
+/// cryptography instead of raw key bytes. It owns no heap memory, so a
+/// flow-key miss builds one without allocating.
 struct FlowCryptoContext {
-  util::Bytes key;                  // K_f itself (kept for re-suiting)
+  FlowKey key{};                    // K_f itself (to build other suites)
   crypto::AlgorithmSuite suite{};   // what des/mac below were built for
   std::optional<crypto::Des> des;   // engaged unless the suite is cipherless
-  /// The same DES key expanded for the 64-wide bitsliced engine; derived
-  /// once per flow (one transpose of the subkeys) so the batch scheduler
-  /// can key lanes by pointer. Engaged exactly when `des` is and the suite
-  /// runs single DES (the bitslice core is single-algorithm).
-  std::optional<crypto::DesBitsliceKeySchedule> bitslice;
   /// Engaged instead of `des` for the kDes3Ede suite: K_f (16 bytes) is
   /// stretched to the 24-byte EDE key as K_f | MD5(K_f)[0..8).
   std::optional<crypto::Des3> des3;
-  std::unique_ptr<crypto::MacContext> mac;
+  crypto::MacContext mac;
 };
 
 /// Build the per-flow context for `suite`. `mac_alg` is the (cached,
 /// per-suite) Mac instance matching suite.mac -- the caller owns it; only
 /// the derived MacContext is stored.
-FlowCryptoContext make_flow_crypto_context(util::Bytes key,
+FlowCryptoContext make_flow_crypto_context(const FlowKey& key,
                                            crypto::AlgorithmSuite suite,
                                            const crypto::Mac& mac_alg);
-
-/// Rebuild `ctx`'s des/mac for `suite` if it was keyed for a different one
-/// (a receiver can see the same sfl under different header suites).
-void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite,
-                  const crypto::Mac& mac_alg);
 
 struct MkdStats {
   std::uint64_t upcalls = 0;
@@ -195,7 +189,11 @@ class KeyManager {
              std::size_t mkc_ways = 2)
       : daemon_(daemon), mkc_(mkc_size, mkc_ways, hash) {}
 
-  /// K_{S,D} for self<->peer; cached in the MKC.
+  /// K_{S,D} for self<->peer, copied into `out` (its capacity reused, so
+  /// an MKC hit does not allocate); cached in the MKC. false if no master
+  /// key can be obtained.
+  bool master_key_into(const Principal& peer, util::Bytes& out);
+  /// Allocating convenience form of master_key_into.
   std::optional<util::Bytes> master_key(const Principal& peer);
 
   /// Drop a cached master key (e.g. after peer key rollover).

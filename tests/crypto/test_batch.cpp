@@ -15,12 +15,8 @@ namespace {
 struct Flow {
   util::Bytes key;
   Des des;
-  DesBitsliceKeySchedule schedule;
 
-  explicit Flow(util::Bytes k)
-      : key(std::move(k)),
-        des(key),
-        schedule(DesBitsliceKeySchedule::from_key(key)) {}
+  explicit Flow(util::Bytes k) : key(std::move(k)), des(key) {}
 };
 
 /// Build a burst of bodies with the given sizes, CBC-encrypt each with the
@@ -51,7 +47,7 @@ void check_burst(std::uint64_t seed, const std::vector<std::size_t>& sizes,
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const Flow& f = flow_set[owner[i]];
     opened[i].resize(ciphertexts[i].size());
-    open_jobs.push_back(CbcOpenJob{&f.des, &f.schedule, ivs[i],
+    open_jobs.push_back(CbcOpenJob{&f.des, ivs[i],
                                    ciphertexts[i], opened[i].data()});
   }
   batch.open_cbc(open_jobs);
@@ -74,7 +70,7 @@ void check_burst(std::uint64_t seed, const std::vector<std::size_t>& sizes,
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const Flow& f = flow_set[owner[i]];
     sealed[i].resize(CryptoBatch::padded_size(bodies[i].size()));
-    seal_jobs.push_back(CbcSealJob{&f.des, &f.schedule, ivs[i], bodies[i],
+    seal_jobs.push_back(CbcSealJob{&f.des, ivs[i], bodies[i],
                                    sealed[i].data()});
   }
   batch.seal_cbc(seal_jobs);
@@ -116,7 +112,7 @@ TEST(CryptoBatch, SubThresholdBurstFallsBackToScalar) {
   util::Bytes body = rng.next_bytes(10);
   util::Bytes ct = encrypt(f.des, CipherMode::kCbc, 99, body);
   util::Bytes out(ct.size());
-  const CbcOpenJob job{&f.des, &f.schedule, 99, ct, out.data()};
+  const CbcOpenJob job{&f.des, 99, ct, out.data()};
   probe.open_cbc({&job, 1});
   EXPECT_EQ(probe.stats().bitsliced_blocks, 0u);
   EXPECT_EQ(probe.stats().scalar_blocks, 2u);
@@ -129,7 +125,7 @@ TEST(CryptoBatch, LargeBurstUsesBitsliceEngine) {
   util::Bytes ct = encrypt(f.des, CipherMode::kCbc, 1234, body);
   util::Bytes out(ct.size());
   CryptoBatch batch;
-  const CbcOpenJob job{&f.des, &f.schedule, 1234, ct, out.data()};
+  const CbcOpenJob job{&f.des, 1234, ct, out.data()};
   batch.open_cbc({&job, 1});
   EXPECT_EQ(batch.stats().bitsliced_blocks, ct.size() / 8);
   EXPECT_EQ(batch.stats().scalar_blocks, 0u);
@@ -157,7 +153,7 @@ TEST(CryptoBatch, MixedKeyBurstRekeysLanesAtJobBoundaries) {
   }
   for (std::size_t i = 0; i < 8; ++i) {
     const Flow& f = flows[i % flows.size()];
-    jobs.push_back(CbcOpenJob{&f.des, &f.schedule, i, cts[i], outs[i].data()});
+    jobs.push_back(CbcOpenJob{&f.des, i, cts[i], outs[i].data()});
   }
   CryptoBatch batch;
   batch.open_cbc(jobs);

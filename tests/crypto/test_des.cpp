@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/des_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {
@@ -9,6 +12,59 @@ namespace {
 
 Des des_from_hex(const char* key_hex) {
   return Des(*util::from_hex(key_hex));
+}
+
+/// The bit-walk schedule (PC-1, rotations, PC-2 one bit at a time), as
+/// DesReference computes it.
+DesRoundKeys reference_schedule(std::uint64_t k64) {
+  std::uint8_t key[8];
+  Des::store_be64(k64, key);
+  return DesReference(util::BytesView(key, 8)).subkeys();
+}
+
+TEST(DesKeySchedule, TableDrivenMatchesBitWalkOnRandomKeys) {
+  util::SplitMix64 rng(4646);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t k64 = rng.next_u64();
+    ASSERT_EQ(Des::key_schedule(k64), reference_schedule(k64))
+        << std::hex << k64;
+  }
+}
+
+TEST(DesKeySchedule, WeakAndSemiWeakKeys) {
+  // FIPS 74's four weak keys give sixteen equal round keys; each of the six
+  // semi-weak pairs gives one key's schedule as the other's reversed.
+  const std::uint64_t weak[] = {0x0101010101010101ull, 0xFEFEFEFEFEFEFEFEull,
+                                0xE0E0E0E0F1F1F1F1ull, 0x1F1F1F1F0E0E0E0Eull};
+  for (const std::uint64_t k : weak) {
+    const DesRoundKeys ks = Des::key_schedule(k);
+    EXPECT_EQ(ks, reference_schedule(k)) << std::hex << k;
+    EXPECT_TRUE(std::ranges::all_of(ks, [&](auto r) { return r == ks[0]; }))
+        << std::hex << k;
+  }
+  const std::uint64_t semi_weak[][2] = {
+      {0x01FE01FE01FE01FEull, 0xFE01FE01FE01FE01ull},
+      {0x1FE01FE00EF10EF1ull, 0xE01FE01FF10EF10Eull},
+      {0x01E001E001F101F1ull, 0xE001E001F101F101ull},
+      {0x1FFE1FFE0EFE0EFEull, 0xFE1FFE1FFE0EFE0Eull},
+      {0x011F011F010E010Eull, 0x1F011F010E010E01ull},
+      {0xE0FEE0FEF1FEF1FEull, 0xFEE0FEE0FEF1FEF1ull}};
+  for (const auto& [a, b] : semi_weak) {
+    const DesRoundKeys ka = Des::key_schedule(a);
+    DesRoundKeys kb = Des::key_schedule(b);
+    EXPECT_EQ(ka, reference_schedule(a)) << std::hex << a;
+    EXPECT_EQ(kb, reference_schedule(b)) << std::hex << b;
+    std::ranges::reverse(kb);
+    EXPECT_EQ(ka, kb) << std::hex << a;
+  }
+}
+
+TEST(DesKeySchedule, ConstructorKeepsTheSchedule) {
+  const Des des = des_from_hex("133457799BBCDFF1");
+  EXPECT_EQ(des.round_keys(), Des::key_schedule(0x133457799BBCDFF1ull));
+  // K1 and K16 of the published worked example.
+  EXPECT_EQ(des.round_keys()[0], 0x1B02EFFC7072ull);
+  EXPECT_EQ(des.round_keys()[15], 0xCB3D8B0E17F5ull);
 }
 
 TEST(Des, ClassicWorkedExample) {

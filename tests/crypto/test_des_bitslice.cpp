@@ -37,9 +37,9 @@ TEST(DesBitslice, KeyScheduleMatchesReference) {
   for (int iter = 0; iter < 20; ++iter) {
     const util::Bytes key = rng.next_bytes(8);
     const DesReference ref(key);
-    const auto ks = DesBitsliceKeySchedule::from_key(key);
+    const auto ks = Des(key).round_keys();
     for (int round = 0; round < 16; ++round) {
-      EXPECT_EQ(ks.subkeys[static_cast<std::size_t>(round)],
+      EXPECT_EQ(ks[static_cast<std::size_t>(round)],
                 ref.subkeys()[static_cast<std::size_t>(round)]);
     }
   }
@@ -51,7 +51,7 @@ TEST(DesBitslice, BroadcastKeyMatchesReferenceBothDirections) {
     const util::Bytes key = rng.next_bytes(8);
     const DesReference ref(key);
     DesBitslice bs;
-    bs.set_all_lanes(DesBitsliceKeySchedule::from_key(key));
+    bs.set_all_lanes(Des(key).round_keys());
 
     std::uint64_t blocks[kLanes];
     std::uint64_t pt[kLanes];
@@ -70,12 +70,12 @@ TEST(DesBitslice, BroadcastKeyMatchesReferenceBothDirections) {
 
 TEST(DesBitslice, AllLanesDistinctKeysBulkLoad) {
   util::SplitMix64 rng(104);
-  std::array<DesBitsliceKeySchedule, kLanes> schedules;
-  std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+  std::array<DesRoundKeys, kLanes> schedules;
+  std::array<const DesRoundKeys*, kLanes> ptrs;
   std::array<util::Bytes, kLanes> keys;
   for (std::size_t i = 0; i < kLanes; ++i) {
     keys[i] = rng.next_bytes(8);
-    schedules[i] = DesBitsliceKeySchedule::from_key(keys[i]);
+    schedules[i] = Des(keys[i]).round_keys();
     ptrs[i] = &schedules[i];
   }
   DesBitslice bs;
@@ -100,8 +100,8 @@ TEST(DesBitslice, SetLaneRekeysOneLaneOnly) {
   const util::Bytes base_key = rng.next_bytes(8);
   const util::Bytes other_key = rng.next_bytes(8);
   DesBitslice bs;
-  bs.set_all_lanes(DesBitsliceKeySchedule::from_key(base_key));
-  const auto other = DesBitsliceKeySchedule::from_key(other_key);
+  bs.set_all_lanes(Des(base_key).round_keys());
+  const auto other = Des(other_key).round_keys();
   bs.set_lane(7, other);
   bs.set_lane(63, other);
 
@@ -122,12 +122,12 @@ TEST(DesBitslice, MonteCarloChainPerLane) {
   // lane, distinct keys, compare the final value lane by lane. Any
   // cross-lane leak or wiring error diverges within a few iterations.
   util::SplitMix64 rng(106);
-  std::array<DesBitsliceKeySchedule, kLanes> schedules;
-  std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+  std::array<DesRoundKeys, kLanes> schedules;
+  std::array<const DesRoundKeys*, kLanes> ptrs;
   std::array<util::Bytes, kLanes> keys;
   for (std::size_t i = 0; i < kLanes; ++i) {
     keys[i] = rng.next_bytes(8);
-    schedules[i] = DesBitsliceKeySchedule::from_key(keys[i]);
+    schedules[i] = Des(keys[i]).round_keys();
     ptrs[i] = &schedules[i];
   }
   DesBitslice bs;
@@ -152,7 +152,7 @@ TEST(DesBitslice, AgreesWithTableDrivenCore) {
   const util::Bytes key = rng.next_bytes(8);
   const Des des(key);
   DesBitslice bs;
-  bs.set_all_lanes(DesBitsliceKeySchedule::from_key(key));
+  bs.set_all_lanes(Des(key).round_keys());
   std::uint64_t blocks[kLanes];
   std::uint64_t pt[kLanes];
   for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = pt[i] = rng.next_u64();

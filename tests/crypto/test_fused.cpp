@@ -75,17 +75,17 @@ TEST_P(FusedIntoSweep, SealIntoMatchesOneShot) {
       fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
 
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
-  const auto ctx = mac_alg.make_context(mac_key);
+  auto ctx = mac_alg.make_context(mac_key);
   std::uint8_t tag[16];
   util::Bytes ct(1, 0xEE);  // dirty
-  fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+  fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
   EXPECT_EQ(util::Bytes(tag, tag + 16), one_shot.mac);
   EXPECT_EQ(ct, one_shot.ciphertext);
 
   // And open_into inverts it, producing the sender's tag.
   std::uint8_t rtag[16];
   util::Bytes back(1, 0xEE);
-  ASSERT_TRUE(fused_open_into(des, iv, *ctx, prefix, ct, rtag, back));
+  ASSERT_TRUE(fused_open_into(des, iv, ctx, prefix, ct, rtag, back));
   EXPECT_EQ(back, body);
   EXPECT_EQ(util::Bytes(rtag, rtag + 16), one_shot.mac);
 }
@@ -98,18 +98,18 @@ TEST(Fused, OpenIntoRejectsMalformedCiphertext) {
   util::SplitMix64 rng(123);
   const Des des(rng.next_bytes(8));
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
-  const auto ctx = mac_alg.make_context(rng.next_bytes(16));
+  auto ctx = mac_alg.make_context(rng.next_bytes(16));
   std::uint8_t tag[16];
   util::Bytes body;
   // Empty and non-block-multiple inputs are malformed (a sealed body always
   // carries at least the padding block).
-  EXPECT_FALSE(fused_open_into(des, 0, *ctx, {}, util::Bytes{}, tag, body));
+  EXPECT_FALSE(fused_open_into(des, 0, ctx, {}, util::Bytes{}, tag, body));
   EXPECT_FALSE(
-      fused_open_into(des, 0, *ctx, {}, util::Bytes(13, 0xAB), tag, body));
+      fused_open_into(des, 0, ctx, {}, util::Bytes(13, 0xAB), tag, body));
   // Random blocks decrypt to bad PKCS#7 padding with high probability.
   bool any_rejected = false;
   for (int i = 0; i < 8; ++i) {
-    if (!fused_open_into(des, rng.next_u64(), *ctx, {}, rng.next_bytes(16),
+    if (!fused_open_into(des, rng.next_u64(), ctx, {}, rng.next_bytes(16),
                          tag, body)) {
       any_rejected = true;
     }
@@ -124,14 +124,14 @@ TEST(Fused, ContextIsReusableAcrossDatagrams) {
   const util::Bytes mac_key = rng.next_bytes(16);
   const Des des(rng.next_bytes(8));
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
-  const auto ctx = mac_alg.make_context(mac_key);
+  auto ctx = mac_alg.make_context(mac_key);
   util::Bytes ct;
   for (int i = 0; i < 4; ++i) {
     const util::Bytes prefix = rng.next_bytes(8);
     const util::Bytes body = rng.next_bytes(100 + 13 * i);
     const std::uint64_t iv = rng.next_u64();
     std::uint8_t tag[16];
-    fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+    fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
     const FusedResult expect =
         fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
     EXPECT_EQ(util::Bytes(tag, tag + 16), expect.mac) << i;
@@ -145,15 +145,13 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   util::SplitMix64 rng(777);
   constexpr std::size_t kJobs = 100;
   std::vector<Des> des;
-  std::vector<DesBitsliceKeySchedule> sched;
-  std::vector<std::unique_ptr<MacContext>> macs;
+  std::vector<MacContext> macs;
   std::vector<util::Bytes> bodies, prefixes;
   std::vector<std::uint64_t> ivs;
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
   for (std::size_t i = 0; i < kJobs; ++i) {
     const util::Bytes key = rng.next_bytes(8);
     des.emplace_back(key);
-    sched.push_back(DesBitsliceKeySchedule::from_key(key));
     macs.push_back(mac_alg.make_context(rng.next_bytes(16)));
     prefixes.push_back(rng.next_bytes(8));
     bodies.push_back(rng.next_bytes(i * 17 % 300));
@@ -164,9 +162,9 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   std::vector<std::array<std::uint8_t, 16>> tags(kJobs);
   std::vector<FusedSealJob> jobs(kJobs);
   for (std::size_t i = 0; i < kJobs; ++i)
-    jobs[i] = FusedSealJob{&des[i],      &sched[i],       ivs[i],
-                           macs[i].get(), prefixes[i],    bodies[i],
-                           tags[i].data(), &ct[i]};
+    jobs[i] = FusedSealJob{&des[i],    ivs[i],         &macs[i],
+                           prefixes[i], bodies[i],      tags[i].data(),
+                           &ct[i]};
   CryptoBatch batch;
   fused_seal_batch(batch, jobs);
   EXPECT_GT(batch.stats().bitsliced_blocks, 0u);
@@ -174,7 +172,7 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     std::uint8_t ref_tag[16];
     util::Bytes ref_ct;
-    fused_seal_into(des[i], ivs[i], *macs[i], prefixes[i], bodies[i],
+    fused_seal_into(des[i], ivs[i], macs[i], prefixes[i], bodies[i],
                     ref_tag, ref_ct);
     EXPECT_EQ(ct[i], ref_ct) << i;
     EXPECT_EQ(util::Bytes(tags[i].begin(), tags[i].end()),
@@ -190,15 +188,13 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   util::SplitMix64 rng(888);
   constexpr std::size_t kJobs = 80;
   std::vector<Des> des;
-  std::vector<DesBitsliceKeySchedule> sched;
-  std::vector<std::unique_ptr<MacContext>> macs;
+  std::vector<MacContext> macs;
   std::vector<util::Bytes> cts, prefixes;
   std::vector<std::uint64_t> ivs;
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
   for (std::size_t i = 0; i < kJobs; ++i) {
     const util::Bytes key = rng.next_bytes(8);
     des.emplace_back(key);
-    sched.push_back(DesBitsliceKeySchedule::from_key(key));
     macs.push_back(mac_alg.make_context(rng.next_bytes(16)));
     prefixes.push_back(rng.next_bytes(8));
     ivs.push_back(rng.next_u64());
@@ -209,7 +205,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
     } else {
       std::uint8_t tag[16];
       util::Bytes ct;
-      fused_seal_into(des.back(), ivs.back(), *macs.back(), prefixes.back(),
+      fused_seal_into(des.back(), ivs.back(), macs.back(), prefixes.back(),
                       rng.next_bytes(i * 23 % 400), tag, ct);
       cts.push_back(std::move(ct));
     }
@@ -220,9 +216,8 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   std::vector<FusedOpenJob> jobs(kJobs);
   for (std::size_t i = 0; i < kJobs; ++i) {
     jobs[i].des = &des[i];
-    jobs[i].schedule = &sched[i];
     jobs[i].iv = ivs[i];
-    jobs[i].mac = macs[i].get();
+    jobs[i].mac = &macs[i];
     jobs[i].mac_prefix = prefixes[i];
     jobs[i].ciphertext = cts[i];
     jobs[i].mac_out = got_tag[i].data();
@@ -234,7 +229,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     std::uint8_t ref_tag[16];
     util::Bytes ref_body;
-    const bool ref_ok = fused_open_into(des[i], ivs[i], *macs[i],
+    const bool ref_ok = fused_open_into(des[i], ivs[i], macs[i],
                                         prefixes[i], cts[i], ref_tag,
                                         ref_body);
     EXPECT_EQ(jobs[i].ok, ref_ok) << i;

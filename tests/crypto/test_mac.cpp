@@ -137,14 +137,14 @@ TEST(MacContext, MatchesOneShotComputeForEveryAlgorithm) {
   };
   for (const auto& mac : macs) {
     for (const util::Bytes& key : keys) {
-      const auto ctx = mac->make_context(key);
-      ASSERT_EQ(ctx->mac_size(), mac->mac_size());
+      auto ctx = mac->make_context(key);
+      ASSERT_EQ(ctx.mac_size(), mac->mac_size());
       for (int round = 0; round < 3; ++round) {  // context reuse
-        ctx->begin();
-        ctx->update(a);
-        ctx->update(b);
-        util::Bytes tag(ctx->mac_size());
-        ctx->finish_into(tag.data());
+        ctx.begin();
+        ctx.update(a);
+        ctx.update(b);
+        util::Bytes tag(ctx.mac_size());
+        ctx.finish_into(tag.data());
         EXPECT_EQ(tag, mac->compute(key, {a, b}))
             << "key len " << key.size() << " round " << round;
       }
@@ -157,12 +157,12 @@ TEST(MacContext, AbandonedMessageDoesNotPoisonTheNext) {
   // datagram's begin() must fully reset the context.
   HmacMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("flow key");
-  const auto ctx = mac.make_context(key);
-  ctx->begin();
-  ctx->update(util::to_bytes("partial garbage never finished"));
-  ctx->begin();
-  ctx->update(util::to_bytes("Hi There"));
-  EXPECT_EQ(ctx->finish(), mac.compute(key, {util::to_bytes("Hi There")}));
+  auto ctx = mac.make_context(key);
+  ctx.begin();
+  ctx.update(util::to_bytes("partial garbage never finished"));
+  ctx.begin();
+  ctx.update(util::to_bytes("Hi There"));
+  EXPECT_EQ(ctx.finish(), mac.compute(key, {util::to_bytes("Hi There")}));
 }
 
 TEST(Mac, HmacDiffersFromKeyedPrefix) {

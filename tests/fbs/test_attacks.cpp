@@ -98,10 +98,10 @@ TEST_F(AttackTest, CompromisedFlowKeyDoesNotUnlockSiblingFlow) {
   const auto master = world_["bob"].keys->master_key(alice_->self());
   ASSERT_TRUE(master.has_value());
   crypto::Md5 h;
-  const util::Bytes key_a = derive_flow_key(h, parsed_a->header.sfl, *master,
-                                            alice_->self(), bob_->self());
-  const util::Bytes key_b = derive_flow_key(h, parsed_b->header.sfl, *master,
-                                            alice_->self(), bob_->self());
+  const FlowKey key_a = derive_flow_key(h, parsed_a->header.sfl, *master,
+                                        alice_->self(), bob_->self());
+  const FlowKey key_b = derive_flow_key(h, parsed_b->header.sfl, *master,
+                                        alice_->self(), bob_->self());
   EXPECT_NE(key_a, key_b);
 
   // key_a decrypts flow A...

@@ -326,5 +326,54 @@ TEST_F(BurstTest, ResuitedCopyDoesNotDisturbGenuineDatagram) {
             1u);
 }
 
+TEST_F(BurstTest, ResuitedCopyLeavesCachedContextAlone) {
+  // The suite byte is not authenticated until the MAC verifies, so a copy
+  // whose suite was rewritten must not re-suit the flow's cached RFKC
+  // context: after the copy is rejected the entry still carries the
+  // genuine suite, and the flow's next datagram hits it with no further
+  // key derivation.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  const Datagram d = datagram(alice->self(), bob_node_->principal,
+                              "genuine " + std::string(100, 'g'));
+  const auto first = alice->protect(d, /*secret=*/true);
+  const auto second = alice->protect(d, /*secret=*/true);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  auto header = FbsHeaderView::parse(*first);
+  ASSERT_TRUE(header.has_value());
+  const Sfl sfl = header->sfl;
+  header->suite.mac = crypto::MacAlgorithm::kHmacMd5;
+  util::Bytes resuited;
+  header->serialize_into(resuited);
+  resuited.insert(resuited.end(), header->body.begin(), header->body.end());
+
+  auto bob = receiver(cfg);
+  WorkContext ctx;
+  util::Bytes body;
+  ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(
+      bob->unprotect_into(ctx, alice->self(), *first, body)));
+  const auto forged = bob->unprotect_into(ctx, alice->self(), resuited, body);
+  ASSERT_TRUE(std::holds_alternative<ReceiveError>(forged));
+  EXPECT_EQ(std::get<ReceiveError>(forged), ReceiveError::kBadMac);
+
+  // The RFKC key is (sfl, S, D).
+  util::Bytes key;
+  for (int i = 7; i >= 0; --i)
+    key.push_back(static_cast<std::uint8_t>(sfl >> (8 * i)));
+  key.insert(key.end(), alice->self().address.begin(),
+             alice->self().address.end());
+  key.insert(key.end(), bob->self().address.begin(),
+             bob->self().address.end());
+  const FlowDomain& dom = bob->shard(bob->recv_shard_of(alice->self(), sfl));
+  const FlowCryptoContext* entry = dom.rfkc.peek(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->suite, cfg.suite);
+
+  ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(
+      bob->unprotect_into(ctx, alice->self(), *second, body)));
+  EXPECT_EQ(body, d.body);
+  EXPECT_EQ(bob->receive_stats().flow_keys_derived, 1u);
+}
+
 }  // namespace
 }  // namespace fbs::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/list_walk_classifier.hpp"
+#include "trace/internet.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::core {
@@ -49,39 +51,39 @@ TEST(CacheIndex, ModuloClustersSequentialKeys) {
 }
 
 TEST(MissClassifier, FirstAccessIsCold) {
-  MissClassifier c;
-  EXPECT_EQ(c.classify_miss(key_of(1), 4), MissClassifier::MissKind::kCold);
-  EXPECT_EQ(c.classify_miss(key_of(2), 4), MissClassifier::MissKind::kCold);
+  MissClassifier c(/*capacity=*/4);
+  EXPECT_EQ(c.classify_miss(key_of(1)), MissClassifier::MissKind::kCold);
+  EXPECT_EQ(c.classify_miss(key_of(2)), MissClassifier::MissKind::kCold);
 }
 
 TEST(MissClassifier, ShortReuseIsCollision) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(1), 4);
-  (void)c.classify_miss(key_of(2), 4);
+  MissClassifier c(/*capacity=*/4);
+  (void)c.classify_miss(key_of(1));
+  (void)c.classify_miss(key_of(2));
   // Key 1 was referenced 1 step ago (< capacity 4): a fully associative
   // cache would have kept it, so a miss on it is a collision miss.
-  EXPECT_EQ(c.classify_miss(key_of(1), 4),
+  EXPECT_EQ(c.classify_miss(key_of(1)),
             MissClassifier::MissKind::kCollision);
 }
 
 TEST(MissClassifier, LongReuseIsCapacity) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(0), 2);
-  for (std::uint64_t i = 1; i <= 5; ++i) (void)c.classify_miss(key_of(i), 2);
+  MissClassifier c(/*capacity=*/2);
+  (void)c.classify_miss(key_of(0));
+  for (std::uint64_t i = 1; i <= 5; ++i) (void)c.classify_miss(key_of(i));
   // Key 0 is 5 deep in the stack; capacity 2 could not have held it.
-  EXPECT_EQ(c.classify_miss(key_of(0), 2),
+  EXPECT_EQ(c.classify_miss(key_of(0)),
             MissClassifier::MissKind::kCapacity);
 }
 
 TEST(MissClassifier, HitsRefreshStackPosition) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(0), 2);
-  (void)c.classify_miss(key_of(1), 2);
+  MissClassifier c(/*capacity=*/2);
+  (void)c.classify_miss(key_of(0));
+  (void)c.classify_miss(key_of(1));
   c.record_hit(key_of(0));  // 0 back on top
-  (void)c.classify_miss(key_of(2), 2);
-  (void)c.classify_miss(key_of(3), 2);
+  (void)c.classify_miss(key_of(2));
+  (void)c.classify_miss(key_of(3));
   // 1 is now deepest; 0 was refreshed more recently but still 3 deep.
-  EXPECT_EQ(c.classify_miss(key_of(1), 2),
+  EXPECT_EQ(c.classify_miss(key_of(1)),
             MissClassifier::MissKind::kCapacity);
 }
 
@@ -89,11 +91,11 @@ TEST(MissClassifier, EvictedKeyReclassifiesAsCapacityNotCold) {
   // A key pushed off the bounded stack is remembered (Bloom filter of
   // evicted keys): its return is a capacity miss -- the unbounded simulator
   // would have found it deep in the stack -- never a fresh cold miss.
-  MissClassifier c(/*max_depth=*/4);
-  (void)c.classify_miss(key_of(0), 2);
-  for (std::uint64_t i = 1; i < 10; ++i) (void)c.classify_miss(key_of(i), 2);
+  MissClassifier c(/*capacity=*/2, /*max_depth=*/4);
+  (void)c.classify_miss(key_of(0));
+  for (std::uint64_t i = 1; i < 10; ++i) (void)c.classify_miss(key_of(i));
   EXPECT_EQ(c.stack_size(), 4u);
-  EXPECT_EQ(c.classify_miss(key_of(0), 2),
+  EXPECT_EQ(c.classify_miss(key_of(0)),
             MissClassifier::MissKind::kCapacity);
 }
 
@@ -101,13 +103,14 @@ TEST(MissClassifier, EvictedKeyReclassifiesAsCapacityNotCold) {
 // internet-scale reference stream. Before the bound, the LRU stack and
 // position map grew with every distinct key ever seen (gigabytes at 1M
 // flows); now both are capped by max_depth plus a fixed filter, so memory
-// plateaus and per-classification cost stays O(max_depth) -- sublinear in
-// (independent of) trace length.
+// plateaus and per-classification cost stays O(1) -- independent of trace
+// length.
 TEST(MissClassifier, BoundedMemoryOnHundredThousandFlowTrace) {
-  MissClassifier c;  // default depth 1024 covers the fig11 study exactly
+  // Default depth 1024 covers the fig11 study exactly.
+  MissClassifier c(/*capacity=*/512);
   std::size_t mem_at_20k = 0;
   for (std::uint64_t i = 0; i < 100000; ++i) {
-    (void)c.classify_miss(key_of(i), 512);
+    (void)c.classify_miss(key_of(i));
     if (i == 19999) mem_at_20k = c.approx_memory_bytes();
   }
   // The stack never outgrows its cap...
@@ -265,6 +268,120 @@ INSTANTIATE_TEST_SUITE_P(AllHashes, CacheHashSweep,
                          ::testing::Values(CacheHashKind::kCrc32,
                                            CacheHashKind::kModulo,
                                            CacheHashKind::kXorFold));
+
+// --- Differential: the O(1) classifier against the list-walk oracle ---
+
+using Oracle = fbs::testing::ListWalkClassifier;
+
+/// `v` as a `len`-byte big-endian key (4..16 bytes: every id used fits).
+util::Bytes sized_key(std::uint64_t v, std::size_t len) {
+  util::Bytes k(len, 0);
+  for (std::size_t i = 0; i < len && i < 8; ++i)
+    k[len - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return k;
+}
+
+MissClassifier::MissKind as_kind(Oracle::MissKind k) {
+  switch (k) {
+    case Oracle::MissKind::kCold: return MissClassifier::MissKind::kCold;
+    case Oracle::MissKind::kCapacity: return MissClassifier::MissKind::kCapacity;
+    case Oracle::MissKind::kCollision:
+      return MissClassifier::MissKind::kCollision;
+  }
+  return MissClassifier::MissKind::kCold;
+}
+
+/// Which CacheStats miss counter moved between two snapshots.
+MissClassifier::MissKind moved(const CacheStats& before,
+                               const CacheStats& after) {
+  if (after.cold_misses != before.cold_misses)
+    return MissClassifier::MissKind::kCold;
+  if (after.capacity_misses != before.capacity_misses)
+    return MissClassifier::MissKind::kCapacity;
+  return MissClassifier::MissKind::kCollision;
+}
+
+TEST(MissClassifierDifferential, CacheStreamsMatchListWalkOracle) {
+  // A real set-associative cache (default stack depth 1024) classifies its
+  // own misses; the oracle sees the same hit/miss events. Every miss must
+  // get the same kind, so the cold/capacity/collision totals are identical.
+  // Capacities span 1 to twice the stack depth, key lengths 4 to 16 bytes.
+  constexpr std::size_t kAccesses = 4000;
+  std::size_t config = 0;
+  for (const std::uint32_t keys : {50u, 700u, 5000u}) {
+    const trace::ZipfSampler zipf(keys, 1.0);
+    for (const std::size_t capacity : {1, 2, 7, 64, 256, 1024, 1500, 2048}) {
+      for (const std::size_t ways : {1, 2, 4}) {
+        for (const bool skewed : {false, true}) {
+          const std::size_t key_len = 4 + config % 13;
+          util::SplitMix64 rng(1000 + config++);
+          SetAssociativeCache<int> cache(capacity, ways);
+          Oracle oracle(MissClassifier::kDefaultMaxDepth);
+          CacheStats want;
+          for (std::size_t i = 0; i < kAccesses; ++i) {
+            const std::uint64_t id =
+                skewed ? zipf.sample(rng) : rng.next_below(keys);
+            const util::Bytes key = sized_key(id * 2654435761u, key_len);
+            const CacheStats before = cache.stats();
+            if (cache.lookup(key)) {
+              oracle.record_hit(key);
+              ++want.hits;
+              continue;
+            }
+            const auto kind =
+                as_kind(oracle.classify_miss(key, cache.capacity()));
+            switch (kind) {
+              case MissClassifier::MissKind::kCold: ++want.cold_misses; break;
+              case MissClassifier::MissKind::kCapacity:
+                ++want.capacity_misses;
+                break;
+              case MissClassifier::MissKind::kCollision:
+                ++want.collision_misses;
+                break;
+            }
+            ASSERT_EQ(moved(before, cache.stats()), kind)
+                << "keys " << keys << " capacity " << capacity << " ways "
+                << ways << " zipf " << skewed << " access " << i;
+            cache.insert(key, 0);
+          }
+          const CacheStats& got = cache.stats();
+          EXPECT_EQ(got.hits, want.hits);
+          EXPECT_EQ(got.cold_misses, want.cold_misses);
+          EXPECT_EQ(got.capacity_misses, want.capacity_misses);
+          EXPECT_EQ(got.collision_misses, want.collision_misses);
+        }
+      }
+    }
+  }
+}
+
+TEST(MissClassifierDifferential, MixedHitsAndMissesOnAShallowStack) {
+  // Standalone classifiers on a 64-deep stack: random hit/miss events on
+  // random keys (a "hit" on a key either one has never seen included --
+  // the very first event is one), capacities below, at and above the
+  // depth. Kinds and stack sizes must agree event by event.
+  constexpr std::size_t kDepth = 64;
+  for (const std::size_t capacity : {1, 2, 5, 63, 64, 65, 200}) {
+    for (const std::uint32_t keys : {40u, 90u, 400u}) {
+      util::SplitMix64 rng(capacity * 7919 + keys);
+      MissClassifier fast(capacity, kDepth);
+      Oracle oracle(kDepth);
+      for (std::size_t i = 0; i < 6000; ++i) {
+        const util::Bytes key = sized_key(rng.next_below(keys), 4 + i % 13);
+        if (i == 0 || rng.next_below(3) == 0) {
+          fast.record_hit(key);
+          oracle.record_hit(key);
+        } else {
+          ASSERT_EQ(fast.classify_miss(key),
+                    as_kind(oracle.classify_miss(key, capacity)))
+              << "capacity " << capacity << " keys " << keys << " event "
+              << i;
+        }
+        ASSERT_EQ(fast.stack_size(), oracle.stack_size());
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fbs::core

@@ -121,6 +121,56 @@ TEST(ZeroAlloc, PlainDatagramSteadyStateCombinedPath) {
   run_steady_state(/*secret=*/false, /*combined=*/true);
 }
 
+TEST(ZeroAlloc, FlowMissSteadyState) {
+  // Four-entry flow tables and 32 flows sent round-robin: every datagram
+  // misses the combined FST+TFKC on send (a fresh sfl) and therefore the
+  // RFKC on receive, so each one derives a flow key and builds a crypto
+  // context on both ends. Once warm -- the miss classifier's stack full, so
+  // it recycles its nodes, and every scratch buffer sized -- that miss path
+  // (master key copy, MD5 derivation, DES schedule, MAC context, cache
+  // insert, miss classification) performs zero heap allocations.
+  TestWorld world(4244);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  FbsConfig cfg;
+  cfg.fst_size = 4;
+  cfg.rfkc_size = 4;
+  FbsEndpoint alice(a.principal, cfg, *a.keys, world.clock, world.rng);
+  FbsEndpoint bob(b.principal, cfg, *b.keys, world.clock, world.rng);
+
+  constexpr std::size_t kFlows = 32;
+  std::vector<Datagram> flows;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    flows.push_back(make_datagram(a.principal, b.principal, 200));
+    flows.back().attrs.source_port = static_cast<std::uint16_t>(6000 + f);
+  }
+  WorkContext tx, rx;
+  util::Bytes wire;
+  util::Bytes body;
+  const auto round_trip = [&](const Datagram& d) {
+    ASSERT_TRUE(alice.protect_into(tx, d, /*secret=*/true, wire));
+    const auto outcome = bob.unprotect_into(rx, a.principal, wire, body);
+    ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(outcome));
+  };
+
+  // Warm-up: more distinct RFKC keys than the classifier's stack holds.
+  const std::size_t warm =
+      MissClassifier::kDefaultMaxDepth + 4 * kFlows;
+  for (std::size_t i = 0; i < warm; ++i) round_trip(flows[i % kFlows]);
+
+  constexpr std::size_t kMeasured = 4 * kFlows;
+  const std::uint64_t sent_keys = alice.send_stats().flow_keys_derived;
+  const std::uint64_t recv_keys = bob.receive_stats().flow_keys_derived;
+  for (std::size_t i = 0; i < kMeasured; ++i) {
+    CountingScope scope;
+    round_trip(flows[i % kFlows]);
+    ASSERT_EQ(scope.news(), 0u) << "flow-miss datagram " << i << " allocated";
+    ASSERT_EQ(body, flows[i % kFlows].body);
+  }
+  EXPECT_EQ(alice.send_stats().flow_keys_derived - sent_keys, kMeasured);
+  EXPECT_EQ(bob.receive_stats().flow_keys_derived - recv_keys, kMeasured);
+}
+
 TEST(ZeroAlloc, PipelinedReceiveSteadyState) {
   // The pipelined path, end to end: submit -> ingress ring -> worker
   // (unprotect with a pooled body, wire recycled to the pool) -> egress ->

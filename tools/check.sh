@@ -4,10 +4,10 @@
 #   tools/check.sh             # RelWithDebInfo build, all suites
 #   tools/check.sh --sanitize  # same suites under ASan+UBSan (FBS_SANITIZE=ON)
 #   tools/check.sh --bench-smoke  # Release build, run the crypto + fig8 +
-#                                 # parallel benches' self-timed passes and
-#                                 # diff their gauges against the
-#                                 # BENCH_seed.json baseline (regressions
-#                                 # exit non-zero)
+#                                 # parallel + keying-ablation benches'
+#                                 # self-timed passes and diff their gauges
+#                                 # against the BENCH_seed.json baseline
+#                                 # (regressions exit non-zero)
 #   tools/check.sh --fuzz-smoke   # ASan+UBSan build, replay the regression
 #                                 # corpus and run every deterministic fuzz
 #                                 # driver with a raised iteration budget
@@ -61,7 +61,7 @@ if [ "${1:-}" = "--bench-smoke" ]; then
   echo "== build benches =="
   cmake --build "$BUILD_DIR" -j "$JOBS" \
     --target fbs_bench_crypto fbs_bench_fig8_throughput \
-             fbs_bench_parallel_throughput
+             fbs_bench_parallel_throughput fbs_bench_ablation_keying
   OUT_DIR="$BUILD_DIR/bench-smoke"
   mkdir -p "$OUT_DIR"
   echo "== bench_crypto =="
@@ -73,13 +73,16 @@ if [ "${1:-}" = "--bench-smoke" ]; then
   echo "== bench_parallel_throughput =="
   FBS_METRICS_OUT="$OUT_DIR/fbs_bench_parallel_throughput.json" \
     "$BUILD_DIR/bench/fbs_bench_parallel_throughput"
+  echo "== bench_ablation_keying =="
+  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_ablation_keying.json" \
+    "$BUILD_DIR/bench/fbs_bench_ablation_keying" --benchmark_filter='$^'
   echo "== combine snapshots =="
   python3 - "$OUT_DIR" <<'EOF'
 import json, sys, os
 out_dir = sys.argv[1]
 combined = {}
 for name in ("fbs_bench_crypto", "fbs_bench_fig8_throughput",
-             "fbs_bench_parallel_throughput"):
+             "fbs_bench_parallel_throughput", "fbs_bench_ablation_keying"):
     with open(os.path.join(out_dir, name + ".json")) as f:
         combined[name] = json.load(f)
 with open(os.path.join(out_dir, "current.json"), "w") as f:
