@@ -192,16 +192,16 @@ void CryptoBatch::seal_cbc(std::span<const CbcSealJob> jobs) {
 void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
   // CBC encrypt chains serially per datagram: one job per lane, peel one
   // block per pass. `jobs` has at most kLanes entries here.
+  if (jobs.size() < kSealMinJobs) {
+    for (const CbcSealJob& job : jobs) seal_scalar(job);
+    return;
+  }
   std::size_t total = 0;
   std::size_t passes = 0;
   for (const CbcSealJob& job : jobs) {
     const std::size_t n = seal_blocks(job);
     total += n;
     passes = std::max(passes, n);
-  }
-  if (total < kScalarThresholdBlocks) {
-    for (const CbcSealJob& job : jobs) seal_scalar(job);
-    return;
   }
 
   bool single_key = true;

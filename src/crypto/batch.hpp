@@ -17,9 +17,11 @@
 //   one job per lane and each pass peels the next block of up to kLanes
 //   datagrams (PKCS#7 tail blocks materialized on the fly).
 //
-// Bursts whose total block count is under kScalarThresholdBlocks run on
-// the per-job scalar Des cores instead: the per-group transposes plus key
-// loading only amortize with enough lanes lit.
+// Small bursts run on the per-job scalar Des cores instead: the per-group
+// transposes plus key loading only amortize with enough lanes lit. For open
+// that is a block count (kScalarThresholdBlocks), since one datagram's
+// blocks spread across lanes; for seal it is a job count (kSealMinJobs),
+// since each job lights one lane however long it is.
 //
 // The planner itself never allocates; all cursors live on the stack and
 // outputs land in caller-provided buffers (the zero-alloc steady-state
@@ -61,11 +63,18 @@ class CryptoBatch {
  public:
   static constexpr std::size_t kLanes = DesBitslice::kLanes;
 
-  /// Bursts totalling fewer CBC blocks than this run the scalar cores: a
+  /// Open bursts totalling fewer CBC blocks than this run the scalar cores: a
   /// bitslice pass costs two transposes + key setup regardless of how many
   /// lanes carry real work, and measurement puts break-even near half a
   /// batch of lanes (see DESIGN.md 5h).
   static constexpr std::size_t kScalarThresholdBlocks = 32;
+
+  /// Seal groups of fewer jobs than this run the scalar cores: every pass
+  /// costs a full kLanes-wide evaluation, so seal pays only with enough
+  /// lit lanes (break-even measured between 32 and 48 jobs of 1408 B, see
+  /// DESIGN.md 5h). One 1408 B job on the wide engine is 177 passes with
+  /// one lane lit, ~35x slower than scalar.
+  static constexpr std::size_t kSealMinJobs = 40;
 
   /// PKCS#7 always pads, so sealed output is the next full block up.
   static constexpr std::size_t padded_size(std::size_t n) {

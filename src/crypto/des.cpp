@@ -1,5 +1,6 @@
 #include "crypto/des.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "crypto/des_tables.hpp"
@@ -8,23 +9,28 @@ namespace fbs::crypto {
 
 namespace {
 
-/// Fused SP tables: kSp[i][v] is the P permutation applied to S-box i's
-/// output for the 6-bit E-expanded-and-keyed input v, already positioned in
-/// the 32-bit word. One lookup replaces a 6-bit S-box row/column decode plus
-/// a 32-entry P permutation walk.
-constexpr std::array<std::array<std::uint32_t, 64>, 8> build_sp_tables() {
-  std::array<std::array<std::uint32_t, 64>, 8> sp{};
+/// Fused SP tables, one per S-box, indexed by a whole byte of the keyed
+/// round input. In the round layout (see des.hpp) S-box i's 6-bit input sits
+/// in the top six bits of one byte and the byte's low two bits are other
+/// S-boxes' input, so entry v covers the 6-bit input v >> 2. The value is the
+/// S-box output put through P and rotated right one bit, the form the halves
+/// are kept in. One lookup replaces the row/column decode, the P walk and the
+/// mask. 8 x 256 words, 8 KB.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> build_sp_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> sp{};
   for (int box = 0; box < 8; ++box) {
-    for (int v = 0; v < 64; ++v) {
+    for (int byte = 0; byte < 256; ++byte) {
       // Row = outer two bits, column = inner four (FIPS b1..b6, MSB first).
+      const int v = byte >> 2;
       const int row = ((v & 0x20) >> 4) | (v & 1);
       const int col = (v >> 1) & 0xF;
       const std::uint32_t s = des_tables::kSbox[box][row * 16 + col];
       // Place the 4-bit output at FIPS bits 4*box+1 .. 4*box+4, then P.
       const std::uint64_t positioned = static_cast<std::uint64_t>(s)
                                        << (28 - 4 * box);
-      sp[box][v] = static_cast<std::uint32_t>(
+      const auto p = static_cast<std::uint32_t>(
           des_tables::permute(positioned, des_tables::kPbox, 32));
+      sp[box][byte] = std::rotr(p, 1);
     }
   }
   return sp;
@@ -56,12 +62,16 @@ constexpr std::array<std::array<std::uint64_t, 16>, 14> build_pc2_nibbles() {
 constexpr auto kPc1Nibble = build_pc1_nibbles();
 constexpr auto kPc2Nibble = build_pc2_nibbles();
 
-/// A 48-bit round key's eight 6-bit chunks spread one per byte, chunk 0
-/// (FIPS round-key bits 1-6) in the top byte: three halving steps.
-constexpr std::uint64_t spread_chunks(std::uint64_t k) {
-  std::uint64_t x = (k & 0xFFFFFFull) | (k & 0xFFFFFF000000ull) << 8;
-  x = (x & 0x00000FFF00000FFFull) | (x & 0x00FFF00000FFF000ull) << 4;
-  return (x & 0x003F003F003F003Full) | (x & 0x0FC00FC00FC00FC0ull) << 2;
+/// A 48-bit round key as the two words the round XORs in: chunk i (FIPS
+/// round-key bits 6i+1 .. 6i+6, S-box i's share) lands at bit 26 - 8(i/2)
+/// of word i % 2, where S-box i's input sits in R or rotl(R, 4).
+constexpr DesRoundWords round_words(std::uint64_t k) {
+  DesRoundWords w{};
+  for (unsigned i = 0; i < 8; ++i) {
+    const auto chunk = static_cast<std::uint32_t>(k >> (42 - 6 * i)) & 0x3F;
+    w[i % 2] |= chunk << (26 - 8 * (i / 2));
+  }
+  return w;
 }
 
 /// IP as a 5-stage bit-swap network on the big-endian-loaded halves
@@ -85,20 +95,18 @@ inline void final_permutation(std::uint32_t& l, std::uint32_t& r) {
   t = ((l >> 4) ^ r) & 0x0F0F0F0Fu;  r ^= t;  l ^= t << 4;
 }
 
-/// The cipher function f(R, K). Rotating R right by one bit turns the E
-/// expansion's overlapping 6-bit groups into plain shift/mask extractions:
-/// group i of E(R) is bits [4i..4i+5] of the cyclic sequence
-/// R32 R1 R2 ... R31, which is exactly `u` read MSB-first.
-inline std::uint32_t feistel(std::uint32_t r, const std::uint8_t* k) {
-  const std::uint32_t u = (r >> 1) | (r << 31);
-  return kSp[0][((u >> 26) ^ k[0]) & 0x3F] |
-         kSp[1][((u >> 22) ^ k[1]) & 0x3F] |
-         kSp[2][((u >> 18) ^ k[2]) & 0x3F] |
-         kSp[3][((u >> 14) ^ k[3]) & 0x3F] |
-         kSp[4][((u >> 10) ^ k[4]) & 0x3F] |
-         kSp[5][((u >> 6) ^ k[5]) & 0x3F] |
-         kSp[6][((u >> 2) ^ k[6]) & 0x3F] |
-         kSp[7][((((u & 0xF) << 2) | (u >> 30)) ^ k[7]) & 0x3F];
+/// The cipher function f(R, K) on halves rotated right one bit. Bits
+/// [4i .. 4i+5] of rotr(R, 1), read MSB first and cyclically, are group i
+/// of E(R). The even groups sit at bits 26/18/10/2 of the rotated half
+/// itself and the odd ones at the same bits of it rotated left by four, so
+/// two XORs key all eight groups and each S-box reads one byte.
+inline std::uint32_t feistel(std::uint32_t u, const DesRoundWords& k) {
+  const std::uint32_t even = u ^ k[0];
+  const std::uint32_t odd = std::rotl(u, 4) ^ k[1];
+  return kSp[0][even >> 24] ^ kSp[2][(even >> 16) & 0xFF] ^
+         kSp[4][(even >> 8) & 0xFF] ^ kSp[6][even & 0xFF] ^
+         kSp[1][odd >> 24] ^ kSp[3][(odd >> 16) & 0xFF] ^
+         kSp[5][(odd >> 8) & 0xFF] ^ kSp[7][odd & 0xFF];
 }
 
 }  // namespace
@@ -126,25 +134,29 @@ Des::Des(util::BytesView key) {
   assert(key.size() == kKeySize);
   round_keys_ = key_schedule(load_be64(key.data()));
   for (std::size_t round = 0; round < 16; ++round)
-    store_be64(spread_chunks(round_keys_[round]), subkeys_[round].data());
+    round_words_[round] = round_words(round_keys_[round]);
 }
 
 std::uint64_t Des::crypt(std::uint64_t block, bool decrypt) const {
   std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
   std::uint32_t r = static_cast<std::uint32_t>(block);
   initial_permutation(l, r);
+  l = std::rotr(l, 1);
+  r = std::rotr(r, 1);
   if (decrypt) {
     for (int round = 15; round >= 0; round -= 2) {
-      l ^= feistel(r, subkeys_[round].data());
-      r ^= feistel(l, subkeys_[round - 1].data());
+      l ^= feistel(r, round_words_[round]);
+      r ^= feistel(l, round_words_[round - 1]);
     }
   } else {
     for (int round = 0; round < 16; round += 2) {
-      l ^= feistel(r, subkeys_[round].data());
-      r ^= feistel(l, subkeys_[round + 1].data());
+      l ^= feistel(r, round_words_[round]);
+      r ^= feistel(l, round_words_[round + 1]);
     }
   }
   // The unrolled pairs absorb the per-round swap; preoutput is R16 L16.
+  l = std::rotl(l, 1);
+  r = std::rotl(r, 1);
   final_permutation(r, l);
   return static_cast<std::uint64_t>(r) << 32 | l;
 }
@@ -156,15 +168,17 @@ std::uint64_t Des::crypt_trace(std::uint64_t block, bool decrypt,
   initial_permutation(l, r);
   trace.l[0] = l;
   trace.r[0] = r;
+  l = std::rotr(l, 1);
+  r = std::rotr(r, 1);
   for (int round = 0; round < 16; ++round) {
-    const auto& k = subkeys_[decrypt ? 15 - round : round];
-    const std::uint32_t next = l ^ feistel(r, k.data());
+    const std::uint32_t next =
+        l ^ feistel(r, round_words_[decrypt ? 15 - round : round]);
     l = r;
     r = next;
-    trace.l[round + 1] = l;
-    trace.r[round + 1] = r;
+    trace.l[round + 1] = std::rotl(l, 1);
+    trace.r[round + 1] = std::rotl(r, 1);
   }
-  std::uint32_t outl = r, outr = l;  // preoutput swap
+  std::uint32_t outl = std::rotl(r, 1), outr = std::rotl(l, 1);  // swap
   final_permutation(outl, outr);
   return static_cast<std::uint64_t>(outl) << 32 | outr;
 }

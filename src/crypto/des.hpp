@@ -2,20 +2,27 @@
 // bodies with DES and uses the 32-bit confounder (duplicated to 64 bits) as
 // the IV (Section 7.2). Modes of operation (FIPS 81) live in block_modes.hpp.
 //
-// This is the classic table-driven implementation: the eight S-boxes are
-// fused with the P permutation into 64-entry tables of 32-bit words
-// (generated at compile time from the FIPS tables in des_tables.hpp), the E
-// expansion is done with shifts and masks on a rotated copy of the right
-// half, and IP/FP are O(log n) bit-swap networks instead of 64-entry
-// permutation walks. The key schedule is table-driven too: PC-1 and PC-2
-// are applied a nibble at a time through constexpr tables (~4 KB), so
-// building a Des -- once per flow key, on every flow-key cache miss -- costs
-// a few hundred table lookups instead of a ~800-step bit walk. The 16
-// 48-bit round keys it produces are kept for the bitsliced batch engine
-// (des_bitslice.hpp), which keys its lanes straight from a Des; there is
-// one schedule per key. The bit-at-a-time transcription of the standard
-// survives as DesReference (des_reference.hpp) and the two are tested
-// bit-exact round by round.
+// This is the classic table-driven implementation in a two-word round
+// layout. IP and FP are O(log n) bit-swap networks instead of 64-entry
+// permutation walks. Between them both halves are kept rotated right by one
+// bit, which lines the E expansion up with the bytes of a word: S-boxes 0, 2,
+// 4 and 6 take their 6-bit inputs from bits 26/18/10/2 of the rotated half,
+// and S-boxes 1, 3, 5 and 7 from the same bits of it rotated left by four.
+// A round therefore XORs two 32-bit round-key words (DesRoundWords) into
+// those two values and does eight byte-indexed lookups into tables that fuse
+// each S-box with P and with the one-bit rotation (8 x 256 words, built at
+// compile time from the FIPS tables in des_tables.hpp). No per-S-box shift,
+// mask or key byte is left in the round.
+//
+// The key schedule is table-driven too: PC-1 and PC-2 are applied a nibble
+// at a time through constexpr tables (~4 KB), so building a Des -- once per
+// flow key, on every flow-key cache miss -- costs a few hundred table
+// lookups instead of a ~800-step bit walk. The 16 48-bit round keys it
+// produces are kept for the bitsliced batch engine (des_bitslice.hpp), which
+// keys its lanes straight from a Des, and in the two-word form the round
+// uses; there is one schedule per key. The bit-at-a-time transcription of
+// the standard survives as DesReference (des_reference.hpp) and the two are
+// tested bit-exact round by round.
 #pragma once
 
 #include <array>
@@ -28,6 +35,10 @@ namespace fbs::crypto {
 /// The 16 48-bit round keys K1..K16 of one DES key, bit 47 = the standard's
 /// round-key bit 1.
 using DesRoundKeys = std::array<std::uint64_t, 16>;
+
+/// One round key in the layout the table-driven round XORs in (des.cpp):
+/// the even S-boxes' 6-bit chunks in word 0, the odd ones in word 1.
+using DesRoundWords = std::array<std::uint32_t, 2>;
 
 class Des {
  public:
@@ -66,9 +77,8 @@ class Des {
   std::uint64_t crypt(std::uint64_t block, bool decrypt) const;
 
   DesRoundKeys round_keys_{};
-  /// The same round keys as eight 6-bit chunks, pre-split to line up with
-  /// the shift/mask E expansion (chunk i feeds S-box i).
-  std::array<std::array<std::uint8_t, 8>, 16> subkeys_{};
+  /// The same round keys as two 32-bit words each, for the round function.
+  std::array<DesRoundWords, 16> round_words_{};
 };
 
 }  // namespace fbs::crypto

@@ -6,10 +6,19 @@
 // keyed MD5 in the 1997 implementation (Section 7.2). We provide that
 // construction (KeyedPrefixMac) plus the modern RFC 2104 HMAC as an
 // alternative algorithm selectable through the header's algorithm field.
+//
+// MacBatch computes many tags at once. MD5 jobs (keyed prefix and HMAC) run
+// on the 8-lane Md5x8 core: each lane starts from its context's saved MD5
+// state, blocks are read straight from the message body, and only the head
+// block (saved bytes, prefix, first body bytes) and the padded tail are
+// assembled on the stack. SHA-1 and null jobs, and batches with too few MD5
+// jobs to fill the lanes, run on the scalar contexts.
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <variant>
 
 #include "crypto/hash.hpp"
@@ -50,6 +59,7 @@ class MacContext {
   friend class KeyedPrefixMac;
   friend class HmacMac;
   friend class NullMac;
+  friend class MacBatch;
   enum class Kind : std::uint8_t { kNull, kKeyedPrefix, kHmac };
 
   Kind kind_ = Kind::kNull;
@@ -57,6 +67,48 @@ class MacContext {
   HashState start_;  // keyed prefix: H after the key; HMAC: after K ^ ipad
   HashState outer_;  // HMAC only: H after K ^ opad
   HashState work_;
+};
+
+/// One message for MacBatch: `tag` receives mac->mac_size() bytes of the
+/// tag over prefix | body under `mac`'s key. Lane jobs only read `mac`;
+/// scalar ones run it, so jobs sharing a context are computed in turn.
+struct MacJob {
+  MacContext* mac = nullptr;
+  util::BytesView prefix;
+  util::BytesView body;
+  std::uint8_t* tag = nullptr;
+};
+
+/// Tags for a batch of messages, eight MD5 messages per compression pass.
+/// Lengths may differ freely: a lane that finishes its message refills with
+/// the next MD5 job, and an HMAC lane runs its outer hash before it does.
+/// Needs no heap memory and no per-thread state; all lane scratch is on the
+/// stack of compute().
+class MacBatch {
+ public:
+  static constexpr std::size_t kLanes = Md5x8::kLanes;
+  /// A batch with fewer MD5 jobs than this runs every job on the scalar
+  /// contexts. A pass costs the same however many lanes are lit; measured
+  /// at 64-1408 B, one job runs ~1.3x slower on the lanes than scalar and
+  /// two run ~1.2-1.6x faster.
+  static constexpr std::size_t kMinLaneJobs = 2;
+
+  void compute(std::span<const MacJob> jobs);
+
+  /// Counters for tests (cumulative).
+  struct Stats {
+    std::uint64_t lane_jobs = 0;    // messages hashed on Md5x8 lanes
+    std::uint64_t scalar_jobs = 0;  // messages on the scalar contexts
+    std::uint64_t passes = 0;       // Md5x8::compress calls
+  };
+  const Stats& stats() const { return stats_; }
+
+ private:
+  /// Whether a job runs on the lanes: keyed-prefix or HMAC MD5.
+  static bool on_lanes(const MacJob& job);
+  void compute_lanes(std::span<const MacJob> jobs);
+
+  Stats stats_;
 };
 
 /// Common interface: a MAC over (key, message chunks).

@@ -181,6 +181,11 @@ struct ReceiveStats {
 /// lanes.
 inline constexpr std::size_t kBurstChunk = 64;
 
+/// The MAC's non-payload input: flags, suite, confounder, timestamp.
+inline constexpr std::size_t kMacPrefixSize = 10;
+/// Room for any MAC tag we produce (MD5 = 16, SHA-1 = 20).
+inline constexpr std::size_t kMaxMacSize = 64;
+
 /// Per-worker scratch making protect_into/unprotect_into re-entrant: every
 /// buffer the single-threaded engine kept as an endpoint member now travels
 /// with the calling thread. One WorkContext per concurrent caller; reusing
@@ -201,11 +206,14 @@ class WorkContext {
   /// not per domain: the lane registers are scratch, and keeping them with
   /// the calling thread lets every worker run wide passes concurrently.
   crypto::CryptoBatch batch;
+  /// The receive burst's MAC verifier (8-lane MD5). Per worker for the
+  /// same reason.
+  crypto::MacBatch mac_batch;
 
-  /// Receive-chunk scratch (FbsEndpoint::unprotect_burst_into), one slot
-  /// and one open_cbc job per datagram of the largest chunk seen so far:
-  /// a burst of one -- every unprotect_into -- keeps one slot, not
-  /// kBurstChunk of them. Grown on first use, then reused.
+  /// Receive-chunk scratch (FbsEndpoint::unprotect_burst_into), one slot,
+  /// one open_cbc job and one MAC job per datagram of the largest chunk
+  /// seen so far: a burst of one -- every unprotect_into -- keeps one slot,
+  /// not kBurstChunk of them. Grown on first use, then reused.
   struct ReceiveSlot {
     std::optional<FbsHeaderView> header;
     std::size_t shard = 0;
@@ -213,9 +221,12 @@ class WorkContext {
     FlowCryptoContext* fctx = nullptr;  // valid for the locked group only
     bool grouped = false;
     bool batched = false;  // decrypted by open_cbc, padding not yet checked
+    std::array<std::uint8_t, kMacPrefixSize> mac_prefix{};  // MAC job input
+    std::array<std::uint8_t, kMaxMacSize> tag{};  // the MAC job's output
   };
   std::vector<ReceiveSlot> recv_slots;
   std::vector<crypto::CbcOpenJob> open_jobs;
+  std::vector<crypto::MacJob> mac_jobs;
   /// Flow contexts rebuilt for one locked receive group: an RFKC entry
   /// evicted by a later datagram of the same chunk, or a cached flow seen
   /// under a different header suite (the cached context is never re-suited

@@ -16,9 +16,7 @@ namespace {
 /// bytes we carry, because neither participates in any other computation
 /// when the body is plaintext -- fuzzing found that an on-path attacker
 /// could rewrite the cipher nibble of a non-secret datagram and still have
-/// it accepted). Written into a stack buffer on the datagram path.
-constexpr std::size_t kMacPrefixSize = 10;
-
+/// it accepted). Writes kMacPrefixSize (domain.hpp) bytes.
 void mac_prefix_into(std::uint8_t flags, std::uint8_t suite,
                      std::uint32_t confounder, std::uint32_t timestamp,
                      std::uint8_t out[kMacPrefixSize]) {
@@ -34,9 +32,6 @@ void mac_prefix_into(std::uint8_t flags, std::uint8_t suite,
 std::uint64_t confounder_iv(std::uint32_t confounder) {
   return static_cast<std::uint64_t>(confounder) << 32 | confounder;
 }
-
-/// Stack room for any MAC tag we produce (MD5 = 16, SHA-1 = 20).
-constexpr std::size_t kMaxMacSize = 64;
 
 /// Domain separation for the two shard-selection hash consumers. Send-side
 /// shards key on the encoded FlowAttributes; receive-side shards key on
@@ -378,6 +373,7 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
   if (ctx.recv_slots.size() < n) {
     ctx.recv_slots.resize(n);
     ctx.open_jobs.resize(n);
+    ctx.mac_jobs.resize(n);
   }
   auto& slot = ctx.recv_slots;
   // Parse before taking any lock: it reads only the wire, and the sfl it
@@ -545,33 +541,38 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       ctx.batch.open_cbc({ctx.open_jobs.data(), njob});
     }
 
-    // (R7-9) in submission order: padding check of batched bodies, MAC
-    // over flags | suite | confounder | timestamp | plaintext body, constant
-    // time compare, replay commit. Every header bit is either authenticated
-    // here or validated by parse (version, reserved flags) or by key
-    // selection (sfl).
+    // (R7-9) in three passes. First the padding check of batched bodies,
+    // and one MAC job per datagram over flags | suite | confounder |
+    // timestamp | plaintext body; then one MacBatch over the group (MD5
+    // jobs share 8-lane passes); then, in submission order, the constant
+    // time compare and the replay commit. Every header bit is either
+    // authenticated here or validated by parse (version, reserved flags) or
+    // by key selection (sfl).
+    std::size_t nmac = 0;
+    nlive = retain(live, nlive, [&](std::size_t j) {
+      WorkContext::ReceiveSlot& s = slot[j];
+      util::Bytes& body = *items[j].body_out;
+      if (s.batched && !crypto::detail::pkcs7_unpad_in_place(body)) {
+        items[j].outcome = reject(dom, ReceiveError::kDecryptFailed);
+        return false;
+      }
+      const FbsHeaderView& h = *s.header;
+      mac_prefix_into(h.flags_byte(), h.suite_byte(), h.confounder,
+                      h.timestamp_minutes, s.mac_prefix.data());
+      ctx.mac_jobs[nmac++] =
+          crypto::MacJob{&s.fctx->mac, s.mac_prefix, body, s.tag.data()};
+      return true;
+    });
+    if (nmac > 0) {
+      auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
+      ctx.mac_batch.compute({ctx.mac_jobs.data(), nmac});
+    }
     for (std::size_t k = 0; k < nlive; ++k) {
       const std::size_t j = live[k];
       ReceiveBurstItem& it = items[j];
       const FbsHeaderView& h = *slot[j].header;
-      util::Bytes& body = *it.body_out;
-      if (slot[j].batched && !crypto::detail::pkcs7_unpad_in_place(body)) {
-        it.outcome = reject(dom, ReceiveError::kDecryptFailed);
-        continue;
-      }
-      std::uint8_t prefix[kMacPrefixSize];
-      mac_prefix_into(h.flags_byte(), h.suite_byte(), h.confounder,
-                      h.timestamp_minutes, prefix);
-      std::uint8_t mac_buf[kMaxMacSize];
-      crypto::MacContext& mac = slot[j].fctx->mac;
-      {
-        auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-        mac.begin();
-        mac.update({prefix, kMacPrefixSize});
-        mac.update(body);
-        mac.finish_into(mac_buf);
-      }
-      if (!util::ct_equal({mac_buf, mac.mac_size()}, h.mac)) {
+      if (!util::ct_equal({slot[j].tag.data(), slot[j].fctx->mac.mac_size()},
+                          h.mac)) {
         it.outcome = reject(dom, ReceiveError::kBadMac);
         continue;
       }

@@ -8,7 +8,9 @@
 
 #include "cert/certificate.hpp"
 #include "cert/directory.hpp"
+#include "crypto/algorithms.hpp"
 #include "crypto/dh.hpp"
+#include "crypto/mac.hpp"
 #include "fbs/engine.hpp"
 #include "fbs/header.hpp"
 #include "fbs/keying.hpp"
@@ -595,6 +597,72 @@ std::vector<util::Bytes> seeds_engine() {
   };
 }
 
+// --- MacBatch lane bookkeeping ---------------------------------------------
+
+/// One MacBatch decoded from the input: a job count, then per job a context
+/// selector, a prefix taken from the input, and a body window (16-bit
+/// offset and length) into the input itself. Lanes so see every alignment,
+/// overlapping bodies, ragged lengths and every algorithm mixed. The oracle
+/// is the scalar MacContext on a fresh copy of each job's context.
+bool run_mac_batch(util::BytesView input) {
+  static const std::vector<crypto::MacContext> kContexts = [] {
+    std::vector<crypto::MacContext> out;
+    for (const auto alg :
+         {crypto::MacAlgorithm::kKeyedMd5, crypto::MacAlgorithm::kHmacMd5,
+          crypto::MacAlgorithm::kKeyedSha1, crypto::MacAlgorithm::kHmacSha1,
+          crypto::MacAlgorithm::kNull}) {
+      for (const std::size_t key_len : {16u, 100u})
+        out.push_back(crypto::make_mac(alg)->make_context(
+            util::Bytes(key_len, static_cast<std::uint8_t>(key_len))));
+    }
+    return out;
+  }();
+  FuzzInput in(input);
+  const std::size_t njobs = in.u8() % 65;
+  std::vector<crypto::MacContext> contexts = kContexts;
+  std::vector<std::size_t> which(njobs);
+  std::vector<crypto::MacJob> jobs(njobs);
+  std::vector<util::Bytes> tags(njobs);
+  for (std::size_t i = 0; i < njobs; ++i) {
+    which[i] = in.u8() % contexts.size();
+    const util::BytesView prefix = in.take(in.u8() % 80);
+    const std::size_t off = in.u16() % (input.size() + 1);
+    const std::size_t len =
+        std::min<std::size_t>(in.u16(), input.size() - off);
+    tags[i].assign(contexts[which[i]].mac_size(), 0);
+    jobs[i] = crypto::MacJob{&contexts[which[i]], prefix,
+                             input.subspan(off, len), tags[i].data()};
+  }
+  crypto::MacBatch batch;
+  batch.compute(jobs);
+  for (std::size_t i = 0; i < njobs; ++i) {
+    crypto::MacContext scalar = kContexts[which[i]];
+    scalar.begin();
+    scalar.update(jobs[i].prefix);
+    scalar.update(jobs[i].body);
+    FUZZ_CHECK(scalar.finish() == tags[i], input);
+  }
+  return batch.stats().lane_jobs > 0;
+}
+
+std::vector<util::Bytes> seeds_mac_batch() {
+  // n jobs cycling through the contexts, no prefix, bodies of `len` bytes
+  // at offsets 0, 1, 2, ... of a 2 KB tail of 'a's.
+  const auto batch = [](std::uint8_t n, std::uint16_t len) {
+    util::Bytes in{n};
+    for (std::uint8_t i = 0; i < n; ++i) {
+      const std::uint8_t job[] = {i, 0, 0, i,
+                                  static_cast<std::uint8_t>(len >> 8),
+                                  static_cast<std::uint8_t>(len)};
+      in.insert(in.end(), job, job + sizeof job);
+    }
+    in.resize(in.size() + 2048, 'a');
+    return in;
+  };
+  return {batch(1, 100), batch(4, 55), batch(8, 64), batch(16, 1408),
+          batch(40, 300)};
+}
+
 }  // namespace
 
 const std::vector<FuzzTarget>& all_targets() {
@@ -609,6 +677,7 @@ const std::vector<FuzzTarget>& all_targets() {
       {"keying", run_keying, seeds_keying},
       {"engine", run_engine, seeds_engine},
       {"pcap", run_pcap, seeds_pcap},
+      {"mac_batch", run_mac_batch, seeds_mac_batch},
   };
   return targets;
 }

@@ -1,4 +1,5 @@
-// The fuzz target registry: one entry per wire decoder in the library.
+// The fuzz target registry: one entry per wire decoder in the library, plus
+// one for the lane bookkeeping of crypto::MacBatch.
 //
 // Each target wraps a decoder in its oracle: run(input) feeds the decoder
 // attacker-shaped bytes, FUZZ_CHECKs the decoder's contract (never read out

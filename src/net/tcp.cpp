@@ -73,8 +73,26 @@ void TcpConnection::become_closed() {
   send_buffer_.clear();
   in_flight_.clear();
   reorder_.clear();
-  if (closed_) closed_();
+  ClosedFn closed = std::move(closed_);
+  release_callbacks();
+  if (closed) closed();
   service_.remove(*this);
+}
+
+void TcpConnection::release_callbacks() {
+  closed_ = nullptr;
+  accept_ = nullptr;
+  // A receive callback that closes its own connection is still running:
+  // deliver() releases it when it returns.
+  if (!delivering_) receive_ = nullptr;
+}
+
+void TcpConnection::deliver(util::BytesView data) {
+  if (!receive_) return;
+  delivering_ = true;
+  receive_(data);
+  delivering_ = false;
+  if (state_ == State::kClosed) receive_ = nullptr;
 }
 
 void TcpConnection::emit_segment(util::BytesView payload, bool syn, bool fin,
@@ -174,7 +192,7 @@ void TcpConnection::deliver_in_order() {
   while (it != reorder_.end() && it->first == rcv_next_) {
     rcv_next_ += static_cast<std::uint32_t>(it->second.size());
     counters_.bytes_delivered += it->second.size();
-    if (receive_) receive_(it->second);
+    deliver(it->second);
     it = reorder_.erase(it);
     it = reorder_.begin();
   }
@@ -250,7 +268,7 @@ void TcpConnection::on_segment(const TcpHeader& header, util::Bytes payload) {
     if (header.seq == rcv_next_) {
       rcv_next_ += static_cast<std::uint32_t>(payload.size());
       counters_.bytes_delivered += payload.size();
-      if (receive_) receive_(payload);
+      deliver(payload);
       deliver_in_order();
       advanced = true;
     } else if (seq_lt(rcv_next_, header.seq)) {
@@ -294,6 +312,10 @@ TcpService::TcpService(IpStack& stack, Transport& network,
       IpProto::kTcp, [this](const Ipv4Header& ip, util::Bytes payload) {
         on_packet(ip, std::move(payload));
       });
+}
+
+TcpService::~TcpService() {
+  for (auto& [key, conn] : connections_) conn->release_callbacks();
 }
 
 void TcpService::listen(std::uint16_t port, AcceptFn on_accept) {

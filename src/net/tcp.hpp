@@ -88,7 +88,13 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void arm_retransmit_timer();
   void on_retransmit_timer(std::uint64_t epoch);
   void deliver_in_order();
+  void deliver(util::BytesView data);
   void become_closed();
+  /// Drop the application callbacks. They may own this connection (a
+  /// receive callback capturing its shared_ptr), a cycle that would keep
+  /// it alive forever; so they go when it closes or its service is
+  /// destroyed.
+  void release_callbacks();
 
   TcpService& service_;
   Ipv4Address peer_;
@@ -117,6 +123,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t peer_fin_seq_ = 0;
 
   ReceiveFn receive_;
+  bool delivering_ = false;  // inside receive_: release it on return
   ClosedFn closed_;
   /// Pending accept callback for passive opens; fired on ESTABLISHED.
   std::function<void(std::shared_ptr<TcpConnection>)> accept_;
@@ -129,6 +136,8 @@ class TcpService {
 
   /// `network` supplies protocol timers (call_later).
   TcpService(IpStack& stack, Transport& network, util::RandomSource& rng);
+  /// Releases the callbacks of connections still open.
+  ~TcpService();
 
   /// Accept connections on `port`.
   void listen(std::uint16_t port, AcceptFn on_accept);

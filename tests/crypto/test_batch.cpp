@@ -118,6 +118,36 @@ TEST(CryptoBatch, SubThresholdBurstFallsBackToScalar) {
   EXPECT_EQ(probe.stats().scalar_blocks, 2u);
 }
 
+TEST(CryptoBatch, SealPlansByJobsNotBlocks) {
+  // One 1408 B job is 177 blocks but lights one lane: it must seal scalar.
+  util::SplitMix64 rng(10);
+  Flow f(rng.next_bytes(8));
+  const util::Bytes body = rng.next_bytes(1408);
+  util::Bytes out(CryptoBatch::padded_size(body.size()));
+  CryptoBatch one;
+  const CbcSealJob job{&f.des, 5, body, out.data()};
+  one.seal_cbc({&job, 1});
+  EXPECT_EQ(one.stats().bitsliced_blocks, 0u);
+  EXPECT_EQ(one.stats().scalar_blocks, out.size() / 8);
+  EXPECT_EQ(out, encrypt(f.des, CipherMode::kCbc, 5, body));
+
+  // Enough short jobs light enough lanes for the wide engine.
+  std::vector<util::Bytes> bodies, outs;
+  std::vector<CbcSealJob> jobs;
+  for (std::size_t i = 0; i < CryptoBatch::kSealMinJobs; ++i) {
+    bodies.push_back(rng.next_bytes(16));
+    outs.emplace_back(CryptoBatch::padded_size(16));
+  }
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    jobs.push_back(CbcSealJob{&f.des, i, bodies[i], outs[i].data()});
+  CryptoBatch many;
+  many.seal_cbc(jobs);
+  EXPECT_EQ(many.stats().scalar_blocks, 0u);
+  EXPECT_EQ(many.stats().bitsliced_blocks, 3u * jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(outs[i], encrypt(f.des, CipherMode::kCbc, i, bodies[i])) << i;
+}
+
 TEST(CryptoBatch, LargeBurstUsesBitsliceEngine) {
   util::SplitMix64 rng(8);
   Flow f(rng.next_bytes(8));

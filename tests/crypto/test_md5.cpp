@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "support/md5_loop.hpp"
+#include "util/rng.hpp"
+
 namespace fbs::crypto {
 namespace {
 
@@ -23,6 +28,33 @@ TEST(Md5, Rfc1321Vectors) {
   EXPECT_EQ(md5_hex("1234567890123456789012345678901234567890123456789012345678"
                     "9012345678901234567890"),
             "57edf4a22be3c955ac49da2e2107b67a");
+}
+
+TEST(Md5, LoopOracleMatchesRfc1321Vectors) {
+  // The oracle below is only worth trusting if it is right itself.
+  EXPECT_EQ(util::to_hex(testing::Md5Loop::digest(util::to_bytes(""))),
+            "d41d8cd98f00b204e9800998ecf8427e");
+  EXPECT_EQ(util::to_hex(testing::Md5Loop::digest(
+                util::to_bytes("message digest"))),
+            "f96b697d7cb7938d525a2f31aaf161d0");
+}
+
+TEST(Md5, MatchesLoopOracleOnEveryLengthAndRandomSplits) {
+  // The straight-line steps against the 64-iteration loop, every length
+  // 0..4096, each message fed in random-sized chunks.
+  util::SplitMix64 rng(0x4d4435u);
+  const util::Bytes data = rng.next_bytes(4096);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const util::BytesView message(data.data(), n);
+    Md5 ctx;
+    for (std::size_t off = 0; off < n;) {
+      const std::size_t chunk = std::min<std::size_t>(
+          1 + rng.next_below(150), n - off);
+      ctx.update(message.subspan(off, chunk));
+      off += chunk;
+    }
+    ASSERT_EQ(ctx.finish(), testing::Md5Loop::digest(message)) << n;
+  }
 }
 
 TEST(Md5, StreamingMatchesOneShot) {

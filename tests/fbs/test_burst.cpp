@@ -375,5 +375,90 @@ TEST_F(BurstTest, ResuitedCopyLeavesCachedContextAlone) {
   EXPECT_EQ(bob->receive_stats().flow_keys_derived, 1u);
 }
 
+TEST_F(BurstTest, ForgedMacMidBurstRejectsOnlyThatDatagram) {
+  // Sixteen datagrams share the 8-lane MAC passes; a wrong tag in lane 8
+  // must fail that datagram alone.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 16; ++i) {
+    const auto wire = alice->protect(
+        datagram(alice->self(), bob_node_->principal,
+                 "lane " + std::to_string(i) + std::string(1300, 'm'),
+                 static_cast<std::uint16_t>(7000 + i % 4)),
+        /*secret=*/true);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  wires[8][FbsHeader::kFixedSize] ^= 0x01;  // first tag byte
+
+  auto bob_item = receiver(cfg);
+  auto bob_burst = receiver(cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, alice->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, 15u);
+  EXPECT_EQ(bob_burst->receive_stats().rejected_by(ReceiveError::kBadMac),
+            1u);
+
+  // The whole group went through one MacBatch, all sixteen on the lanes.
+  auto bob_lanes = receiver(cfg);
+  std::vector<util::Bytes> bodies(wires.size());
+  std::vector<ReceiveBurstItem> items(wires.size());
+  for (std::size_t i = 0; i < wires.size(); ++i)
+    items[i] = ReceiveBurstItem{&alice->self(), wires[i], &bodies[i]};
+  WorkContext ctx;
+  bob_lanes->unprotect_burst_into(ctx, items);
+  EXPECT_EQ(ctx.mac_batch.stats().lane_jobs, 16u);
+  EXPECT_EQ(ctx.mac_batch.stats().scalar_jobs, 0u);
+}
+
+TEST_F(BurstTest, MixedMacSuitesVerifyEachAgainstItsOwnSuite) {
+  // Keyed and HMAC MD5 ride the lanes, keyed and HMAC SHA-1 stay scalar,
+  // all in one burst; each datagram is checked under its own suite.
+  std::vector<std::unique_ptr<FbsEndpoint>> senders;
+  for (const crypto::MacAlgorithm mac :
+       {crypto::MacAlgorithm::kKeyedMd5, crypto::MacAlgorithm::kHmacMd5,
+        crypto::MacAlgorithm::kKeyedSha1, crypto::MacAlgorithm::kHmacSha1}) {
+    FbsConfig cfg;
+    cfg.suite.mac = mac;
+    senders.push_back(sender(cfg));
+  }
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 16; ++i) {
+    FbsEndpoint& s = *senders[i % senders.size()];
+    const auto wire = s.protect(
+        datagram(s.self(), bob_node_->principal,
+                 "mac mix " + std::to_string(i) + std::string(200 + i, 'q'),
+                 static_cast<std::uint16_t>(7100 + i)),
+        /*secret=*/i % 3 != 0);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  FbsConfig rx_cfg;
+  auto bob_item = receiver(rx_cfg);
+  auto bob_burst = receiver(rx_cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, senders[0]->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, 16u);
+}
+
+TEST_F(BurstTest, BodiesLongerThan1600BytesStillVerify) {
+  // Lane blocks are read from the bodies in place, whatever their length.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 12; ++i) {
+    const auto wire = alice->protect(
+        datagram(alice->self(), bob_node_->principal,
+                 std::string(1601 + 397 * i, static_cast<char>('a' + i)),
+                 static_cast<std::uint16_t>(7200 + i % 3)),
+        /*secret=*/i % 2 == 0);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  auto bob_item = receiver(cfg);
+  auto bob_burst = receiver(cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, alice->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, 12u);
+}
+
 }  // namespace
 }  // namespace fbs::core

@@ -232,11 +232,12 @@ TEST(ZeroAlloc, PipelinedReceiveSteadyState) {
 }
 
 TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
-  // The cross-datagram bitslice path end to end: one shard, several flows,
+  // The cross-datagram batch path end to end: one shard, several flows,
   // whole bursts submitted at once, so the worker's ring visit hands
   // unprotect_burst_into a multi-lane group (mixed keys) that decrypts
-  // through the 64-wide engine. Steady state must stay allocation-free on
-  // every thread -- lane state, batch cursors, burst descriptors and the
+  // through the 256-lane engine and verifies its eight MACs in one 8-lane
+  // MacBatch. Steady state must stay allocation-free on every thread --
+  // lane state, batch cursors, MAC jobs and tags, burst descriptors and the
   // A2 context re-resolution all live in pre-sized or stack storage.
   constexpr std::size_t kFlows = 8;
   TestWorld world(4244);

@@ -166,6 +166,45 @@ TEST_F(TcpTest, GracefulCloseBothSides) {
   EXPECT_EQ(b_tcp_.connection_count(), 0u);
 }
 
+TEST_F(TcpTest, ClosedConnectionDropsSelfCapturingCallbacks) {
+  // Callbacks that own their connection form a cycle; closing breaks it.
+  std::weak_ptr<TcpConnection> server;
+  b_tcp_.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
+    server = conn;
+    conn->on_receive([conn](util::BytesView) {});
+    conn->on_closed([conn] {});
+  });
+  auto client = a_tcp_.connect(kB, 80);
+  client->send(util::to_bytes("x"));
+  net_.run();
+  ASSERT_FALSE(server.expired());
+  client->close();
+  server.lock()->close();
+  net_.run();
+  EXPECT_EQ(b_tcp_.connection_count(), 0u);
+  EXPECT_TRUE(server.expired());
+}
+
+TEST(TcpService, DestructionFreesOpenSelfCapturingConnections) {
+  util::VirtualClock clock(util::minutes(1));
+  SimNetwork net(clock, 5);
+  util::SplitMix64 rng(6);
+  IpStack a_stack(net, clock, kA), b_stack(net, clock, kB);
+  std::weak_ptr<TcpConnection> server;
+  {
+    TcpService a_tcp(a_stack, net, rng), b_tcp(b_stack, net, rng);
+    b_tcp.listen(80, [&](std::shared_ptr<TcpConnection> conn) {
+      server = conn;
+      conn->on_receive([conn](util::BytesView) {});
+    });
+    auto client = a_tcp.connect(kB, 80);
+    client->send(util::to_bytes("still open"));
+    net.run();
+    ASSERT_FALSE(server.expired());
+  }
+  EXPECT_TRUE(server.expired());
+}
+
 TEST_F(TcpTest, DataQueuedAfterCloseRefused) {
   listen_collect(80);
   auto client = a_tcp_.connect(kB, 80);

@@ -1,0 +1,108 @@
+// MD5 with the 64-iteration compression loop of RFC 1321 section 3.4 (round
+// branch, computed message index, shift table), kept as the test oracle for
+// crypto::Md5's straight-line core and crypto::Md5x8. It shares no code with
+// either, so a wrong constant or index in the unrolled steps cannot hide.
+#pragma once
+
+#include <array>
+#include <bit>
+#include <cstdint>
+
+#include "util/bytes.hpp"
+
+namespace fbs::testing {
+
+class Md5Loop {
+ public:
+  void update(util::BytesView data) {
+    for (const std::uint8_t byte : data) {
+      buffer_[total_len_ % 64] = byte;
+      if (++total_len_ % 64 == 0) process_block(buffer_.data());
+    }
+  }
+
+  util::Bytes finish() {
+    const std::uint64_t bit_len = total_len_ * 8;
+    const std::uint8_t one = 0x80, zero = 0;
+    update({&one, 1});
+    while (total_len_ % 64 != 56) update({&zero, 1});
+    for (int i = 0; i < 8; ++i) {
+      const auto b = static_cast<std::uint8_t>(bit_len >> (8 * i));
+      update({&b, 1});
+    }
+    util::Bytes out(16);
+    for (int i = 0; i < 16; ++i)
+      out[i] = static_cast<std::uint8_t>(state_[i / 4] >> (8 * (i % 4)));
+    return out;
+  }
+
+  static util::Bytes digest(util::BytesView data) {
+    Md5Loop h;
+    h.update(data);
+    return h.finish();
+  }
+
+ private:
+  void process_block(const std::uint8_t* block) {
+    static constexpr std::uint32_t kShift[64] = {
+        7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+        5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+        4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+        6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+    static constexpr std::uint32_t kSine[64] = {
+        0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf,
+        0x4787c62a, 0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af,
+        0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e,
+        0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa,
+        0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6,
+        0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+        0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
+        0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
+        0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039,
+        0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244, 0x432aff97,
+        0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d,
+        0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+        0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i)
+      m[i] = static_cast<std::uint32_t>(block[4 * i]) |
+             static_cast<std::uint32_t>(block[4 * i + 1]) << 8 |
+             static_cast<std::uint32_t>(block[4 * i + 2]) << 16 |
+             static_cast<std::uint32_t>(block[4 * i + 3]) << 24;
+
+    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      const std::uint32_t tmp = d;
+      d = c;
+      c = b;
+      b = b + std::rotl(a + f + kSine[i] + m[g], static_cast<int>(kShift[i]));
+      a = tmp;
+    }
+    state_[0] += a;
+    state_[1] += b;
+    state_[2] += c;
+    state_[3] += d;
+  }
+
+  std::array<std::uint32_t, 4> state_{0x67452301u, 0xefcdab89u, 0x98badcfeu,
+                                      0x10325476u};
+  std::array<std::uint8_t, 64> buffer_{};
+  std::uint64_t total_len_ = 0;
+};
+
+}  // namespace fbs::testing

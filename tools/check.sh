@@ -94,12 +94,15 @@ EOF
   # normalized by what this host's core count makes achievable; see
   # bench_parallel_throughput.cpp), plus the bitsliced DES gate -- the
   # 64-datagram mixed-key CBC decrypt burst must hold >= 3x the scalar
-  # core's throughput, measured adjacently in-process by bench_crypto
-  # (min over interleaved wall/CPU-clock reps; see emit_metrics there).
+  # core's throughput, and the 8-lane keyed-MD5 MacBatch >= 3x the scalar
+  # MAC on eight MTU-sized messages, both measured adjacently in-process by
+  # bench_crypto (min over interleaved wall/CPU-clock reps; see
+  # emit_metrics there).
   python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" --all \
     --require "fbs_bench_parallel_throughput:parallel.speedup4=3.0" \
     --require "fbs_bench_parallel_throughput:parallel.wall_gate=1.0" \
-    --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0"
+    --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0" \
+    --require "fbs_bench_crypto:crypto.keyed_md5_batch_speedup=3.0"
   echo "Bench smoke passed."
   exit 0
 fi
