@@ -106,19 +106,23 @@ BENCHMARK(BM_Des3CbcEncrypt)->Arg(1460);
 struct BitsliceBurst {
   static constexpr std::size_t kCtBytes = 1464;  // 1460 + PKCS#7, 183 blocks
 
-  explicit BitsliceBurst(std::size_t batch) {
+  /// `batch` jobs of `ct_bytes` each; job i runs under key i % keys
+  /// (every job its own key by default).
+  explicit BitsliceBurst(std::size_t batch, std::size_t keys = 0,
+                         std::size_t ct_bytes = kCtBytes)
+      : ct_bytes(ct_bytes) {
+    if (keys == 0) keys = batch;
+    for (std::size_t i = 0; i < keys; ++i) des.emplace_back(buffer_of(8 + i));
     for (std::size_t i = 0; i < batch; ++i) {
-      const util::Bytes key = buffer_of(8 + i);
-      des.emplace_back(key);
-      cts.push_back(buffer_of(kCtBytes));
-      plains.emplace_back(kCtBytes);
+      cts.push_back(buffer_of(ct_bytes));
+      plains.emplace_back(ct_bytes);
     }
     for (std::size_t i = 0; i < batch; ++i)
-      jobs.push_back(crypto::CbcOpenJob{&des[i], 0x0123456789ABCDEFull,
+      jobs.push_back(crypto::CbcOpenJob{&des[i % keys], 0x0123456789ABCDEFull,
                                         cts[i], plains[i].data()});
   }
 
-  std::size_t bytes() const { return jobs.size() * kCtBytes; }
+  std::size_t bytes() const { return jobs.size() * ct_bytes; }
 
   /// The scalar reference: per-job table-driven CBC decrypt, the exact
   /// block recurrence CryptoBatch's own fallback runs.
@@ -135,6 +139,7 @@ struct BitsliceBurst {
     }
   }
 
+  std::size_t ct_bytes;
   std::vector<crypto::Des> des;
   std::vector<util::Bytes> cts;
   std::vector<util::Bytes> plains;
@@ -357,6 +362,22 @@ void emit_metrics() {
     reg.gauge("crypto.des_scalar_cbc_decrypt.kBps")
         .set(bytes / 1000.0 / best_scalar);
     reg.gauge("crypto.des_bitslice_speedup").set(best_scalar / best_wide);
+  }
+  // The small multi-flow receive burst the open planner must not lose on:
+  // 16 jobs of 44 blocks (a 345-352 B body) under 8 keys, interleaved, so
+  // the lanes come in 16 key runs. open_cbc over the scalar loop; below
+  // 1.0 the planner took a wide plan the scalar loop beats.
+  {
+    BitsliceBurst burst(16, 8, 44 * crypto::Des::kBlockSize);
+    crypto::CryptoBatch batch;
+    double best_wide = 1e30, best_scalar = 1e30;
+    for (int rep = 0; rep < 8; ++rep) {
+      best_scalar =
+          std::min(best_scalar, time_leg([&] { burst.decrypt_scalar(); }));
+      best_wide =
+          std::min(best_wide, time_leg([&] { batch.open_cbc(burst.jobs); }));
+    }
+    reg.gauge("crypto.des_open_multikey_speedup").set(best_scalar / best_wide);
   }
   // Keyed MD5 on eight MTU-sized messages of distinct flows, one MacBatch
   // (one 8-lane pass per block) against the same eight on the scalar

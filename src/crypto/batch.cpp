@@ -30,22 +30,39 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   std::size_t total = 0;
   for (const CbcOpenJob& job : jobs) total += open_blocks(job);
   if (total == 0) return;
-  if (total < kScalarThresholdBlocks) {
+
+  // A non-multiple-of-kLanes total would spend a whole extra pass on a
+  // mostly-empty lane set. A leftover the scalar core finishes faster than
+  // one wide pass is peeled off the end of the global sequence and run
+  // scalar instead, keeping every wide pass full.
+  std::size_t spill = total % kLanes;
+  if (spill >= kPassBlocks) spill = 0;
+  const std::size_t wide_total = total - spill;
+  const std::size_t q = wide_total / kLanes;
+  const std::size_t rem = wide_total % kLanes;
+  const std::size_t passes = q + (rem != 0 ? 1 : 0);
+  // Each key change along the wide part of the sequence either starts a
+  // run of lanes or rekeys a lane mid-run, so the keying costs at least
+  // kKeyAllBlocks plus kKeyGroupBlocks per change (or the transpose). When
+  // even that bound loses -- every burst under kPassBlocks + kKeyAllBlocks
+  // blocks, and small multi-flow ones -- skip laying out the lanes.
+  std::size_t changes = 0;
+  const Des* prev = nullptr;
+  for (std::size_t j = 0, seen = 0; j < jobs.size() && seen < wide_total;
+       ++j) {
+    if (open_blocks(jobs[j]) == 0) continue;
+    changes += prev != nullptr && jobs[j].des != prev;
+    prev = jobs[j].des;
+    seen += open_blocks(jobs[j]);
+  }
+  if (passes * kPassBlocks +
+          std::min(kKeyAllBlocks + changes * kKeyGroupBlocks,
+                   kKeyLanesBlocks) +
+          spill >=
+      total) {
     for (const CbcOpenJob& job : jobs) open_scalar(job);
     return;
   }
-
-  // A non-multiple-of-kLanes total would spend a whole extra gate-network
-  // pass on a mostly-empty lane set (worst case: kLanes+1 blocks = one full
-  // pass plus a 1/kLanes-filled one). When the leftover is small enough
-  // that the scalar core finishes it faster than one wide pass would --
-  // the wide engine runs ~4x the scalar per-byte throughput (DESIGN.md 5h),
-  // so below kLanes/4 blocks -- peel it off the end of the global sequence
-  // and run it scalar instead, keeping every wide pass full.
-  constexpr std::size_t kWideOverScalar = 4;
-  std::size_t spill = total % kLanes;
-  if (spill * kWideOverScalar >= kLanes) spill = 0;
-  const std::size_t wide_total = total - spill;
 
   // CBC decrypt is block-parallel across (and within) datagrams: treat the
   // burst as one job-major global block sequence and give each lane a
@@ -61,8 +78,8 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
     std::size_t job = 0;               // index into jobs
   };
   Cursor cur[kLanes];
-  const std::size_t q = wide_total / kLanes;
-  const std::size_t rem = wide_total % kLanes;
+  const Des* lane_key[kLanes];  // each lane's key at the first pass
+  std::size_t rekeys = 0;       // mid-run key changes the passes will make
   {
     // Invariant between lanes: (j, b) points at an unconsumed block.
     std::size_t j = 0;
@@ -78,47 +95,45 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
       std::size_t len = q + (lane < rem ? 1 : 0);
       Cursor& c = cur[lane];
       c.remaining = len;
-      if (len > 0) {
-        const CbcOpenJob& job = jobs[j];
-        c.job = j;
-        c.ct = job.ciphertext.data() + Des::kBlockSize * b;
-        c.pt = job.plaintext + Des::kBlockSize * b;
-        c.left_in_job = open_blocks(job) - b;
-        c.chain = b == 0 ? job.iv : Des::load_be64(c.ct - Des::kBlockSize);
+      if (len == 0) {
+        // Unlit lanes (only ever the last ones) extend the previous run.
+        lane_key[lane] = lane_key[lane - 1];
+        continue;
       }
+      const CbcOpenJob& job = jobs[j];
+      c.job = j;
+      c.ct = job.ciphertext.data() + Des::kBlockSize * b;
+      c.pt = job.plaintext + Des::kBlockSize * b;
+      c.left_in_job = open_blocks(job) - b;
+      c.chain = b == 0 ? job.iv : Des::load_be64(c.ct - Des::kBlockSize);
+      lane_key[lane] = job.des;
+      const Des* key = job.des;
       while (len > 0) {
         const std::size_t step = std::min(len, open_blocks(jobs[j]) - b);
         b += step;
         len -= step;
         normalize();
+        if (len > 0 && jobs[j].des != key) {
+          key = jobs[j].des;
+          ++rekeys;
+        }
       }
     }
   }
 
-  const Des* lane_key[kLanes];
-  bool single_key = true;
-  for (const CbcOpenJob& job : jobs) {
-    if (job.des != jobs.front().des) {
-      single_key = false;
-      break;
-    }
+  // Price the wide plan -- passes, lane keying, mid-run rekeys and the
+  // scalar spill -- against the scalar loop over the whole burst. Keying
+  // is what makes a small multi-flow burst lose: every run of lanes under
+  // one key costs about one group's keying, the transpose a flat price.
+  const std::size_t runs = key_runs(lane_key);
+  if (passes * kPassBlocks + keying_blocks(runs) + rekeys * kKeyGroupBlocks +
+          spill >=
+      total) {
+    for (const CbcOpenJob& job : jobs) open_scalar(job);
+    return;
   }
-  if (single_key) {
-    engine_.set_all_lanes(jobs.front().des->round_keys());
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      lane_key[lane] = jobs.front().des;
-    }
-  } else {
-    std::array<const DesRoundKeys*, kLanes> ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      lane_key[lane] = cur[lane].remaining != 0 ? jobs[cur[lane].job].des
-                                                : jobs.front().des;
-      ptrs[lane] = &lane_key[lane]->round_keys();
-    }
-    engine_.set_lanes(ptrs);
-  }
+  key_lanes(lane_key, runs);
 
-  const std::size_t passes = q + (rem != 0 ? 1 : 0);
   for (std::size_t pass = 0; pass < passes; ++pass) {
     std::uint64_t blocks[kLanes];
     std::uint64_t cin[kLanes];
@@ -204,22 +219,10 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
     passes = std::max(passes, n);
   }
 
-  bool single_key = true;
-  for (const CbcSealJob& job : jobs) {
-    if (job.des != jobs.front().des) {
-      single_key = false;
-      break;
-    }
-  }
-  if (single_key) {
-    engine_.set_all_lanes(jobs.front().des->round_keys());
-  } else {
-    std::array<const DesRoundKeys*, kLanes> ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      ptrs[lane] = &jobs[std::min(lane, jobs.size() - 1)].des->round_keys();
-    }
-    engine_.set_lanes(ptrs);
-  }
+  const Des* lane_key[kLanes];
+  for (std::size_t lane = 0; lane < kLanes; ++lane)
+    lane_key[lane] = jobs[std::min(lane, jobs.size() - 1)].des;
+  key_lanes(lane_key, key_runs(lane_key));
 
   std::uint64_t chain[kLanes];
   for (std::size_t i = 0; i < jobs.size(); ++i) chain[i] = jobs[i].iv;
@@ -245,6 +248,40 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
     }
   }
   stats_.bitsliced_blocks += total;
+}
+
+std::size_t CryptoBatch::key_runs(const Des* const lane_key[kLanes]) {
+  std::size_t runs = 1;
+  for (std::size_t lane = 1; lane < kLanes; ++lane)
+    runs += lane_key[lane] != lane_key[lane - 1];
+  return runs;
+}
+
+std::size_t CryptoBatch::keying_blocks(std::size_t runs) {
+  if (runs == 1) return kKeyAllBlocks;
+  return std::min(kKeyLanesBlocks,
+                  (runs + DesBitslice::kWords - 1) * kKeyGroupBlocks);
+}
+
+void CryptoBatch::key_lanes(const Des* const lane_key[kLanes],
+                            std::size_t runs) {
+  if (runs == 1) {
+    engine_.set_all_lanes(lane_key[0]->round_keys());
+    return;
+  }
+  if (keying_blocks(runs) < kKeyLanesBlocks) {
+    std::size_t first = 0;
+    for (std::size_t lane = 1; lane <= kLanes; ++lane) {
+      if (lane < kLanes && lane_key[lane] == lane_key[first]) continue;
+      engine_.set_lane_range(first, lane, lane_key[first]->round_keys());
+      first = lane;
+    }
+    return;
+  }
+  std::array<const DesRoundKeys*, kLanes> ptrs;
+  for (std::size_t lane = 0; lane < kLanes; ++lane)
+    ptrs[lane] = &lane_key[lane]->round_keys();
+  engine_.set_lanes(ptrs);
 }
 
 void CryptoBatch::open_scalar(const CbcOpenJob& job) {

@@ -10,18 +10,31 @@
 //   each lane's key changes at most when its cursor crosses a job boundary
 //   (incremental set_lane) -- for a single-flow burst there are zero mid-
 //   batch rekeys, and an N-flow burst costs at most ~N-1 crossings total.
-//   A small leftover (< kLanes / kWideOverScalar blocks) that would waste
-//   a mostly-empty final pass runs on the scalar core instead.
 //
 //   seal (CBC encrypt): chains serially within a datagram, so lanes map
 //   one job per lane and each pass peels the next block of up to kLanes
 //   datagrams (PKCS#7 tail blocks materialized on the fly).
 //
-// Small bursts run on the per-job scalar Des cores instead: the per-group
-// transposes plus key loading only amortize with enough lanes lit. For open
-// that is a block count (kScalarThresholdBlocks), since one datagram's
-// blocks spread across lanes; for seal it is a job count (kSealMinJobs),
-// since each job lights one lane however long it is.
+// Cost model. The open planner prices both plans in units of one scalar
+// CBC block and takes the cheaper, so a burst is never planned slower than
+// the scalar loop (constants measured on a 4-vCPU AVX-512 guest, DESIGN.md
+// 5h; one scalar block is ~115 ns there):
+//
+//   scalar = total blocks
+//   wide   = passes * kPassBlocks            (transposes, gates, cursors)
+//          + keying_blocks(runs)             (initial lane keys)
+//          + rekeys * kKeyGroupBlocks        (mid-run job crossings)
+//          + spill                           (leftover run scalar)
+//
+// Lane keys come in runs of equal keys over the lanes. One run is a
+// broadcast (kKeyAllBlocks); a few runs key range by range, each costing
+// about one 64-lane group's keying; many runs fall back to the per-lane
+// transpose (kKeyLanesBlocks), which by itself costs more than a 192-block
+// scalar burst, so a small multi-flow burst must never pay it. A
+// leftover shorter than one pass (spill < kPassBlocks) runs scalar rather
+// than taking a mostly-empty pass. Seal stays a job count (kSealMinJobs),
+// since each job lights one lane however long it is; it keys its lanes the
+// same way.
 //
 // The planner itself never allocates; all cursors live on the stack and
 // outputs land in caller-provided buffers (the zero-alloc steady-state
@@ -63,11 +76,16 @@ class CryptoBatch {
  public:
   static constexpr std::size_t kLanes = DesBitslice::kLanes;
 
-  /// Open bursts totalling fewer CBC blocks than this run the scalar cores: a
-  /// bitslice pass costs two transposes + key setup regardless of how many
-  /// lanes carry real work, and measurement puts break-even near half a
-  /// batch of lanes (see DESIGN.md 5h).
-  static constexpr std::size_t kScalarThresholdBlocks = 32;
+  /// Cost-model constants, in scalar CBC blocks (see the header comment).
+  /// One kLanes-wide open pass, including the cursor loads and stores
+  /// (measured 6-8 us against ~113 ns per scalar block).
+  static constexpr std::size_t kPassBlocks = 64;
+  /// set_all_lanes: every lane under one key (~0.9 us).
+  static constexpr std::size_t kKeyAllBlocks = 8;
+  /// set_lane_range within one 64-lane group, or one set_lane (~0.5 us).
+  static constexpr std::size_t kKeyGroupBlocks = 4;
+  /// set_lanes: the per-lane transpose, whatever the keys (22-27 us).
+  static constexpr std::size_t kKeyLanesBlocks = 220;
 
   /// Seal groups of fewer jobs than this run the scalar cores: every pass
   /// costs a full kLanes-wide evaluation, so seal pays only with enough
@@ -98,6 +116,12 @@ class CryptoBatch {
   void open_scalar(const CbcOpenJob& job);
   void seal_scalar(const CbcSealJob& job);
   void seal_group(std::span<const CbcSealJob> jobs);
+  /// Runs of equal consecutive keys over the lanes.
+  static std::size_t key_runs(const Des* const lane_key[kLanes]);
+  /// The cost-model price of keying lanes that come in `runs` runs.
+  static std::size_t keying_blocks(std::size_t runs);
+  /// Key lane i with lane_key[i], the cheapest way for `runs` runs.
+  void key_lanes(const Des* const lane_key[kLanes], std::size_t runs);
 
   DesBitslice engine_;
   Stats stats_;

@@ -279,8 +279,7 @@ void DesBitslice::set_lanes(
     const std::array<const DesRoundKeys*, kLanes>& lanes) {
   // Per round, per 64-lane group: gather the group's 48-bit subkeys
   // left-aligned, transpose, and the first 48 rows are exactly the group's
-  // lane-mask words. 16 x kWords transposes ~= a cipher pass, vs ~100
-  // passes' worth of one-lane updates.
+  // lane-mask words.
   for (int round = 0; round < 16; ++round) {
     auto& dst = ks_[static_cast<std::size_t>(round)];
     for (std::size_t w = 0; w < kWords; ++w) {
@@ -295,17 +294,22 @@ void DesBitslice::set_lanes(
   }
 }
 
-void DesBitslice::set_lane(std::size_t lane, const DesRoundKeys& ks) {
-  const std::size_t w = lane / kGroupLanes;
-  const std::uint64_t bit = 1ull << (63 - lane % kGroupLanes);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t sk = ks[static_cast<std::size_t>(round)];
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t t = 0; t < 48; ++t) {
-      if ((sk >> (47 - t)) & 1) {
-        dst[t * kWords + w] |= bit;
-      } else {
-        dst[t * kWords + w] &= ~bit;
+void DesBitslice::set_lane_range(std::size_t first, std::size_t last,
+                                 const DesRoundKeys& ks) {
+  for (std::size_t w = first / kGroupLanes; w * kGroupLanes < last; ++w) {
+    // The group's lanes inside [first, last), lane w*64+i at bit 63-i.
+    const std::size_t lo = std::max(first, w * kGroupLanes) - w * kGroupLanes;
+    const std::size_t hi = std::min(last, (w + 1) * kGroupLanes) -
+                           w * kGroupLanes;
+    const std::uint64_t below = hi == kGroupLanes ? 0 : ~0ull >> hi;
+    const std::uint64_t mask = (~0ull >> lo) & ~below;
+    for (int round = 0; round < 16; ++round) {
+      const std::uint64_t sk = ks[static_cast<std::size_t>(round)];
+      auto& dst = ks_[static_cast<std::size_t>(round)];
+      for (std::size_t t = 0; t < 48; ++t) {
+        const std::uint64_t bit = 0 - ((sk >> (47 - t)) & 1);
+        std::uint64_t& word = dst[t * kWords + w];
+        word = (word & ~mask) | (bit & mask);
       }
     }
   }

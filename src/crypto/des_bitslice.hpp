@@ -18,8 +18,9 @@
 // Key handling supports mixed keys across lanes: a key's 16 48-bit round
 // keys (DesRoundKeys, read straight from the scalar Des that a flow's
 // crypto context already holds -- there is no second schedule) expand into
-// the engine's 16x48 lane-mask vectors either all at once (broadcast or
-// per-lane transpose, cheap) or one lane at a time (the batch scheduler's
+// the engine's 16x48 lane-mask vectors all at once (broadcast, or a
+// per-lane transpose), over a contiguous range of lanes (a run of lanes
+// that share a key), or one lane at a time (the batch scheduler's
 // job-boundary rekey).
 //
 // CBC interaction: decryption is block-parallel even within one datagram
@@ -48,13 +49,23 @@ class DesBitslice {
   void set_all_lanes(const DesRoundKeys& ks);
 
   /// Mixed keys, bulk: lane i takes lanes[i] (must all be non-null). Done
-  /// with one 64x64 transpose per round per group -- a fraction of a
-  /// cipher pass, so a fresh mixed-key batch amortizes after the first.
+  /// with one 64x64 transpose per round per group, whatever the keys --
+  /// several cipher passes' worth (22-27 us against a ~4 us pass), so it
+  /// pays only when the keys come in many short runs over the lanes.
   void set_lanes(const std::array<const DesRoundKeys*, kLanes>& l);
+
+  /// Key lanes [first, last) with one key, leaving the others as they are.
+  /// Costs about one set_lane per 64-lane group the range touches, so a
+  /// mixed-key batch whose keys come in a few contiguous runs keys far
+  /// cheaper this way than through set_lanes' transposes.
+  void set_lane_range(std::size_t first, std::size_t last,
+                      const DesRoundKeys& ks);
 
   /// Rekey a single lane in place (the batch scheduler's incremental
   /// update when a lane's cursor crosses a job boundary).
-  void set_lane(std::size_t lane, const DesRoundKeys& ks);
+  void set_lane(std::size_t lane, const DesRoundKeys& ks) {
+    set_lane_range(lane, lane + 1, ks);
+  }
 
   /// Encrypt/decrypt kLanes blocks in place, one per lane; blocks[i] is
   /// lane i's block as loaded by Des::load_be64. Lanes with no real work

@@ -219,6 +219,7 @@ class WorkContext {
     std::size_t shard = 0;
     double parse_ns = 0;
     FlowCryptoContext* fctx = nullptr;  // valid for the locked group only
+    FlowKey key{};  // the flow key fctx was built from, for a rebuild
     bool grouped = false;
     bool batched = false;  // decrypted by open_cbc, padding not yet checked
     std::array<std::uint8_t, kMacPrefixSize> mac_prefix{};  // MAC job input

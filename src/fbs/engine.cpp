@@ -451,8 +451,10 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     // (set collision) is rebuilt into ctx.rebuilt for this group alone, and
     // so is one whose suite differs from the datagram's header: the suite
     // byte is not yet authenticated, so it never changes a cached context.
-    // derive() makes a flow key from the master key (counted); nullopt
-    // rejects the datagram as from an unknown peer.
+    // A rebuild starts from the flow key the first pass kept in the slot,
+    // so every datagram derives (and counts) at most one key, as it would
+    // arriving alone. derive() makes a flow key from the master key
+    // (counted); nullopt rejects the datagram as from an unknown peer.
     const auto derive = [&](std::size_t j) -> std::optional<FlowKey> {
       if (!keys_.master_key_into(*items[j].source, ctx.master)) {
         items[j].outcome = reject(dom, ReceiveError::kUnknownPeer);
@@ -470,11 +472,13 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       cache_key_into(h.sfl, *items[j].source, self_, ctx.key);
       if (auto* cached = dom.rfkc.lookup(ctx.key)) {
         slot[j].fctx = cached;
+        slot[j].key = cached->key;
         ++pos;
         return true;
       }
       const auto key = derive(j);
       if (!key) return false;
+      slot[j].key = *key;
       slot[j].fctx = dom.rfkc.insert(
           ctx.key,
           make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
@@ -491,11 +495,9 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       }
       if (fctx && fctx->suite == h.suite) return true;
       auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
-      const auto key = fctx ? std::optional<FlowKey>(fctx->key) : derive(j);
-      if (!key) return false;
       ctx.rebuilt.reserve(kBurstChunk);
-      fctx = &ctx.rebuilt.emplace_back(
-          make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
+      fctx = &ctx.rebuilt.emplace_back(make_flow_crypto_context(
+          slot[j].key, h.suite, suite_mac(h.suite.mac)));
       return true;
     });
 

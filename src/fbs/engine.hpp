@@ -109,7 +109,8 @@ class FbsEndpoint {
                                     util::Bytes& body_out);
 
   /// Burst FBSReceive, the one receive implementation (unprotect_into is a
-  /// burst of one), built for the pipeline workers' per-ring-visit bursts.
+  /// burst of one). Its callers are the pipeline workers, with a burst per
+  /// ring visit, and FbsIpMapping, with a burst per stack receive batch.
   /// Items are grouped by owning shard and each group is processed under
   /// ONE domain lock, in phases that each run in submission order: admit
   /// (parse, suite, freshness), resolve flow contexts, open, then MAC

@@ -37,8 +37,8 @@ FbsIpMapping::FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
   hooks.output = [this](net::Ipv4Header& h, util::Bytes& p) {
     return on_output(h, p);
   };
-  hooks.input = [this](const net::Ipv4Header& h, util::Bytes& p) {
-    return on_input(h, p);
+  hooks.input = [this](std::span<net::IpStack::InputDatagram> batch) {
+    on_input(batch);
   };
   if (pipeline_) {
     hooks.deferred_input = [this](const net::Ipv4Header& h, util::Bytes& p) {
@@ -100,35 +100,48 @@ bool FbsIpMapping::on_output(net::Ipv4Header& header, util::Bytes& payload) {
   return true;
 }
 
-bool FbsIpMapping::on_input(const net::Ipv4Header& header,
-                            util::Bytes& payload) {
-  if (!is_transport(header.protocol) && !config_.protect_raw_ip) {
-    ++counters_.in_raw_ip;
-    return true;
+void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
+  rx_index_.clear();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const net::Ipv4Header& header = batch[i].header;
+    if (!is_transport(header.protocol) && !config_.protect_raw_ip) {
+      ++counters_.in_raw_ip;
+    } else if (config_.bypass_hosts.contains(header.source)) {
+      ++counters_.in_bypassed;
+    } else {
+      rx_index_.push_back(i);
+    }
   }
-  if (config_.bypass_hosts.contains(header.source)) {
-    ++counters_.in_bypassed;
-    return true;
+  const std::size_t n = rx_index_.size();
+  if (n == 0) return;
+  if (rx_items_.size() < n) {
+    rx_sources_.resize(n);
+    rx_items_.resize(n);
+    rx_bodies_.resize(n);
   }
-
-  const auto outcome = endpoint_.unprotect_into(
-      Principal::from_ipv4(header.source), payload, scratch_body_);
-  if (const auto* err = std::get_if<ReceiveError>(&outcome)) {
-    ++counters_.in_rejected[static_cast<std::size_t>(*err)];
-    return false;
+  for (std::size_t k = 0; k < n; ++k) {
+    net::IpStack::InputDatagram& d = batch[rx_index_[k]];
+    rx_sources_[k].assign_ipv4(d.header.source);
+    rx_items_[k] = ReceiveBurstItem{&rx_sources_[k], d.payload, &rx_bodies_[k]};
   }
-  ++counters_.in_accepted;
-  // The old wire buffer (capacity >= any body it can carry) becomes next
-  // packet's body staging, so the steady-state receive hook never allocates.
-  std::swap(payload, scratch_body_);
-  return true;
+  endpoint_.unprotect_burst_into(rx_ctx_, {rx_items_.data(), n});
+  for (std::size_t k = 0; k < n; ++k) {
+    net::IpStack::InputDatagram& d = batch[rx_index_[k]];
+    if (const auto* err = std::get_if<ReceiveError>(&rx_items_[k].outcome)) {
+      ++counters_.in_rejected[static_cast<std::size_t>(*err)];
+      d.accept = false;
+      continue;
+    }
+    ++counters_.in_accepted;
+    std::swap(d.payload, rx_bodies_[k]);
+  }
 }
 
 net::IpStack::DeferredVerdict FbsIpMapping::on_deferred(
     const net::Ipv4Header& header, util::Bytes& payload) {
   // Same exemptions as the sync hook: non-FBS traffic has no cryptography
-  // to parallelize, so it takes the inline path (kProcessSync falls through
-  // to on_input, which re-applies the bypass counters).
+  // to parallelize, so it takes the inline path (kProcessSync queues it for
+  // on_input, which re-applies the bypass counters).
   if (!is_transport(header.protocol) && !config_.protect_raw_ip)
     return net::IpStack::DeferredVerdict::kProcessSync;
   if (config_.bypass_hosts.contains(header.source))

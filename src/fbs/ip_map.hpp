@@ -7,6 +7,13 @@
 // short-cut form of IP encapsulation"); forwarding routers see nothing
 // strange, and `header_overhead` feeds the tcp_output.c segment-size fix.
 //
+// The input hook takes the datagrams of a stack receive batch together
+// (up to IpStack::kMaxInputBatch per call): bypass-host and raw-IP
+// datagrams pass through, and every FBS datagram of the call is opened by
+// one FbsEndpoint::unprotect_burst_into, so datagrams that arrive together
+// are decrypted in shared bitsliced passes and MAC'd on the 8-lane MD5 --
+// the same engine call the pipeline workers make.
+//
 // Raw IP (ICMP/IGMP) is out of scope as in the paper (footnote 10); only
 // TCP and UDP packets are protected, others pass unmodified. Traffic
 // to/from "bypass hosts" (the certificate directory) travels the secure
@@ -19,6 +26,8 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "fbs/engine.hpp"
 #include "fbs/pipeline.hpp"
@@ -106,7 +115,7 @@ class FbsIpMapping {
 
  private:
   bool on_output(net::Ipv4Header& header, util::Bytes& payload);
-  bool on_input(const net::Ipv4Header& header, util::Bytes& payload);
+  void on_input(std::span<net::IpStack::InputDatagram> batch);
   net::IpStack::DeferredVerdict on_deferred(const net::Ipv4Header& header,
                                             util::Bytes& payload);
   static FlowAttributes attributes_of(const net::Ipv4Header& header,
@@ -118,10 +127,20 @@ class FbsIpMapping {
   Counters counters_;
   std::unique_ptr<DatagramPipeline> pipeline_;  // null in sync mode
 
-  /// Wire/body staging reused across packets so the steady-state hook path
+  /// Wire staging reused across packets so the steady-state hook path
   /// (flow-cache hit, warm buffers) performs no heap allocations.
   util::Bytes scratch_wire_;
-  util::Bytes scratch_body_;
+
+  /// Receive-batch staging, grown to the largest batch seen and reused:
+  /// the engine's scratch, the batch's FBS datagrams (by index), their
+  /// claimed sources, the burst items and the plaintext bodies. A body
+  /// swaps with its wire on accept, so the old wire buffer (capacity >=
+  /// any body it can carry) becomes the next batch's body staging.
+  WorkContext rx_ctx_;
+  std::vector<std::size_t> rx_index_;
+  std::vector<Principal> rx_sources_;
+  std::vector<ReceiveBurstItem> rx_items_;
+  std::vector<util::Bytes> rx_bodies_;
 };
 
 }  // namespace fbs::core

@@ -141,23 +141,39 @@ void SimNetwork::call_later(util::TimeUs delay, std::function<void()> fn) {
   queue_.push(std::move(ev));
 }
 
+SimNetwork::Event SimNetwork::pop() {
+  // top() is const only to protect the heap order, which reads just time
+  // and seq: moving the frame and callback out leaves the order intact.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  return ev;
+}
+
 bool SimNetwork::step() {
   if (queue_.empty()) return false;
-  Event ev = queue_.top();
-  queue_.pop();
+  Event ev = pop();
   if (ev.time > clock_.now()) clock_.set(ev.time);
   if (ev.callback) {
     ev.callback();
     return true;
   }
-  const auto it = hosts_.find(ev.to);
-  --counters_.in_flight;
-  if (it == hosts_.end()) {
-    ++counters_.no_such_host;
-    return true;
+  std::vector<util::Bytes> batch = std::move(batch_);
+  batch.push_back(std::move(ev.frame));
+  while (!queue_.empty()) {
+    const Event& next = queue_.top();
+    if (next.callback || next.to != ev.to || next.time > clock_.now()) break;
+    batch.push_back(pop().frame);
   }
-  ++counters_.delivered;
-  it->second(std::move(ev.frame));
+  counters_.in_flight -= batch.size();
+  const auto it = hosts_.find(ev.to);
+  if (it == hosts_.end()) {
+    counters_.no_such_host += batch.size();
+  } else {
+    counters_.delivered += batch.size();
+    it->second(batch);
+  }
+  batch.clear();
+  batch_ = std::move(batch);
   return true;
 }
 

@@ -94,8 +94,11 @@ class SimNetwork : public Transport {
   /// frame deliveries.
   void call_later(util::TimeUs delay, std::function<void()> fn) override;
 
-  /// Deliver the earliest pending frame (advancing the clock to its time).
-  /// Returns false when idle.
+  /// Handle the earliest pending event, advancing the clock to its time:
+  /// run a timer, or deliver a frame together with every frame queued
+  /// right behind it that is addressed to the same host and already due.
+  /// The batch stops at the first timer, other host or later frame, so
+  /// events still run in (time, sequence) order. Returns false when idle.
   bool step();
   /// Run until no events remain.
   void run();
@@ -151,6 +154,8 @@ class SimNetwork : public Transport {
     util::TimeUs until = 0;
   };
 
+  /// Move the earliest event out of the queue.
+  Event pop();
   const LinkParams& link_for(Ipv4Address a, Ipv4Address b) const;
   void schedule(Ipv4Address to, util::Bytes frame, util::TimeUs delay);
   bool partitioned(Ipv4Address from, Ipv4Address to);
@@ -166,6 +171,9 @@ class SimNetwork : public Transport {
   LinkParams default_link_;
   Tap tap_;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  /// The batch step() is delivering, kept for its capacity. step() takes
+  /// it for the sink call, so a sink that sends or steps again is safe.
+  std::vector<util::Bytes> batch_;
   std::uint64_t next_seq_ = 0;
   Counters counters_;
 };

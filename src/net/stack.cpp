@@ -8,8 +8,8 @@ IpStack::IpStack(Transport& network, const util::Clock& clock,
       address_(address),
       mtu_(mtu),
       reassembler_(clock) {
-  network_.attach(address_, [this](util::Bytes frame) {
-    on_frame(std::move(frame));
+  network_.attach(address_, [this](std::span<const util::Bytes> frames) {
+    on_frames(frames);
   });
 }
 
@@ -98,7 +98,12 @@ bool IpStack::forward_packet(Ipv4Header header, util::BytesView payload) {
   return true;
 }
 
-void IpStack::on_frame(util::Bytes frame) {
+void IpStack::on_frames(std::span<const util::Bytes> frames) {
+  for (const util::Bytes& frame : frames) on_frame(frame);
+  flush_input();
+}
+
+void IpStack::on_frame(util::BytesView frame) {
   ++counters_.packets_in;
 
   // Part [1]: validation.
@@ -112,6 +117,9 @@ void IpStack::on_frame(util::Bytes frame) {
       ++counters_.not_for_us;
       return;
     }
+    // What this frame makes the router emit goes out after what the
+    // datagrams before it make the local handlers emit.
+    flush_input();
     // Router path: optionally intercepted (tunnel ingress), else forwarded
     // as-is. Fragments are forwarded fragment-by-fragment unless a filter
     // needs the whole datagram -- our tunnel reassembles first for
@@ -148,12 +156,26 @@ void IpStack::on_frame(util::Bytes frame) {
         break;
     }
   }
-  if (hooks_.input && !hooks_.input(complete->header, complete->payload)) {
-    ++counters_.hook_drops_in;
-    return;
-  }
+  input_batch_.push_back(InputDatagram{std::move(complete->header),
+                                       std::move(complete->payload)});
+  if (input_batch_.size() == kMaxInputBatch) flush_input();
+}
 
-  deliver(complete->header, std::move(complete->payload));
+void IpStack::flush_input() {
+  if (input_batch_.empty()) return;
+  // Take the batch: a handler that makes this stack receive again (a
+  // transport pumped from inside a handler) starts a batch of its own.
+  std::vector<InputDatagram> batch = std::move(input_batch_);
+  if (hooks_.input) hooks_.input(batch);
+  for (InputDatagram& d : batch) {
+    if (!d.accept) {
+      ++counters_.hook_drops_in;
+      continue;
+    }
+    deliver(d.header, std::move(d.payload));
+  }
+  batch.clear();
+  if (input_batch_.empty()) input_batch_ = std::move(batch);
 }
 
 void IpStack::deliver(const Ipv4Header& header, util::Bytes payload) {

@@ -1,7 +1,10 @@
 // The datagram transport seam the paper assumes beneath the FBS engine:
 // Send() a frame toward a peer address, register a frame-receive sink for a
 // local binding, and close a conservation equation over every frame that
-// enters the backend. Everything above this line -- IpStack, TcpService,
+// enters the backend. Receive is batched: a sink is handed every frame the
+// backend has due for its binding at once, in arrival order, so the layers
+// above can open a whole batch with one burst call (a lone frame is a
+// batch of one). Everything above this line -- IpStack, TcpService,
 // the transit mesh, FBS endpoints and tunnels -- consumes `Transport&`;
 // which wire actually moves the bytes (the discrete-event SimNetwork or a
 // real UDP socket, see udp_transport.hpp) is the backend's business.
@@ -9,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "net/ip.hpp"
@@ -20,7 +24,10 @@ namespace fbs::net {
 
 class Transport {
  public:
-  using ReceiveFn = std::function<void(util::Bytes frame)>;
+  /// A batch of frames for one binding, in arrival order. The sink borrows
+  /// them for the call: it reads (or copies) what it needs, and the backend
+  /// keeps the buffers, which it may reuse for the next batch.
+  using ReceiveFn = std::function<void(std::span<const util::Bytes> frames)>;
 
   /// Observer for frames crossing the seam. `outbound` frames are captured
   /// at send() entry (like tcpdump on the sender: before any drop decision);
@@ -34,7 +41,8 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Bind a local address: frames addressed to `addr` are handed to
-  /// `receive`. Rebinding an address replaces the previous sink.
+  /// `receive`, in batches. Rebinding an address replaces the previous
+  /// sink.
   virtual void attach(Ipv4Address addr, ReceiveFn receive) = 0;
   virtual void detach(Ipv4Address addr) = 0;
 

@@ -125,8 +125,10 @@ void UdpTransport::call_later(util::TimeUs delay, std::function<void()> fn) {
 
 std::size_t UdpTransport::drain_socket() {
   std::size_t read = 0;
-  for (;;) {
-    util::Bytes frame(config_.mtu + 1);
+  while (read < config_.recv_queue_frames) {
+    if (rx_count_ == rx_frames_.size()) rx_frames_.emplace_back();
+    util::Bytes& frame = rx_frames_[rx_count_];
+    frame.resize(config_.mtu + 1);  // a recycled buffer: no allocation
     sockaddr_in src{};
     socklen_t src_len = sizeof(src);
     const ssize_t n =
@@ -149,29 +151,31 @@ std::size_t UdpTransport::drain_socket() {
     }
     capture(frame_addr_at(frame, kIpSrcOffset),
             frame_addr_at(frame, kIpDstOffset), frame, /*outbound=*/false);
-    if (rx_queue_.size() >= config_.recv_queue_frames) {
-      ++counters_.rx_queue_full;
-      continue;
-    }
-    rx_queue_.push_back(std::move(frame));
+    ++rx_count_;
   }
   return read;
 }
 
 std::size_t UdpTransport::dispatch_rx() {
   std::size_t handled = 0;
-  while (!rx_queue_.empty()) {
-    util::Bytes frame = std::move(rx_queue_.front());
-    rx_queue_.pop_front();
-    const auto sink = sinks_.find(frame_addr_at(frame, kIpDstOffset));
+  while (rx_head_ != rx_count_) {
+    // One sink call per run of frames for the same binding.
+    const std::size_t first = rx_head_;
+    const Ipv4Address to = frame_addr_at(rx_frames_[first], kIpDstOffset);
+    while (rx_head_ != rx_count_ &&
+           frame_addr_at(rx_frames_[rx_head_], kIpDstOffset) == to)
+      ++rx_head_;
+    const std::size_t n = rx_head_ - first;
+    const auto sink = sinks_.find(to);
     if (sink == sinks_.end()) {
-      ++counters_.no_sink;
+      counters_.no_sink += n;
       continue;
     }
-    ++counters_.delivered;
-    ++handled;
-    sink->second(std::move(frame));
+    counters_.delivered += n;
+    handled += n;
+    sink->second(std::span<const util::Bytes>(rx_frames_).subspan(first, n));
   }
+  rx_head_ = rx_count_ = 0;
   return handled;
 }
 
@@ -224,7 +228,7 @@ Transport::Totals UdpTransport::totals() const {
   t.dropped = counters_.unknown_peer + counters_.oversized +
               counters_.send_failed + counters_.rx_queue_full +
               counters_.rx_malformed + counters_.no_sink;
-  t.in_flight = rx_queue_.size();
+  t.in_flight = rx_count_ - rx_head_;
   return t;
 }
 

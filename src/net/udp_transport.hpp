@@ -6,7 +6,9 @@
 //
 // Determinism story: the backend is single-threaded and poll-driven -- no
 // receive thread, no locks. Frames and timers are dispatched only from
-// inside poll(), on the caller's thread, in arrival/deadline order. The
+// inside poll(), on the caller's thread, in arrival/deadline order; frames
+// go to their sink in runs that share a destination (Transport's batch
+// sink). The
 // conservation equation SimNetwork closes holds here too (Transport::Totals):
 // every frame entering send() or read off the socket ends up delivered, on
 // the wire, or in exactly one counted drop bucket.
@@ -14,7 +16,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <queue>
@@ -33,8 +34,12 @@ struct UdpTransportConfig {
   /// `oversized`), the same clamp EMSGSIZE would impose further down --
   /// surfacing the MTU as an explicit counted drop instead of an errno.
   std::size_t mtu = 1500;
-  /// Bounded receive queue between the socket and the sinks; overflow is a
-  /// counted drop (`rx_queue_full`), mirroring a NIC ring overrun.
+  /// Receive queue between the socket and the sinks, and the read budget
+  /// of one socket drain: each pass of poll() reads at most this many
+  /// frames, then dispatches them and checks its timers, so a flood
+  /// cannot starve either. What the budget leaves stays in the kernel's
+  /// socket buffer for the next pass. The frame buffers are reused from
+  /// drain to drain.
   std::size_t recv_queue_frames = 1024;
   /// Learn peer socket endpoints from the IPv4 source address of received
   /// frames, so a responder needs no out-of-band peer table to answer.
@@ -70,11 +75,15 @@ class UdpTransport final : public Transport {
   /// sink dispatch, timer callbacks -- happens here, on this thread.
   /// Returns the number of events handled (frames delivered + timers
   /// fired), so callers can loop `while (work_pending()) poll(...)` or
-  /// alternate two in-process transports.
+  /// alternate two in-process transports. Not re-entrant: a sink holds a
+  /// span into the receive queue, so sinks and timers must not call
+  /// poll() on the same transport.
   std::size_t poll(util::TimeUs budget);
 
   /// True while frames sit in the receive queue or timers are pending.
-  bool work_pending() const { return !rx_queue_.empty() || !timers_.empty(); }
+  bool work_pending() const {
+    return rx_head_ != rx_count_ || !timers_.empty();
+  }
 
   struct Counters {
     std::atomic<std::uint64_t> sent{0};
@@ -84,7 +93,9 @@ class UdpTransport final : public Transport {
     std::atomic<std::uint64_t> unknown_peer{0};  // no endpoint for `to`
     std::atomic<std::uint64_t> oversized{0};     // MTU clamp or EMSGSIZE
     std::atomic<std::uint64_t> send_failed{0};   // other sendto errno
-    std::atomic<std::uint64_t> rx_queue_full{0}; // bounded queue overflow
+    // Bounded queue overflow. The read budget keeps a drain within the
+    // queue, so this stays 0; kept so the drop family reads the same.
+    std::atomic<std::uint64_t> rx_queue_full{0};
     std::atomic<std::uint64_t> rx_malformed{0};  // shorter than an IP header
     std::atomic<std::uint64_t> no_sink{0};       // no attach() for dest
   };
@@ -119,7 +130,11 @@ class UdpTransport final : public Transport {
   std::string error_;
   std::map<Ipv4Address, ReceiveFn> sinks_;
   std::map<Ipv4Address, std::uint64_t> peers_;  // addr -> packed sockaddr
-  std::deque<util::Bytes> rx_queue_;
+  /// Receive queue: frames [rx_head_, rx_count_) of rx_frames_ await
+  /// dispatch. Slots past rx_count_ keep their buffers for the next drain.
+  std::vector<util::Bytes> rx_frames_;
+  std::size_t rx_head_ = 0;
+  std::size_t rx_count_ = 0;
   std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
   std::uint64_t next_seq_ = 0;
   Counters counters_;

@@ -196,6 +196,87 @@ TEST(CryptoBatch, MixedKeyBurstRekeysLanesAtJobBoundaries) {
   EXPECT_LE(batch.stats().lane_rekeys, 7u);
 }
 
+/// Raw CBC decrypt of `ct` (no unpadding): what open_cbc must produce.
+util::Bytes scalar_cbc_open(const Des& des, std::uint64_t iv,
+                            const util::Bytes& ct) {
+  util::Bytes out(ct.size());
+  std::uint64_t chain = iv;
+  for (std::size_t off = 0; off < ct.size(); off += Des::kBlockSize) {
+    const std::uint64_t c = Des::load_be64(ct.data() + off);
+    Des::store_be64(des.decrypt_block(c) ^ chain, out.data() + off);
+    chain = c;
+  }
+  return out;
+}
+
+TEST(CryptoBatch, OpenMatchesScalarLoopOnRandomShapes) {
+  // Whichever plan the cost model picks, and however it keys the lanes
+  // (broadcast, ranges of lanes, or the per-lane transpose), the output
+  // must not tell: random bursts of 1-64 jobs of 1-200 blocks under 1-16
+  // keys in any order decrypt bit for bit as the scalar loop does.
+  util::SplitMix64 rng(2024);
+  std::vector<Flow> flows;
+  flows.reserve(16);
+  for (int i = 0; i < 16; ++i) flows.emplace_back(rng.next_bytes(8));
+  CryptoBatch batch;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t njobs = 1 + rng.next_below(64);
+    const std::size_t nkeys = 1 + rng.next_below(16);
+    std::vector<util::Bytes> cts(njobs);
+    std::vector<util::Bytes> got(njobs);
+    std::vector<CbcOpenJob> jobs;
+    for (std::size_t j = 0; j < njobs; ++j) {
+      cts[j] = rng.next_bytes(Des::kBlockSize * (1 + rng.next_below(200)));
+      got[j].resize(cts[j].size());
+      jobs.push_back(CbcOpenJob{&flows[rng.next_below(nkeys)].des,
+                                rng.next_u64(), cts[j], got[j].data()});
+    }
+    batch.open_cbc(jobs);
+    for (std::size_t j = 0; j < njobs; ++j) {
+      ASSERT_EQ(got[j], scalar_cbc_open(*jobs[j].des, jobs[j].iv, cts[j]))
+          << "trial " << trial << " job " << j << " of " << njobs << ", "
+          << nkeys << " keys";
+    }
+  }
+  EXPECT_GT(batch.stats().bitsliced_blocks, 0u);
+  EXPECT_GT(batch.stats().scalar_blocks, 0u);
+}
+
+TEST(CryptoBatch, SmallMultiKeyOpenPlansScalar) {
+  // 16 jobs of 5 blocks alternating over 8 keys: one wide pass plus keying
+  // 16 runs of lanes costs more than the 80 blocks do on the scalar core,
+  // so the whole burst runs scalar (it used to pay the 256-lane transpose
+  // on top of the pass). Under one key the same burst takes the pass.
+  util::SplitMix64 rng(11);
+  std::vector<Flow> flows;
+  flows.reserve(8);
+  for (int i = 0; i < 8; ++i) flows.emplace_back(rng.next_bytes(8));
+  std::vector<util::Bytes> cts(16);
+  std::vector<util::Bytes> outs(16);
+  for (std::size_t j = 0; j < 16; ++j) {
+    cts[j] = rng.next_bytes(5 * Des::kBlockSize);
+    outs[j].resize(cts[j].size());
+  }
+  const auto open = [&](std::size_t keys) {
+    std::vector<CbcOpenJob> jobs;
+    for (std::size_t j = 0; j < 16; ++j)
+      jobs.push_back(CbcOpenJob{&flows[j % keys].des, j, cts[j],
+                                outs[j].data()});
+    CryptoBatch batch;
+    batch.open_cbc(jobs);
+    for (std::size_t j = 0; j < 16; ++j)
+      EXPECT_EQ(outs[j], scalar_cbc_open(flows[j % keys].des, j, cts[j]));
+    return batch.stats();
+  };
+  const CryptoBatch::Stats multi = open(8);
+  EXPECT_EQ(multi.bitsliced_blocks, 0u);
+  EXPECT_EQ(multi.scalar_blocks, 80u);
+  EXPECT_EQ(multi.passes, 0u);
+  const CryptoBatch::Stats single = open(1);
+  EXPECT_EQ(single.bitsliced_blocks, 80u);
+  EXPECT_EQ(single.passes, 1u);
+}
+
 TEST(CryptoBatch, EmptyAndZeroBlockJobsAreSafe) {
   CryptoBatch batch;
   batch.open_cbc({});

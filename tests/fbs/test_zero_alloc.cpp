@@ -1,6 +1,7 @@
 // The tentpole perf claim, enforced: once a flow is warm (key derived,
-// crypto context cached, scratch buffers sized), protect_into() and
-// unprotect_into() perform ZERO heap allocations per datagram. Global
+// crypto context cached, scratch buffers sized), protect_into(),
+// unprotect_into(), the pipeline and FbsIpMapping's batch input hook
+// perform ZERO heap allocations per datagram. Global
 // operator new/delete are replaced with counting versions; the counters
 // must not move across the steady-state calls.
 //
@@ -15,7 +16,10 @@
 #include <vector>
 
 #include "fbs/engine.hpp"
+#include "fbs/ip_map.hpp"
 #include "fbs/pipeline.hpp"
+#include "net/simnet.hpp"
+#include "net/udp.hpp"
 #include "support/world.hpp"
 
 namespace {
@@ -294,6 +298,86 @@ TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
   EXPECT_EQ(pipe.buffer_pool().stats().heap_fallbacks, 0u);
   EXPECT_EQ(pipe.in_flight(), 0u);
   EXPECT_EQ(pipe.stats().accepted.load(), 24u * kFlows);
+}
+
+void run_ip_map_batch(std::size_t burst) {
+  // FbsIpMapping's input hook over one stack receive batch: four flows'
+  // datagrams interleaved, opened by one unprotect_burst_into (mixed-key
+  // lanes, 8-lane MACs). Once warm -- engine scratch, burst staging,
+  // scratch principals, and body buffers swapped in from earlier wires --
+  // the hook allocates nothing, whatever the batch size.
+  TestWorld world(4245);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  net::SimNetwork net(world.clock, 1);
+  net::IpStack a_stack(net, world.clock, a.principal.ipv4());
+  net::IpStack b_stack(net, world.clock, b.principal.ipv4());
+  const IpMappingConfig config;
+  FbsIpMapping a_fbs(a_stack, config, *a.keys, world.clock, world.rng);
+  FbsIpMapping b_fbs(b_stack, config, *b.keys, world.clock, world.rng);
+  net::UdpService a_udp(a_stack);
+
+  std::vector<util::Bytes> frames;
+  net.set_capture([&](net::Ipv4Address, net::Ipv4Address,
+                      const util::Bytes& frame, bool outbound) {
+    if (outbound) frames.push_back(frame);
+  });
+  constexpr std::size_t kFlows = 4;
+  for (std::size_t i = 0; i < burst; ++i) {
+    ASSERT_TRUE(a_udp.send(b_stack.address(),
+                           static_cast<std::uint16_t>(6000 + i % kFlows), 7,
+                           util::Bytes(1400, static_cast<std::uint8_t>(i))));
+  }
+  net.clear_capture();
+  ASSERT_EQ(frames.size(), burst);
+  std::vector<net::Ipv4Packet> wires;
+  for (const util::Bytes& f : frames) wires.push_back(*net::Ipv4Header::parse(f));
+
+  std::vector<net::IpStack::InputDatagram> batch(burst);
+  const auto load = [&] {
+    for (std::size_t i = 0; i < burst; ++i) {
+      batch[i].header = wires[i].header;
+      batch[i].payload.assign(wires[i].payload.begin(),
+                              wires[i].payload.end());
+      batch[i].accept = true;
+    }
+  };
+  const auto& hook = b_stack.security_hooks().input;
+  const auto check = [&] {
+    for (std::size_t i = 0; i < burst; ++i) {
+      ASSERT_TRUE(batch[i].accept) << "datagram " << i;
+      // The opened body is the UDP datagram: 8-byte header, then data.
+      ASSERT_EQ(batch[i].payload.size(), 1408u);
+      ASSERT_EQ(batch[i].payload.back(), static_cast<std::uint8_t>(i));
+    }
+  };
+  for (int i = 0; i < 3; ++i) {
+    load();
+    hook(batch);
+    check();
+  }
+  for (int i = 0; i < 8; ++i) {
+    load();
+    {
+      CountingScope scope;
+      hook(batch);
+      EXPECT_EQ(scope.news(), 0u)
+          << "batch hook allocated (burst " << burst << ", iteration " << i
+          << ")";
+    }
+    check();
+  }
+  EXPECT_EQ(b_fbs.counters().in_accepted, 11u * burst);
+}
+
+TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf1) { run_ip_map_batch(1); }
+
+TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf16) {
+  run_ip_map_batch(16);
+}
+
+TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf64) {
+  run_ip_map_batch(64);
 }
 
 TEST(ZeroAlloc, CountersActuallyCount) {

@@ -111,7 +111,7 @@ TEST(Pcap, CaptureHookRecordsSimNetworkTraffic) {
   util::Bytes out;
   PcapWriter writer(&out, clock);
   net.set_capture(writer.capture_fn());
-  net.attach(kDst, [](util::Bytes) {});
+  net.attach(kDst, [](std::span<const util::Bytes>) {});
 
   net.send(kSrc, kDst, sample_frame(40));
   net.send(kSrc, kDst, sample_frame(80));

@@ -159,8 +159,8 @@ TEST(SimNetTimers, TimersInterleaveWithFrames) {
   util::VirtualClock clock(0);
   SimNetwork net(clock, 1);
   std::vector<std::string> events;
-  net.attach(*Ipv4Address::parse("1.1.1.1"), [&](util::Bytes) {
-    events.push_back("frame");
+  net.attach(*Ipv4Address::parse("1.1.1.1"), [&](std::span<const util::Bytes> frames) {
+    for (std::size_t i = 0; i < frames.size(); ++i) events.push_back("frame");
   });
   net.call_later(util::TimeUs{100}, [&] { events.push_back("early-timer"); });
   net.send(*Ipv4Address::parse("2.2.2.2"), *Ipv4Address::parse("1.1.1.1"),

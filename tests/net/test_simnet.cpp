@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace fbs::net {
 namespace {
@@ -18,8 +21,12 @@ class SimNetTest : public ::testing::Test {
   std::vector<util::Bytes> at_a_, at_b_;
 
   void SetUp() override {
-    net_.attach(kA, [this](util::Bytes f) { at_a_.push_back(std::move(f)); });
-    net_.attach(kB, [this](util::Bytes f) { at_b_.push_back(std::move(f)); });
+    net_.attach(kA, [this](std::span<const util::Bytes> f) {
+      at_a_.insert(at_a_.end(), f.begin(), f.end());
+    });
+    net_.attach(kB, [this](std::span<const util::Bytes> f) {
+      at_b_.insert(at_b_.end(), f.begin(), f.end());
+    });
   }
 };
 
@@ -93,8 +100,10 @@ TEST_F(SimNetTest, DeterministicForSeed) {
   util::VirtualClock clock2{0};
   SimNetwork net2{clock2, 7};
   std::vector<util::Bytes> at_b2;
-  net2.attach(kA, [](util::Bytes) {});
-  net2.attach(kB, [&](util::Bytes f) { at_b2.push_back(std::move(f)); });
+  net2.attach(kA, [](std::span<const util::Bytes>) {});
+  net2.attach(kB, [&](std::span<const util::Bytes> f) {
+    at_b2.insert(at_b2.end(), f.begin(), f.end());
+  });
   LinkParams p;
   p.loss = 0.3;
   p.jitter = util::seconds(1);
@@ -154,7 +163,9 @@ TEST_F(SimNetTest, BandwidthSerializesBackToBackFrames) {
   ethernet.bandwidth_bps = 1e6;  // 1 Mb/s: a 1000B frame takes 8 ms
   net_.set_default_link(ethernet);
   std::vector<util::TimeUs> arrivals;
-  net_.attach(kC, [&](util::Bytes) { arrivals.push_back(clock_.now()); });
+  net_.attach(kC, [&](std::span<const util::Bytes> f) {
+    arrivals.insert(arrivals.end(), f.size(), clock_.now());
+  });
   net_.send(kA, kC, util::Bytes(1000, 'x'));
   net_.send(kA, kC, util::Bytes(1000, 'x'));  // queued behind the first
   net_.run();
@@ -180,13 +191,68 @@ TEST_F(SimNetTest, TenMegabitEthernetThroughput) {
   net_.set_default_link(tenmb);
   constexpr int kFrames = 100;
   int delivered = 0;
-  net_.attach(kC, [&](util::Bytes) { ++delivered; });
+  net_.attach(kC, [&](std::span<const util::Bytes> f) { delivered += f.size(); });
   for (int i = 0; i < kFrames; ++i) net_.send(kA, kC, util::Bytes(1500, 'x'));
   net_.run();
   EXPECT_EQ(delivered, kFrames);
   const double seconds = static_cast<double>(clock_.now()) / 1e6;
   const double bps = kFrames * 1500 * 8 / seconds;
   EXPECT_NEAR(bps, 10e6, 0.05e6);
+}
+
+TEST_F(SimNetTest, StepBatchesDueFramesForOneHostUpToATimer) {
+  // One step() hands a host the first pending frame plus every frame queued
+  // right behind it that is due and addressed to the same host. A timer,
+  // another host or a frame not yet due ends the batch, so every event
+  // still runs in (time, sequence) order.
+  std::vector<std::string> log;
+  const auto sink = [&log](std::string host) {
+    return [&log, host](std::span<const util::Bytes> frames) {
+      std::string entry = host;
+      for (const util::Bytes& f : frames)
+        entry += ":" + std::string(f.begin(), f.end());
+      log.push_back(entry);
+    };
+  };
+  net_.attach(kB, sink("B"));
+  net_.attach(kC, sink("C"));
+  net_.inject(kB, util::to_bytes("1"));
+  net_.inject(kB, util::to_bytes("2"));
+  net_.call_later(util::TimeUs{0}, [&] { log.push_back("timer"); });
+  net_.inject(kB, util::to_bytes("3"));
+  net_.inject(kC, util::to_bytes("4"));
+  net_.inject(kB, util::to_bytes("5"));
+  net_.inject(kB, util::to_bytes("6"), util::TimeUs{10});
+  net_.inject(kB, util::to_bytes("7"), util::TimeUs{10});
+  net_.inject(kB, util::to_bytes("8"), util::TimeUs{20});
+
+  std::size_t steps = 0;
+  while (net_.step()) ++steps;
+  EXPECT_EQ(log, (std::vector<std::string>{"B:1:2", "timer", "B:3", "C:4",
+                                           "B:5", "B:6:7", "B:8"}));
+  EXPECT_EQ(steps, log.size());
+  EXPECT_EQ(clock_.now(), util::TimeUs{20});
+  EXPECT_EQ(net_.counters().delivered, 8u);
+  EXPECT_EQ(net_.counters().in_flight, 0u);
+}
+
+TEST_F(SimNetTest, StepBatchesOverdueFramesAndSurvivesASendingSink) {
+  // Frames whose time has passed by the time they are stepped are all due
+  // together. A sink that sends while it holds the batch queues the new
+  // frame behind the batch, for the next step.
+  net_.inject(kB, util::to_bytes("1"), util::TimeUs{5});
+  net_.inject(kB, util::to_bytes("2"), util::TimeUs{7});
+  clock_.set(util::TimeUs{10});
+  std::vector<std::size_t> batches;
+  std::vector<std::string> got;
+  net_.attach(kB, [&](std::span<const util::Bytes> frames) {
+    batches.push_back(frames.size());
+    for (const util::Bytes& f : frames) got.emplace_back(f.begin(), f.end());
+    if (got.size() == 2) net_.inject(kB, util::to_bytes("3"));
+  });
+  net_.run();
+  EXPECT_EQ(batches, (std::vector<std::size_t>{2, 1}));
+  EXPECT_EQ(got, (std::vector<std::string>{"1", "2", "3"}));
 }
 
 TEST_F(SimNetTest, StepReturnsFalseWhenIdle) {
@@ -272,7 +338,7 @@ TEST_F(SimNetTest, PartitionWindowDropsThenHeals) {
 }
 
 TEST_F(SimNetTest, HostPartitionCutsEveryLink) {
-  net_.attach(kC, [](util::Bytes) {});
+  net_.attach(kC, [](std::span<const util::Bytes>) {});
   net_.partition_host(kB, util::TimeUs{0}, util::seconds(1));
   net_.send(kA, kB, util::to_bytes("to the dark host"));
   net_.send(kB, kA, util::to_bytes("from the dark host"));

@@ -102,9 +102,9 @@ TEST_F(StackTest, InputHookSeesReassembledDatagram) {
   // fragmented datagram it sees the whole payload, once.
   std::vector<std::size_t> hook_sizes;
   IpStack::SecurityHooks hooks;
-  hooks.input = [&](const Ipv4Header&, util::Bytes& payload) {
-    hook_sizes.push_back(payload.size());
-    return true;
+  hooks.input = [&](std::span<IpStack::InputDatagram> batch) {
+    for (const IpStack::InputDatagram& d : batch)
+      hook_sizes.push_back(d.payload.size());
   };
   b_.set_security_hooks(std::move(hooks));
   a_.output(kB, IpProto::kUdp, util::Bytes(5000, 'q'));
@@ -115,7 +115,9 @@ TEST_F(StackTest, InputHookSeesReassembledDatagram) {
 
 TEST_F(StackTest, InputHookDropCounted) {
   IpStack::SecurityHooks hooks;
-  hooks.input = [](const Ipv4Header&, util::Bytes&) { return false; };
+  hooks.input = [](std::span<IpStack::InputDatagram> batch) {
+    for (IpStack::InputDatagram& d : batch) d.accept = false;
+  };
   b_.set_security_hooks(std::move(hooks));
   a_.output(kB, IpProto::kUdp, util::to_bytes("x"));
   net_.run();

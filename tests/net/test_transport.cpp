@@ -32,8 +32,8 @@ TEST(TransportTotals, SimNetworkClosesTheEquationUnderFaults) {
   lossy.loss = 0.3;
   lossy.duplicate = 0.2;
   net.set_default_link(lossy);
-  net.attach(kA, [](util::Bytes) {});
-  net.attach(kB, [](util::Bytes) {});
+  net.attach(kA, [](std::span<const util::Bytes>) {});
+  net.attach(kB, [](std::span<const util::Bytes>) {});
 
   for (int i = 0; i < 500; ++i) {
     net.send(kA, kB, frame());
@@ -60,7 +60,7 @@ TEST(TransportTotals, UdpTransportClosesTheEquationUnderDrops) {
   ASSERT_TRUE(a.ok() && b.ok());
   a.add_peer(kB, "127.0.0.1", b.local_port());
   std::size_t got = 0;
-  b.attach(kB, [&](util::Bytes) { ++got; });
+  b.attach(kB, [&](std::span<const util::Bytes> frames) { got += frames.size(); });
 
   Ipv4Header h;
   h.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
@@ -93,7 +93,7 @@ TEST(TransportMetrics, BothBackendsEmitTheUniformFamily) {
   sim.register_metrics(reg, "sim");
   udp.register_metrics(reg, "udp");
 
-  sim.attach(kB, [](util::Bytes) {});
+  sim.attach(kB, [](std::span<const util::Bytes>) {});
   sim.send(kA, kB, frame());
   sim.run();
   udp.send(kA, kGhost, frame());

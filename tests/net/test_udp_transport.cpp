@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+
 #include "net/ip.hpp"
 #include "util/clock.hpp"
 
@@ -62,8 +66,8 @@ TEST(UdpTransport, BindsEphemeralPort) {
 TEST(UdpTransport, DeliversFramesBothWays) {
   Pair p;
   util::Bytes got_a, got_b;
-  p.a.attach(kAlice, [&](util::Bytes f) { got_a = std::move(f); });
-  p.b.attach(kBob, [&](util::Bytes f) { got_b = std::move(f); });
+  p.a.attach(kAlice, [&](std::span<const util::Bytes> f) { got_a = f.back(); });
+  p.b.attach(kBob, [&](std::span<const util::Bytes> f) { got_b = f.back(); });
 
   const util::Bytes to_bob = make_frame(kAlice, kBob);
   const util::Bytes to_alice = make_frame(kBob, kAlice);
@@ -87,9 +91,10 @@ TEST(UdpTransport, LearnsPeersFromReceivedFrames) {
   // back from the frame's IPv4 source + the datagram's source sockaddr.
   a.add_peer(kBob, "127.0.0.1", b.local_port());
   util::Bytes echoed;
-  a.attach(kAlice, [&](util::Bytes f) { echoed = std::move(f); });
-  b.attach(kBob, [&](util::Bytes f) {
-    b.send(kBob, kAlice, make_frame(kBob, kAlice, 8));
+  a.attach(kAlice, [&](std::span<const util::Bytes> f) { echoed = f.back(); });
+  b.attach(kBob, [&](std::span<const util::Bytes> f) {
+    for (std::size_t i = 0; i < f.size(); ++i)
+      b.send(kBob, kAlice, make_frame(kBob, kAlice, 8));
   });
 
   a.send(kAlice, kBob, make_frame(kAlice, kBob));
@@ -144,7 +149,7 @@ TEST(UdpTransport, BoundedReceiveQueueOverflowsAsCountedDrop) {
   ASSERT_TRUE(a.ok() && b.ok());
   a.add_peer(kBob, "127.0.0.1", b.local_port());
   std::size_t delivered = 0;
-  b.attach(kBob, [&](util::Bytes) { ++delivered; });
+  b.attach(kBob, [&](std::span<const util::Bytes> f) { delivered += f.size(); });
 
   // Burst without letting b pump: everything lands in the kernel socket
   // buffer, then one drain sees more frames than the queue bound.
@@ -159,6 +164,45 @@ TEST(UdpTransport, BoundedReceiveQueueOverflowsAsCountedDrop) {
   const auto& c = b.counters();
   EXPECT_EQ(c.received, c.delivered + c.rx_queue_full);
   EXPECT_EQ(delivered, c.delivered);
+  expect_conservation(b);
+}
+
+TEST(UdpTransport, ReadBudgetLetsADueTimerFireDuringAFlood) {
+  // One pass of poll() reads at most recv_queue_frames frames, hands them
+  // to the sink in one batch and checks its timers before reading more:
+  // a flood larger than the budget cannot hold a due timer back until the
+  // socket is empty. Every frame read lands in exactly one bucket.
+  util::SteadyClock clock;
+  UdpTransportConfig cfg;
+  cfg.recv_queue_frames = 8;
+  UdpTransport a(clock), b(clock, cfg);
+  ASSERT_TRUE(a.ok() && b.ok());
+  a.add_peer(kBob, "127.0.0.1", b.local_port());
+  std::size_t delivered = 0;
+  std::size_t largest_batch = 0;
+  std::optional<std::size_t> delivered_at_timer;
+  b.attach(kBob, [&](std::span<const util::Bytes> frames) {
+    if (delivered == 0)
+      b.call_later(util::TimeUs{0}, [&] { delivered_at_timer = delivered; });
+    delivered += frames.size();
+    largest_batch = std::max(largest_batch, frames.size());
+  });
+
+  constexpr std::size_t kFlood = 64;
+  for (std::size_t i = 0; i < kFlood; ++i)
+    a.send(kAlice, kBob, make_frame(kAlice, kBob));
+  a.send(kAlice, kBob, util::Bytes(8, 0));  // shorter than an IP header
+  b.poll(util::TimeUs{50'000});
+
+  ASSERT_TRUE(delivered_at_timer.has_value());
+  EXPECT_EQ(*delivered_at_timer, cfg.recv_queue_frames);
+  EXPECT_EQ(delivered, kFlood);
+  EXPECT_EQ(largest_batch, cfg.recv_queue_frames);
+  const auto& c = b.counters();
+  EXPECT_EQ(c.received, kFlood + 1);
+  EXPECT_EQ(c.rx_malformed, 1u);
+  EXPECT_EQ(c.received,
+            c.delivered + c.rx_malformed + c.no_sink + c.rx_queue_full);
   expect_conservation(b);
 }
 
@@ -185,9 +229,10 @@ TEST(UdpTransport, CaptureHookSeesBothDirections) {
   std::size_t outbound = 0, inbound = 0;
   p.a.set_capture([&](Ipv4Address, Ipv4Address, const util::Bytes&,
                       bool out) { ++(out ? outbound : inbound); });
-  p.a.attach(kAlice, [](util::Bytes) {});
-  p.b.attach(kBob, [&](util::Bytes) {
-    p.b.send(kBob, kAlice, make_frame(kBob, kAlice));
+  p.a.attach(kAlice, [](std::span<const util::Bytes>) {});
+  p.b.attach(kBob, [&](std::span<const util::Bytes> f) {
+    for (std::size_t i = 0; i < f.size(); ++i)
+      p.b.send(kBob, kAlice, make_frame(kBob, kAlice));
   });
   p.a.send(kAlice, kBob, make_frame(kAlice, kBob));
   p.run();

@@ -97,12 +97,15 @@ EOF
   # core's throughput, and the 8-lane keyed-MD5 MacBatch >= 3x the scalar
   # MAC on eight MTU-sized messages, both measured adjacently in-process by
   # bench_crypto (min over interleaved wall/CPU-clock reps; see
-  # emit_metrics there).
+  # emit_metrics there). The open planner must never plan a small
+  # multi-key burst (16 jobs x 44 blocks under 8 keys) slower than the
+  # scalar loop: the lane-keying trap gate.
   python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" --all \
     --require "fbs_bench_parallel_throughput:parallel.speedup4=3.0" \
     --require "fbs_bench_parallel_throughput:parallel.wall_gate=1.0" \
     --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0" \
-    --require "fbs_bench_crypto:crypto.keyed_md5_batch_speedup=3.0"
+    --require "fbs_bench_crypto:crypto.keyed_md5_batch_speedup=3.0" \
+    --require "fbs_bench_crypto:crypto.des_open_multikey_speedup=1.0"
   echo "Bench smoke passed."
   exit 0
 fi
