@@ -3,8 +3,8 @@
 // The paper's kernel implementation is single-threaded by construction; the
 // sharded engine removes that ceiling. This bench drives the Figure 8
 // DES+MD5 workload (1408-byte UDP payloads) through the DatagramPipeline at
-// 1, 2, 4 and 8 workers -- fed by four submitter threads in submit_batch()
-// bursts racing a concurrently draining main thread, the shape a real
+// 1, 2, 4 and 8 workers -- fed by four submitter threads in grouped
+// submit() bursts racing a concurrently draining main thread, the shape a real
 // multi-queue NIC presents -- and reports two aggregates:
 //
 //   wall kbps  -- total bytes / wall time, with the feed and the drain
@@ -84,7 +84,7 @@ struct RunResult {
   std::uint64_t accepted = 0;
 };
 
-/// Feed the whole workload through kFeeders submit_batch threads while this
+/// Feed the whole workload through kFeeders submit threads while this
 /// thread drains concurrently; report both aggregates.
 RunResult run_workload(core::FbsEndpoint& receiver,
                        const core::Principal& sender,
@@ -106,7 +106,7 @@ RunResult run_workload(core::FbsEndpoint& receiver,
   feeders.reserve(kFeeders);
   for (std::size_t f = 0; f < kFeeders; ++f) {
     feeders.emplace_back([&] {
-      std::vector<util::Bytes> burst;
+      std::vector<core::DatagramPipeline::Submission> burst;
       burst.reserve(kChunk);
       for (;;) {
         const std::size_t at =
@@ -115,10 +115,10 @@ RunResult run_workload(core::FbsEndpoint& receiver,
         const std::size_t n = std::min(kChunk, load.wires.size() - at);
         burst.clear();
         // Copy: the workload is reused across runs; the copies are what
-        // submit_batch consumes.
+        // submit consumes.
         for (std::size_t i = 0; i < n; ++i)
-          burst.push_back(load.wires[at + i]);
-        pipe.submit_batch(h, {burst.data(), n});
+          burst.push_back({h, load.wires[at + i]});
+        pipe.submit({burst.data(), n});
       }
       feeding.fetch_sub(1, std::memory_order_release);
     });

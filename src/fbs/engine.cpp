@@ -325,15 +325,10 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   return true;
 }
 
-bool FbsEndpoint::protect_into(const Datagram& d, bool secret,
-                               util::Bytes& wire_out) {
-  return protect_into(default_ctx_, d, secret, wire_out);
-}
-
 std::optional<util::Bytes> FbsEndpoint::protect(const Datagram& d,
                                                 bool secret) {
   util::Bytes wire;
-  if (!protect_into(d, secret, wire)) return std::nullopt;
+  if (!protect_into(default_ctx_, d, secret, wire)) return std::nullopt;
   return wire;
 }
 
@@ -593,16 +588,11 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
   }
 }
 
-ReceiveIntoOutcome FbsEndpoint::unprotect_into(const Principal& source,
-                                               util::BytesView wire,
-                                               util::Bytes& body_out) {
-  return unprotect_into(default_ctx_, source, wire, body_out);
-}
-
 ReceiveOutcome FbsEndpoint::unprotect(const Principal& source,
                                       util::BytesView wire) {
   util::Bytes body;
-  const ReceiveIntoOutcome outcome = unprotect_into(source, wire, body);
+  const ReceiveIntoOutcome outcome =
+      unprotect_into(default_ctx_, source, wire, body);
   if (const auto* err = std::get_if<ReceiveError>(&outcome)) return *err;
   const auto& info = std::get<ReceivedInfo>(outcome);
   ReceivedDatagram out;

@@ -15,13 +15,14 @@
 // not used here (EXPERIMENTS.md).
 //
 // Concurrency (DESIGN.md section 5f): per-flow state is striped across
-// config.shards independent FlowDomains. The WorkContext overloads of
-// protect_into/unprotect_into are re-entrant -- any number of threads may
-// call them concurrently, each with its own WorkContext; the engine takes
-// exactly one domain lock for the duration of each datagram. The legacy
-// overloads without a WorkContext use an internal context and therefore
-// keep the original single-threaded contract. Key management (KeyManager /
-// MKD) is deliberately serial behind its own lock: keying is the cold path.
+// config.shards independent FlowDomains. protect_into, unprotect_into and
+// unprotect_burst_into are re-entrant -- any number of threads may call
+// them concurrently, each with its own WorkContext (the caller's scratch);
+// the engine takes exactly one domain lock per datagram (per shard group
+// of a burst). Only the allocating protect()/unprotect() use an internal
+// context and therefore keep the original single-threaded contract. Key
+// management (KeyManager / MKD) is deliberately serial behind its own
+// lock: keying is the cold path.
 //
 // One deliberate deviation from Figure 4's pseudo-code: the paper computes
 // the MAC over the plaintext body on send (S6, before encrypting at S8-9)
@@ -77,32 +78,23 @@ class FbsEndpoint {
   /// FBSReceive: validate wire bytes claimed to be from `source`.
   ReceiveOutcome unprotect(const Principal& source, util::BytesView wire);
 
-  /// Allocation-free FBSSend: `wire_out` receives `FBSheader || body`,
-  /// reusing its capacity. On a flow-cache hit with warm buffers the whole
-  /// call performs zero heap allocations. Returns false if no master key
-  /// for the destination can be obtained (wire_out is left cleared).
-  /// Uses the endpoint's internal WorkContext: NOT re-entrant.
-  bool protect_into(const Datagram& d, bool secret, util::Bytes& wire_out);
-
-  /// Allocation-free FBSReceive: the plaintext body lands in `body_out`
-  /// (capacity reused). On rejection body_out's contents are unspecified.
-  /// Uses the endpoint's internal WorkContext: NOT re-entrant.
-  ReceiveIntoOutcome unprotect_into(const Principal& source,
-                                    util::BytesView wire,
-                                    util::Bytes& body_out);
-
-  /// Re-entrant FBSSend: safe to call from any number of threads
-  /// concurrently, each passing its own WorkContext (and its own wire_out).
-  /// Datagrams of distinct flows on distinct shards proceed fully in
-  /// parallel; same-shard datagrams serialize on that shard's lock.
+  /// Allocation-free, re-entrant FBSSend: `wire_out` receives
+  /// `FBSheader || body`, reusing its capacity. On a flow-cache hit with
+  /// warm buffers (`ctx` and `wire_out`) the whole call performs zero heap
+  /// allocations. Returns false if no master key for the destination can
+  /// be obtained (wire_out is left cleared). Safe to call from any number
+  /// of threads concurrently, each passing its own WorkContext (and its
+  /// own wire_out). Datagrams of distinct flows on distinct shards proceed
+  /// fully in parallel; same-shard datagrams serialize on that shard's lock.
   bool protect_into(WorkContext& ctx, const Datagram& d, bool secret,
                     util::Bytes& wire_out);
 
-  /// Re-entrant FBSReceive: a burst of one through unprotect_burst_into;
-  /// same threading contract as the protect_into overload above. Replay
-  /// check+commit executes atomically under the owning shard's lock, so a
-  /// duplicated wire racing itself from two threads is accepted exactly
-  /// once (strict-replay mode).
+  /// Allocation-free, re-entrant FBSReceive: a burst of one through
+  /// unprotect_burst_into. The plaintext body lands in `body_out` (capacity
+  /// reused); on rejection its contents are unspecified. Same threading
+  /// contract as protect_into. Replay check+commit executes atomically
+  /// under the owning shard's lock, so a duplicated wire racing itself
+  /// from two threads is accepted exactly once (strict-replay mode).
   ReceiveIntoOutcome unprotect_into(WorkContext& ctx,
                                     const Principal& source,
                                     util::BytesView wire,
@@ -243,7 +235,7 @@ class FbsEndpoint {
   std::array<std::unique_ptr<crypto::Mac>, 8> suite_macs_;  // by MacAlgorithm
   std::vector<std::unique_ptr<FlowDomain>> domains_;
 
-  /// Serves the legacy (context-free) protect/unprotect overloads.
+  /// Serves the allocating protect()/unprotect().
   WorkContext default_ctx_;
 };
 

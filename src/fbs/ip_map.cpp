@@ -40,11 +40,6 @@ FbsIpMapping::FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
   hooks.input = [this](std::span<net::IpStack::InputDatagram> batch) {
     on_input(batch);
   };
-  if (pipeline_) {
-    hooks.deferred_input = [this](const net::Ipv4Header& h, util::Bytes& p) {
-      return on_deferred(h, p);
-    };
-  }
   hooks.header_overhead = endpoint_.max_wire_overhead();
   stack.set_security_hooks(std::move(hooks));
 }
@@ -87,7 +82,7 @@ bool FbsIpMapping::on_output(net::Ipv4Header& header, util::Bytes& payload) {
 
   const bool secret =
       config_.secret_policy ? config_.secret_policy(d.attrs) : true;
-  if (!endpoint_.protect_into(d, secret, scratch_wire_)) {
+  if (!endpoint_.protect_into(tx_ctx_, d, secret, scratch_wire_)) {
     // Fail closed: traffic must not leave unprotected when keying fails.
     ++counters_.out_dropped;
     payload = std::move(d.body);
@@ -114,6 +109,10 @@ void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
   }
   const std::size_t n = rx_index_.size();
   if (n == 0) return;
+  if (pipeline_) {
+    submit_to_pipeline(batch);
+    return;
+  }
   if (rx_items_.size() < n) {
     rx_sources_.resize(n);
     rx_items_.resize(n);
@@ -129,7 +128,7 @@ void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
     net::IpStack::InputDatagram& d = batch[rx_index_[k]];
     if (const auto* err = std::get_if<ReceiveError>(&rx_items_[k].outcome)) {
       ++counters_.in_rejected[static_cast<std::size_t>(*err)];
-      d.accept = false;
+      d.outcome = net::IpStack::InputOutcome::kDrop;
       continue;
     }
     ++counters_.in_accepted;
@@ -137,20 +136,30 @@ void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
   }
 }
 
-net::IpStack::DeferredVerdict FbsIpMapping::on_deferred(
-    const net::Ipv4Header& header, util::Bytes& payload) {
-  // Same exemptions as the sync hook: non-FBS traffic has no cryptography
-  // to parallelize, so it takes the inline path (kProcessSync queues it for
-  // on_input, which re-applies the bypass counters).
-  if (!is_transport(header.protocol) && !config_.protect_raw_ip)
-    return net::IpStack::DeferredVerdict::kProcessSync;
-  if (config_.bypass_hosts.contains(header.source))
-    return net::IpStack::DeferredVerdict::kProcessSync;
-
-  if (!pipeline_->submit(header, std::move(payload)))
-    return net::IpStack::DeferredVerdict::kDrop;  // ring full: backpressure
-  ++counters_.in_deferred;
-  return net::IpStack::DeferredVerdict::kConsumed;
+void FbsIpMapping::submit_to_pipeline(
+    std::span<net::IpStack::InputDatagram> batch) {
+  // The FBS datagrams (rx_index_) go to the workers in one call; each
+  // comes back taken, to be delivered by drain_pipeline(), or refused by
+  // a full ingress ring and dropped.
+  const std::size_t n = rx_index_.size();
+  if (rx_submissions_.size() < n) rx_submissions_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    net::IpStack::InputDatagram& d = batch[rx_index_[k]];
+    rx_submissions_[k].header = d.header;
+    rx_submissions_[k].wire = std::move(d.payload);
+  }
+  pipeline_->submit({rx_submissions_.data(), n});
+  for (std::size_t k = 0; k < n; ++k) {
+    net::IpStack::InputDatagram& d = batch[rx_index_[k]];
+    DatagramPipeline::Submission& sub = rx_submissions_[k];
+    if (sub.queued) {
+      ++counters_.in_deferred;
+      d.outcome = net::IpStack::InputOutcome::kTaken;
+    } else {
+      d.payload = std::move(sub.wire);
+      d.outcome = net::IpStack::InputOutcome::kDrop;
+    }
+  }
 }
 
 std::size_t FbsIpMapping::drain_pipeline() {

@@ -9,10 +9,12 @@
 //
 // The input hook takes the datagrams of a stack receive batch together
 // (up to IpStack::kMaxInputBatch per call): bypass-host and raw-IP
-// datagrams pass through, and every FBS datagram of the call is opened by
-// one FbsEndpoint::unprotect_burst_into, so datagrams that arrive together
-// are decrypted in shared bitsliced passes and MAC'd on the 8-lane MD5 --
-// the same engine call the pipeline workers make.
+// datagrams pass through. Without a pipeline, every FBS datagram of the
+// call is opened by one FbsEndpoint::unprotect_burst_into, so datagrams
+// that arrive together are decrypted in shared bitsliced passes and MAC'd
+// on the 8-lane MD5 -- the same engine call the pipeline workers make.
+// With a pipeline, the FBS datagrams go to it in one submit and are marked
+// taken (delivered later by drain_pipeline()) or, if refused, dropped.
 //
 // Raw IP (ICMP/IGMP) is out of scope as in the paper (footnote 10); only
 // TCP and UDP packets are protected, others pass unmodified. Traffic
@@ -51,13 +53,13 @@ struct IpMappingConfig {
   /// host pair.
   bool protect_raw_ip = false;
 
-  /// Parallel receive pipeline. 0 workers (default) keeps the synchronous
-  /// input hook: every receive runs inline on the stack's thread, exactly
-  /// the paper's in-kernel shape. >0 installs a deferred input hook that
-  /// routes FBS datagrams through a DatagramPipeline; the owner must then
-  /// call drain_pipeline() (or drain_pipeline_all()) from the stack's
-  /// thread to complete delivery. Pair with fbs.shards > 1 or workers will
-  /// be clamped to the shard count.
+  /// Parallel receive pipeline. 0 workers (default) opens every receive
+  /// inline on the stack's thread, exactly the paper's in-kernel shape.
+  /// >0 makes the input hook route FBS datagrams through a
+  /// DatagramPipeline instead; the owner must then call drain_pipeline()
+  /// (or drain_pipeline_all()) from the stack's thread to complete
+  /// delivery. Pair with fbs.shards > 1 or workers will be clamped to the
+  /// shard count.
   std::size_t pipeline_workers = 0;
   std::size_t pipeline_ingress_capacity = 1024;
   std::size_t pipeline_egress_capacity = 4096;
@@ -116,8 +118,7 @@ class FbsIpMapping {
  private:
   bool on_output(net::Ipv4Header& header, util::Bytes& payload);
   void on_input(std::span<net::IpStack::InputDatagram> batch);
-  net::IpStack::DeferredVerdict on_deferred(const net::Ipv4Header& header,
-                                            util::Bytes& payload);
+  void submit_to_pipeline(std::span<net::IpStack::InputDatagram> batch);
   static FlowAttributes attributes_of(const net::Ipv4Header& header,
                                       util::BytesView payload);
 
@@ -127,20 +128,24 @@ class FbsIpMapping {
   Counters counters_;
   std::unique_ptr<DatagramPipeline> pipeline_;  // null in sync mode
 
-  /// Wire staging reused across packets so the steady-state hook path
-  /// (flow-cache hit, warm buffers) performs no heap allocations.
+  /// Send-side engine scratch and wire staging, reused across packets so
+  /// the steady-state hook path (flow-cache hit, warm buffers) performs no
+  /// heap allocations.
+  WorkContext tx_ctx_;
   util::Bytes scratch_wire_;
 
   /// Receive-batch staging, grown to the largest batch seen and reused:
   /// the engine's scratch, the batch's FBS datagrams (by index), their
   /// claimed sources, the burst items and the plaintext bodies. A body
   /// swaps with its wire on accept, so the old wire buffer (capacity >=
-  /// any body it can carry) becomes the next batch's body staging.
+  /// any body it can carry) becomes the next batch's body staging. In
+  /// pipeline mode the FBS datagrams are staged in rx_submissions_.
   WorkContext rx_ctx_;
   std::vector<std::size_t> rx_index_;
   std::vector<Principal> rx_sources_;
   std::vector<ReceiveBurstItem> rx_items_;
   std::vector<util::Bytes> rx_bodies_;
+  std::vector<DatagramPipeline::Submission> rx_submissions_;
 };
 
 }  // namespace fbs::core

@@ -125,79 +125,42 @@ void DatagramPipeline::stop() {
   }
 }
 
-bool DatagramPipeline::submit(const net::Ipv4Header& header,
-                              util::Bytes wire) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+std::size_t DatagramPipeline::submit(std::span<Submission> items) {
+  if (items.empty()) return 0;
+  stats_.submitted.fetch_add(items.size(), std::memory_order_relaxed);
+  for (Submission& s : items) s.queued = false;
   if (stopped_.load(std::memory_order_acquire)) {
-    stats_.backpressure_drops.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Scratch principal per submitting thread: identity is the 4 address
-  // bytes, rewritten in place so steady-state submits never allocate.
-  thread_local Principal source;
-  source.assign_ipv4(header.source);
-  const std::size_t shard = endpoint_.recv_shard_of_wire(source, wire);
-  Item item;
-  item.header = header;
-  item.wire = std::move(wire);
-
-  Worker& wk = *workers_[shard % workers_.size()];
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  wk.queued.fetch_add(1, std::memory_order_relaxed);
-  if (!ingress_[shard]->try_push(std::move(item))) {
-    wk.queued.fetch_sub(1, std::memory_order_relaxed);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.backpressure_drops.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Same empty-critical-section handshake as the wake hook (see above).
-  { std::lock_guard<std::mutex> lock(wk.mu); }
-  wk.cv.notify_one();
-  // Push-then-recheck closes the race with stop(): if the store to
-  // stopped_ is visible now, our item may have landed after stop()'s own
-  // ring sweep, so sweep again ourselves (mutex-atomic pops make the
-  // accounting exactly-once no matter who wins). If it is not visible,
-  // the push happened-before the sweep -- the ring mutex orders them --
-  // and stop() accounts the item.
-  if (stopped_.load(std::memory_order_acquire)) account_stranded(shard);
-  return true;
-}
-
-std::size_t DatagramPipeline::submit_batch(const net::Ipv4Header& header,
-                                           std::span<util::Bytes> wires) {
-  if (wires.empty()) return 0;
-  stats_.submitted.fetch_add(wires.size(), std::memory_order_relaxed);
-  if (stopped_.load(std::memory_order_acquire)) {
-    stats_.backpressure_drops.fetch_add(wires.size(),
+    stats_.backpressure_drops.fetch_add(items.size(),
                                         std::memory_order_relaxed);
     return 0;
   }
+  // Per-submitting-thread staging, reused so steady-state submits never
+  // allocate: a scratch principal (identity is the 4 address bytes,
+  // rewritten in place), each item's shard, and one shard's group.
   thread_local Principal source;
-  source.assign_ipv4(header.source);
-
-  // Group the burst by shard, preserving order within each shard (a flow
-  // never spans shards, so per-flow FIFO survives the regrouping), then
-  // push each group with one ring lock and one worker wake.
   thread_local std::vector<std::size_t> shard_of;
+  thread_local std::vector<std::size_t> group_index;
   thread_local std::vector<Item> group;
   shard_of.clear();
-  shard_of.reserve(wires.size());
-  group.reserve(wires.size());
-  for (const util::Bytes& wire : wires)
-    shard_of.push_back(endpoint_.recv_shard_of_wire(source, wire));
+  for (const Submission& s : items) {
+    source.assign_ipv4(s.header.source);
+    shard_of.push_back(endpoint_.recv_shard_of_wire(source, s.wire));
+  }
 
-  std::size_t accepted_total = 0;
-  for (std::size_t i = 0; i < wires.size(); ++i) {
+  // Group the items by shard, preserving order within each shard (a flow
+  // never spans shards, so per-flow FIFO survives the regrouping), then
+  // push each group with one ring lock and one worker wake.
+  std::size_t queued_total = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
     if (shard_of[i] == SIZE_MAX) continue;  // already grouped
     const std::size_t shard = shard_of[i];
     group.clear();
-    for (std::size_t j = i; j < wires.size(); ++j) {
+    group_index.clear();
+    for (std::size_t j = i; j < items.size(); ++j) {
       if (shard_of[j] != shard) continue;
-      if (j != i) shard_of[j] = SIZE_MAX;
-      Item item;
-      item.header = header;
-      item.wire = std::move(wires[j]);
-      group.push_back(std::move(item));
+      shard_of[j] = SIZE_MAX;
+      group.push_back(Item{items[j].header, std::move(items[j].wire)});
+      group_index.push_back(j);
     }
 
     Worker& wk = *workers_[shard % workers_.size()];
@@ -207,6 +170,12 @@ std::size_t DatagramPipeline::submit_batch(const net::Ipv4Header& header,
                         std::memory_order_relaxed);
     const std::size_t pushed =
         ingress_[shard]->try_push_batch({group.data(), group.size()});
+    for (std::size_t k = 0; k < pushed; ++k)
+      items[group_index[k]].queued = true;
+    // A refused item gets its wire back: the ring leaves what it did not
+    // take untouched.
+    for (std::size_t k = pushed; k < group.size(); ++k)
+      items[group_index[k]].wire = std::move(group[k].wire);
     const std::size_t refused = group.size() - pushed;
     if (refused > 0) {
       wk.queued.fetch_sub(static_cast<std::int64_t>(refused),
@@ -216,15 +185,22 @@ std::size_t DatagramPipeline::submit_batch(const net::Ipv4Header& header,
       stats_.backpressure_drops.fetch_add(refused,
                                           std::memory_order_relaxed);
     }
-    accepted_total += pushed;
+    queued_total += pushed;
     if (pushed > 0) {
+      // Same empty-critical-section handshake as the wake hook (see the
+      // constructor).
       { std::lock_guard<std::mutex> lock(wk.mu); }
       wk.cv.notify_one();
-      // Same push-then-recheck as submit(): see the comment there.
+      // Push-then-recheck closes the race with stop(): if the store to
+      // stopped_ is visible now, our items may have landed after stop()'s
+      // own ring sweep, so sweep again ourselves (mutex-atomic pops make
+      // the accounting exactly-once no matter who wins). If it is not
+      // visible, the push happened-before the sweep -- the ring mutex
+      // orders them -- and stop() accounts the items.
       if (stopped_.load(std::memory_order_acquire)) account_stranded(shard);
     }
   }
-  return accepted_total;
+  return queued_total;
 }
 
 void DatagramPipeline::account_stranded(std::size_t shard) {

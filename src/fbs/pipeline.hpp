@@ -1,10 +1,10 @@
 // The parallel receive pipeline: a worker pool draining per-shard ingress
 // rings through the re-entrant engine into a single-consumer egress ring.
 //
-//   submit(header, wire) / submit_batch(header, wires)    [any thread]
-//     -> ingress ring of the wire's flow domain (full ring = counted drop,
-//        like a NIC ring overflow). submit_batch groups a burst by shard
-//        first, so each touched ring is locked once per burst.
+//   submit(items)                           [any thread]
+//     -> ingress ring of each wire's flow domain (full ring = counted drop,
+//        like a NIC ring overflow). The items are grouped by shard first,
+//        so each touched ring is locked once per call.
 //   worker w drains the rings of shards s where s mod workers == w,
 //   popping up to config.batch items per ring visit
 //     -> FbsEndpoint::unprotect_burst_into(ctx, ...) with w's own
@@ -88,10 +88,9 @@ struct PipelineConfig {
 
 /// Owns the worker pool, the rings and the buffer pool; borrows the
 /// endpoint. Construction starts the workers; stop() (or destruction)
-/// stops them and accounts whatever was still queued. submit()/
-/// submit_batch() may be called from any thread; drain()/drain_all()/
-/// recycle() must be called from one thread at a time (the egress ring's
-/// single consumer).
+/// stops them and accounts whatever was still queued. submit() may be
+/// called from any thread; drain()/drain_all()/recycle() must be called
+/// from one thread at a time (the egress ring's single consumer).
 class DatagramPipeline {
  public:
   struct Stats {
@@ -123,19 +122,23 @@ class DatagramPipeline {
   DatagramPipeline(const DatagramPipeline&) = delete;
   DatagramPipeline& operator=(const DatagramPipeline&) = delete;
 
-  /// Hand a received FBS wire (post-reassembly) to the workers. False means
-  /// the owning shard's ingress ring was full and the datagram was dropped
-  /// (counted in stats().backpressure_drops) -- receive-side backpressure.
-  bool submit(const net::Ipv4Header& header, util::Bytes wire);
+  /// One received FBS wire (post-reassembly) and the IP header it came
+  /// with. Each item carries its own header: a stack receive batch can mix
+  /// source hosts.
+  struct Submission {
+    net::Ipv4Header header;
+    util::Bytes wire;
+    bool queued = false;  // set by submit()
+  };
 
-  /// Batch submit: every wire shares `header` (one source host -- the shape
-  /// a NIC receive burst has). Wires are grouped by shard so each touched
-  /// ingress ring is locked and its worker woken once per burst, and
-  /// submission order within a flow is preserved. Accepted wires are
-  /// moved from; returns how many were accepted (the rest are counted
-  /// backpressure drops and left untouched for the caller to retry).
-  std::size_t submit_batch(const net::Ipv4Header& header,
-                           std::span<util::Bytes> wires);
+  /// Hand received wires to the workers. Items are grouped by shard so
+  /// each touched ingress ring is locked and its worker woken once per
+  /// call, and submission order within a flow is preserved. A queued item
+  /// has its wire moved out and `queued` set; a refused one (its shard's
+  /// ring full, or the pipeline stopped) keeps its wire and is counted in
+  /// stats().backpressure_drops -- receive-side backpressure. Returns how
+  /// many were queued.
+  std::size_t submit(std::span<Submission> items);
 
   /// Pop every currently ready result into `sink`; returns how many.
   std::size_t drain(const Sink& sink);

@@ -58,7 +58,7 @@ bool FbsTunnel::on_forward(const net::Ipv4Header& inner,
   }
   d.body = inner.serialize(payload);  // the whole inner packet
 
-  if (!endpoint_.protect_into(d, /*secret=*/true, scratch_wire_)) {
+  if (!endpoint_.protect_into(ctx_, d, /*secret=*/true, scratch_wire_)) {
     ++counters_.key_unavailable;
     return true;  // consumed: fail closed, never leak across the wild side
   }
@@ -70,7 +70,7 @@ bool FbsTunnel::on_forward(const net::Ipv4Header& inner,
 void FbsTunnel::on_tunnel_packet(const net::Ipv4Header& outer,
                                  util::Bytes payload) {
   const auto outcome = endpoint_.unprotect_into(
-      Principal::from_ipv4(outer.source), payload, scratch_inner_);
+      ctx_, Principal::from_ipv4(outer.source), payload, scratch_inner_);
   if (std::holds_alternative<ReceiveError>(outcome)) {
     ++counters_.rejected;
     return;

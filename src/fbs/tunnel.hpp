@@ -64,8 +64,10 @@ class FbsTunnel {
   std::vector<RemoteNet> remotes_;
   Counters counters_;
 
-  /// Encapsulation staging reused across packets (a gateway forwards a
-  /// stream of them); warm steady state adds no per-packet allocations.
+  /// Engine scratch and encapsulation staging reused across packets (a
+  /// gateway forwards a stream of them); warm steady state adds no
+  /// per-packet allocations.
+  WorkContext ctx_;
   util::Bytes scratch_wire_;
   util::Bytes scratch_inner_;
 };

@@ -490,6 +490,7 @@ struct EngineWorld {
   std::unique_ptr<core::MasterKeyDaemon> alice_mkd, bob_mkd;
   std::unique_ptr<core::KeyManager> alice_keys, bob_keys;
   std::unique_ptr<core::FbsEndpoint> sender, receiver;
+  core::WorkContext receive_ctx;  // the receiver's engine scratch
 
   EngineWorld() : ca(512, rng) {
     const crypto::DhGroup& group = crypto::test_group();
@@ -531,7 +532,8 @@ bool run_engine(util::BytesView input) {
     // Raw mode: arbitrary bytes straight into unprotect_into. Must never
     // crash; authenticating is a MAC forgery and essentially impossible.
     const auto outcome =
-        w.receiver->unprotect_into(w.alice, in.rest(), body_buf);
+        w.receiver->unprotect_into(w.receive_ctx, w.alice, in.rest(),
+                                   body_buf);
     return std::holds_alternative<core::ReceivedInfo>(outcome);
   }
 
@@ -571,7 +573,8 @@ bool run_engine(util::BytesView input) {
     }
   }
 
-  const auto outcome = w.receiver->unprotect_into(w.alice, mutated, body_buf);
+  const auto outcome =
+      w.receiver->unprotect_into(w.receive_ctx, w.alice, mutated, body_buf);
   if (std::holds_alternative<core::ReceivedInfo>(outcome)) {
     // Accept implies untampered: every header field is MAC-covered or
     // validated, so only the byte-exact sender output may authenticate --

@@ -141,21 +141,7 @@ void IpStack::on_frame(util::BytesView frame) {
   auto complete = reassembler_.push(parsed->header, std::move(parsed->payload));
   if (!complete) return;
 
-  // FBS input hooks sit between reassembly and dispatch. The deferred hook
-  // (parallel pipeline) gets first refusal; datagrams it consumes complete
-  // via deliver() from the pipeline's drain.
-  if (hooks_.deferred_input) {
-    switch (hooks_.deferred_input(complete->header, complete->payload)) {
-      case DeferredVerdict::kConsumed:
-        ++counters_.deferred_in;
-        return;
-      case DeferredVerdict::kDrop:
-        ++counters_.hook_drops_in;
-        return;
-      case DeferredVerdict::kProcessSync:
-        break;
-    }
-  }
+  // The FBS input hook sits between reassembly and dispatch.
   input_batch_.push_back(InputDatagram{std::move(complete->header),
                                        std::move(complete->payload)});
   if (input_batch_.size() == kMaxInputBatch) flush_input();
@@ -168,11 +154,17 @@ void IpStack::flush_input() {
   std::vector<InputDatagram> batch = std::move(input_batch_);
   if (hooks_.input) hooks_.input(batch);
   for (InputDatagram& d : batch) {
-    if (!d.accept) {
-      ++counters_.hook_drops_in;
-      continue;
+    switch (d.outcome) {
+      case InputOutcome::kDeliver:
+        deliver(d.header, std::move(d.payload));
+        break;
+      case InputOutcome::kDrop:
+        ++counters_.hook_drops_in;
+        break;
+      case InputOutcome::kTaken:
+        ++counters_.deferred_in;
+        break;
     }
-    deliver(d.header, std::move(d.payload));
   }
   batch.clear();
   if (input_batch_.empty()) input_batch_ = std::move(batch);

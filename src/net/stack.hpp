@@ -11,12 +11,13 @@
 // packets would need fragmenting).
 //
 // Input runs a batch at a time: the transport hands the stack every frame
-// it has due at once. Each frame is still validated, reassembled (or
-// forwarded) and offered to the deferred hook on its own; the datagrams
-// left for the sync input hook are collected and handed to it together,
-// up to kMaxInputBatch per call, then dispatched in frame order. A
-// forwarded frame first flushes the datagrams collected before it, so
-// what the stack emits keeps frame order too.
+// it has due at once. Each frame is still validated and reassembled (or
+// forwarded) on its own; the reassembled datagrams are collected and handed
+// to the one input hook together, up to kMaxInputBatch per call, then
+// dispatched in frame order. The hook marks each datagram delivered,
+// dropped, or taken (a parallel pipeline that completes it later through
+// deliver()). A forwarded frame first flushes the datagrams collected
+// before it, so what the stack emits keeps frame order too.
 #pragma once
 
 #include <atomic>
@@ -37,23 +38,23 @@ class IpStack {
   using ProtocolHandler =
       std::function<void(const Ipv4Header&, util::Bytes payload)>;
 
-  /// What the deferred input hook did with a reassembled datagram.
-  enum class DeferredVerdict {
-    kConsumed,     // handed to the parallel pipeline; deliver() comes later
-    kProcessSync,  // not pipeline material (bypass/raw); run the sync hook
-    kDrop,         // pipeline backpressure: drop, counted as a hook drop
+  /// What becomes of a datagram once the input hook has run.
+  enum class InputOutcome : std::uint8_t {
+    kDeliver,  // dispatch `payload` to its protocol handler now
+    kDrop,     // rejected (or refused by a full pipeline): hook_drops_in
+    kTaken,    // the hook owns the payload and calls deliver() later
   };
 
   /// One reassembled datagram of a receive batch, as the input hook sees
   /// it: the hook rewrites `payload` in place (stripping the FBS header)
-  /// and clears `accept` to drop the datagram (counted).
+  /// and sets `outcome` to drop the datagram or to take it over.
   struct InputDatagram {
     Ipv4Header header;
     util::Bytes payload;
-    bool accept = true;
+    InputOutcome outcome = InputOutcome::kDeliver;
   };
 
-  /// Most datagrams the sync input hook sees per call. Nothing of a call
+  /// Most datagrams the input hook sees per call. Nothing of a call
   /// is dispatched before the hook has run over all of it, so the cap
   /// bounds how long batching holds back the first datagram of a burst.
   /// Four MTU-sized datagrams already fill ~3 bitsliced passes 93% and
@@ -69,14 +70,9 @@ class IpStack {
     std::function<bool(Ipv4Header&, util::Bytes&)> output;
     /// Called between input parts [2] and [3] with the datagrams of a
     /// receive batch, in frame order and at most kMaxInputBatch at a
-    /// time; strips/validates each one's FBS header (see InputDatagram).
+    /// time; strips/validates each one's FBS header or takes it over
+    /// (see InputDatagram).
     std::function<void(std::span<InputDatagram>)> input;
-    /// Optional asynchronous variant of `input`, consulted first (same hook
-    /// placement: after reassembly, before dispatch). kConsumed means the
-    /// hook took ownership of the payload and will call deliver() when the
-    /// datagram clears its pipeline; kProcessSync queues it for `input`.
-    std::function<DeferredVerdict(const Ipv4Header&, util::Bytes&)>
-        deferred_input;
     /// Wire bytes the output hook adds; reduces the payload budget that
     /// upper layers (tcp_output-style senders) may use per packet.
     std::size_t header_overhead = 0;
@@ -100,7 +96,7 @@ class IpStack {
     std::atomic<std::uint64_t> hook_drops_in{0};
     std::atomic<std::uint64_t> no_protocol{0};
     std::atomic<std::uint64_t> delivered{0};
-    std::atomic<std::uint64_t> deferred_in{0};  // consumed by deferred hook
+    std::atomic<std::uint64_t> deferred_in{0};  // taken by the input hook
   };
 
   IpStack(Transport& network, const util::Clock& clock, Ipv4Address address,
@@ -171,8 +167,8 @@ class IpStack {
   std::size_t reassembly_pending() const { return reassembler_.pending(); }
 
   /// Input part [3]: dispatch a (security-cleared) payload to its protocol
-  /// handler. Public so a deferred input hook (the parallel pipeline) can
-  /// complete delivery for datagrams it consumed. Single-writer contract:
+  /// handler. Public so an input hook that takes datagrams (the parallel
+  /// pipeline) can complete their delivery. Single-writer contract:
   /// only one thread at a time may be delivering -- the pipeline funnels
   /// its results through one drain, and the sim thread and drains must not
   /// overlap (protocol handlers are not locked).

@@ -226,8 +226,8 @@ Transport::Totals UdpTransport::totals() const {
   t.delivered = counters_.delivered;
   t.tx_wire = counters_.tx_wire;
   t.dropped = counters_.unknown_peer + counters_.oversized +
-              counters_.send_failed + counters_.rx_queue_full +
-              counters_.rx_malformed + counters_.no_sink;
+              counters_.send_failed + counters_.rx_malformed +
+              counters_.no_sink;
   t.in_flight = rx_count_ - rx_head_;
   return t;
 }
@@ -242,7 +242,6 @@ void UdpTransport::register_metrics(obs::MetricsRegistry& registry,
     emit.counter(prefix + ".unknown_peer", counters_.unknown_peer);
     emit.counter(prefix + ".oversized", counters_.oversized);
     emit.counter(prefix + ".send_failed", counters_.send_failed);
-    emit.counter(prefix + ".rx_queue_full", counters_.rx_queue_full);
     emit.counter(prefix + ".rx_malformed", counters_.rx_malformed);
     emit.counter(prefix + ".no_sink", counters_.no_sink);
   });

@@ -93,9 +93,6 @@ class UdpTransport final : public Transport {
     std::atomic<std::uint64_t> unknown_peer{0};  // no endpoint for `to`
     std::atomic<std::uint64_t> oversized{0};     // MTU clamp or EMSGSIZE
     std::atomic<std::uint64_t> send_failed{0};   // other sendto errno
-    // Bounded queue overflow. The read budget keeps a drain within the
-    // queue, so this stays 0; kept so the drop family reads the same.
-    std::atomic<std::uint64_t> rx_queue_full{0};
     std::atomic<std::uint64_t> rx_malformed{0};  // shorter than an IP header
     std::atomic<std::uint64_t> no_sink{0};       // no attach() for dest
   };

@@ -206,7 +206,12 @@ TEST_F(ConcurrencyTest, ConcurrentSubmittersThroughThePipeline) {
   // Pre-protect the wires so the submitter threads do nothing but submit.
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 100;
-  std::vector<std::vector<util::Bytes>> wires(kSubmitters);
+  net::Ipv4Header h;
+  h.protocol = 17;
+  h.source = a_.principal.ipv4();
+  h.destination = b_.principal.ipv4();
+
+  std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
       const auto wire = sender.protect(
@@ -214,21 +219,15 @@ TEST_F(ConcurrencyTest, ConcurrentSubmittersThroughThePipeline) {
                    static_cast<std::uint16_t>(1 + s * kPerSubmitter + i)),
           true);
       ASSERT_TRUE(wire.has_value());
-      wires[s].push_back(*wire);
+      wires[s].push_back({h, *wire});
     }
-
-  net::Ipv4Header h;
-  h.protocol = 17;
-  h.source = a_.principal.ipv4();
-  h.destination = b_.principal.ipv4();
 
   std::atomic<std::uint64_t> pushed{0};
   std::vector<std::thread> submitters;
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
-      for (auto& wire : wires[s])
-        if (pipe.submit(h, std::move(wire)))
-          pushed.fetch_add(1, std::memory_order_relaxed);
+      for (auto& sub : wires[s])
+        pushed.fetch_add(pipe.submit({&sub, 1}), std::memory_order_relaxed);
     });
   }
   std::atomic<std::uint64_t> delivered{0};
@@ -311,8 +310,9 @@ TEST_F(ConcurrencyTest, ConcurrentBatchProducersKeepPerProducerFifo) {
 }
 
 TEST_F(ConcurrencyTest, ConcurrentBatchSubmittersThroughThePipeline) {
-  // submit_batch from several threads racing the workers and a concurrent
-  // batched drain: the TSan detector for the new grouped-ingress path.
+  // Grouped submits from several threads racing the workers and a
+  // concurrent batched drain: the TSan detector for the grouped-ingress
+  // path.
   FbsEndpoint sender(a_.principal, FbsConfig{}, *a_.keys, world_.clock,
                      world_.rng);
   FbsEndpoint receiver(b_.principal, sharded(8), *b_.keys, world_.clock,
@@ -324,7 +324,12 @@ TEST_F(ConcurrencyTest, ConcurrentBatchSubmittersThroughThePipeline) {
 
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 96;
-  std::vector<std::vector<util::Bytes>> wires(kSubmitters);
+  net::Ipv4Header h;
+  h.protocol = 17;
+  h.source = a_.principal.ipv4();
+  h.destination = b_.principal.ipv4();
+
+  std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
       const auto wire = sender.protect(
@@ -332,13 +337,8 @@ TEST_F(ConcurrencyTest, ConcurrentBatchSubmittersThroughThePipeline) {
                    static_cast<std::uint16_t>(1 + (s * kPerSubmitter + i) % 32)),
           true);
       ASSERT_TRUE(wire.has_value());
-      wires[s].push_back(*wire);
+      wires[s].push_back({h, *wire});
     }
-
-  net::Ipv4Header h;
-  h.protocol = 17;
-  h.source = a_.principal.ipv4();
-  h.destination = b_.principal.ipv4();
 
   std::atomic<std::uint64_t> pushed{0};
   std::vector<std::thread> submitters;
@@ -347,7 +347,7 @@ TEST_F(ConcurrencyTest, ConcurrentBatchSubmittersThroughThePipeline) {
       auto& mine = wires[s];
       for (std::size_t at = 0; at < mine.size(); at += 10) {
         const std::size_t n = std::min<std::size_t>(10, mine.size() - at);
-        pushed.fetch_add(pipe.submit_batch(h, {mine.data() + at, n}),
+        pushed.fetch_add(pipe.submit({mine.data() + at, n}),
                          std::memory_order_relaxed);
       }
     });
@@ -393,7 +393,12 @@ TEST_F(ConcurrencyTest, StopRacingBatchSubmittersStaysConserved) {
 
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 64;
-  std::vector<std::vector<util::Bytes>> wires(kSubmitters);
+  net::Ipv4Header h;
+  h.protocol = 17;
+  h.source = a_.principal.ipv4();
+  h.destination = b_.principal.ipv4();
+
+  std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
       const auto wire = sender.protect(
@@ -401,21 +406,16 @@ TEST_F(ConcurrencyTest, StopRacingBatchSubmittersStaysConserved) {
                    static_cast<std::uint16_t>(1 + i % 16)),
           true);
       ASSERT_TRUE(wire.has_value());
-      wires[s].push_back(*wire);
+      wires[s].push_back({h, *wire});
     }
-
-  net::Ipv4Header h;
-  h.protocol = 17;
-  h.source = a_.principal.ipv4();
-  h.destination = b_.principal.ipv4();
 
   std::vector<std::thread> submitters;
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
       auto& mine = wires[s];
       for (std::size_t at = 0; at < mine.size(); at += 8)
-        pipe.submit_batch(h, {mine.data() + at,
-                              std::min<std::size_t>(8, mine.size() - at)});
+        pipe.submit({mine.data() + at,
+                     std::min<std::size_t>(8, mine.size() - at)});
     });
   }
   // Stop as soon as some work is in the system; submitters keep racing.

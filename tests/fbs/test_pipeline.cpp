@@ -1,6 +1,6 @@
 // The parallel receive pipeline: submit/drain conservation, payload
-// integrity across worker threads, the deferred-input hook under IpStack,
-// and rejection accounting through the RejectHook.
+// integrity across worker threads, the pipeline behind IpStack's input
+// hook, and rejection accounting through the RejectHook.
 #include "fbs/pipeline.hpp"
 #include "net/simnet.hpp"
 
@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fbs/ip_map.hpp"
@@ -41,6 +42,21 @@ net::Ipv4Header header_from(const Principal& src, const Principal& dst) {
   h.source = src.ipv4();
   h.destination = dst.ipv4();
   return h;
+}
+
+/// Submit one wire; true if it was queued.
+bool submit_one(DatagramPipeline& pipe, const net::Ipv4Header& header,
+                util::Bytes wire) {
+  DatagramPipeline::Submission sub{header, std::move(wire)};
+  return pipe.submit({&sub, 1}) == 1;
+}
+
+/// Submissions of `wires`, all under `header`.
+std::vector<DatagramPipeline::Submission> submissions(
+    const net::Ipv4Header& header, std::vector<util::Bytes>& wires) {
+  std::vector<DatagramPipeline::Submission> subs;
+  for (util::Bytes& wire : wires) subs.push_back({header, std::move(wire)});
+  return subs;
 }
 
 class PipelineTest : public ::testing::Test {
@@ -83,7 +99,8 @@ TEST_F(PipelineTest, DeliversEveryDatagramAcrossFlows) {
                  static_cast<std::uint16_t>(1 + i % 16)),
         true);
     ASSERT_TRUE(wire.has_value());
-    ASSERT_TRUE(pipe.submit(header_from(a_.principal, b_.principal), *wire));
+    ASSERT_TRUE(
+        submit_one(pipe, header_from(a_.principal, b_.principal), *wire));
   }
 
   std::map<std::string, int> got;
@@ -114,7 +131,8 @@ TEST_F(PipelineTest, SameFlowStaysInOrder) {
                  util::to_bytes(std::to_string(i)), 7),
         true);
     ASSERT_TRUE(wire.has_value());
-    ASSERT_TRUE(pipe.submit(header_from(a_.principal, b_.principal), *wire));
+    ASSERT_TRUE(
+        submit_one(pipe, header_from(a_.principal, b_.principal), *wire));
   }
   // One flow -> one shard -> one worker draining a FIFO ring: bodies must
   // come out in submission order even with four workers running.
@@ -148,7 +166,7 @@ TEST_F(PipelineTest, IngressDropsAttributedToTheOverloadedShard) {
   const auto header = header_from(a_.principal, b_.principal);
   std::uint64_t refused = 0;
   for (auto& wire : wires)
-    if (!pipe.submit(header, std::move(wire))) ++refused;
+    if (!submit_one(pipe, header, std::move(wire))) ++refused;
   int delivered = 0;
   pipe.drain_all([&](const net::Ipv4Header&, util::Bytes) { ++delivered; });
 
@@ -199,9 +217,10 @@ TEST_F(PipelineTest, RejectionsAreCountedAndReported) {
   util::Bytes tampered = *wire;
   tampered.back() ^= 0x01;
 
-  ASSERT_TRUE(pipe.submit(header_from(a_.principal, b_.principal), *wire));
   ASSERT_TRUE(
-      pipe.submit(header_from(a_.principal, b_.principal), tampered));
+      submit_one(pipe, header_from(a_.principal, b_.principal), *wire));
+  ASSERT_TRUE(
+      submit_one(pipe, header_from(a_.principal, b_.principal), tampered));
 
   int delivered = 0;
   pipe.drain_all(
@@ -241,11 +260,11 @@ TEST_F(PipelineTest, SubmitBatchDeliversEverythingInPerFlowOrder) {
 
   // Submit in bursts of 10 (not a divisor of anything above: chunks cut
   // across flows, so the shard grouping actually has work to do).
-  const auto header = header_from(a_.principal, b_.principal);
+  auto subs = submissions(header_from(a_.principal, b_.principal), wires);
   std::size_t accepted = 0;
-  for (std::size_t at = 0; at < wires.size(); at += 10) {
-    const std::size_t n = std::min<std::size_t>(10, wires.size() - at);
-    accepted += pipe.submit_batch(header, {wires.data() + at, n});
+  for (std::size_t at = 0; at < subs.size(); at += 10) {
+    const std::size_t n = std::min<std::size_t>(10, subs.size() - at);
+    accepted += pipe.submit({subs.data() + at, n});
   }
   EXPECT_EQ(accepted, static_cast<std::size_t>(kDatagrams));
 
@@ -291,8 +310,8 @@ TEST_F(PipelineTest, DrainAllTerminatesAfterStopWithBacklog) {
     wires.push_back(std::move(*wire));
   }
   const auto header = header_from(a_.principal, b_.principal);
-  EXPECT_EQ(pipe.submit_batch(header, {wires.data(), wires.size()}),
-            static_cast<std::size_t>(kDatagrams));
+  auto subs = submissions(header, wires);
+  EXPECT_EQ(pipe.submit(subs), static_cast<std::size_t>(kDatagrams));
 
   // Nobody drains. Wait until the worker has accepted two results: with a
   // one-slot egress the second cannot be flushed, so the worker is (or is
@@ -317,8 +336,10 @@ TEST_F(PipelineTest, DrainAllTerminatesAfterStopWithBacklog) {
                              s.egress_dropped + s.shutdown_discards);
 
   // A submit after stop() is refused and accounted, not lost.
-  util::Bytes late = std::move(wires[0]);
-  EXPECT_FALSE(pipe.submit(header, std::move(late)));
+  DatagramPipeline::Submission late{header, util::Bytes(64, 0x5A)};
+  EXPECT_EQ(pipe.submit({&late, 1}), 0u);
+  EXPECT_FALSE(late.queued);
+  EXPECT_EQ(late.wire.size(), 64u);  // a refused item keeps its wire
   EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kDatagrams) + 1);
   EXPECT_EQ(s.submitted, s.backpressure_drops + s.rejected + s.drained +
                              s.egress_dropped + s.shutdown_discards);
@@ -363,7 +384,8 @@ TEST_F(PipelineTest, WorkerBusyTimeAccumulates) {
                  static_cast<std::uint16_t>(1 + i)),
         true);
     ASSERT_TRUE(wire.has_value());
-    ASSERT_TRUE(pipe.submit(header_from(a_.principal, b_.principal), *wire));
+    ASSERT_TRUE(
+        submit_one(pipe, header_from(a_.principal, b_.principal), *wire));
   }
   pipe.drain_all([](const net::Ipv4Header&, util::Bytes) {});
   // 32 DES+MD5 unprotects cannot take zero thread-CPU time.
@@ -457,7 +479,7 @@ TEST_F(PipelinedIpTest, TamperedWireRejectedOnAWorkerThread) {
 TEST_F(PipelinedIpTest, BypassTrafficStaysSynchronous) {
   // Packets from a bypass host (here: a plain host with no FBS mapping at
   // all, like the certificate directory) never enter the pipeline: the
-  // deferred hook hands them back to the synchronous path.
+  // input hook leaves them to the stack's synchronous dispatch.
   const auto plain_host = *net::Ipv4Address::parse("10.0.0.100");
   net::IpStack plain_stack(net_, world_.clock, plain_host);
   net::UdpService plain_udp(plain_stack);
@@ -481,6 +503,105 @@ TEST_F(PipelinedIpTest, BypassTrafficStaysSynchronous) {
   EXPECT_EQ(got, util::to_bytes("bypass hello"));
   EXPECT_EQ(c_fbs.counters().in_deferred, 0u);
   EXPECT_EQ(c_fbs.counters().in_bypassed, 1u);
+}
+
+TEST_F(PipelinedIpTest, MixedSourceBatchKeepsEachDatagramsSource) {
+  // Two senders' datagrams reach b interleaved in one transport batch, so
+  // every input-hook call mixes sources. Each datagram must be opened
+  // under its own source: submitted under one shared header, the other
+  // sender's datagrams would fail their MAC.
+  auto& c_node = world_.add_node("c", "10.0.0.3");
+  net::IpStack c_stack(net_, world_.clock,
+                       *net::Ipv4Address::parse("10.0.0.3"));
+  FbsIpMapping c_fbs(c_stack, IpMappingConfig{}, *c_node.keys, world_.clock,
+                     world_.rng);
+  net::UdpService c_udp(c_stack);
+
+  std::map<std::pair<std::uint32_t, std::string>, int> got;
+  b_udp_.bind(7, [&](net::Ipv4Address from, std::uint16_t,
+                     util::Bytes payload) {
+    ++got[{from.value, std::string(payload.begin(), payload.end())}];
+  });
+
+  constexpr int kPerSender = 6;
+  for (int i = 0; i < kPerSender; ++i) {
+    const auto port = static_cast<std::uint16_t>(5000 + i);
+    ASSERT_TRUE(a_udp_.send(b_stack_.address(), port, 7,
+                            util::to_bytes("a" + std::to_string(i))));
+    ASSERT_TRUE(c_udp.send(b_stack_.address(), port, 7,
+                           util::to_bytes("c" + std::to_string(i))));
+  }
+  // Every frame is due at once for the same host: one step hands b all of
+  // them.
+  ASSERT_TRUE(net_.step());
+  EXPECT_EQ(b_stack_.counters().packets_in, 2u * kPerSender);
+  net_.run();
+  b_fbs_.drain_pipeline_all();
+
+  EXPECT_EQ(b_fbs_.counters().in_deferred, 2u * kPerSender);
+  EXPECT_EQ(b_stack_.counters().deferred_in, 2u * kPerSender);
+  EXPECT_EQ(b_fbs_.counters().in_accepted, 2u * kPerSender);
+  ASSERT_EQ(got.size(), 2u * kPerSender);
+  for (int i = 0; i < kPerSender; ++i) {
+    EXPECT_EQ((got[{a_stack_.address().value, "a" + std::to_string(i)}]), 1)
+        << i;
+    EXPECT_EQ((got[{c_stack.address().value, "c" + std::to_string(i)}]), 1)
+        << i;
+  }
+}
+
+TEST_F(PipelinedIpTest, RefusedDatagramsAreCountedOnceAsHookDrops) {
+  // A one-slot ingress ring and a burst of one flow: each input-hook call
+  // hands the pipeline four datagrams for the same ring, so at least three
+  // of every four are refused. Each refusal is one pipeline backpressure
+  // drop and one stack hook drop, and every reassembled datagram ends as
+  // exactly one of taken, dropped or delivered inline.
+  IpMappingConfig cfg = pipelined_config();
+  cfg.pipeline_ingress_capacity = 1;
+  auto& d_node = world_.add_node("d", "10.0.0.4");
+  net::IpStack d_stack(net_, world_.clock,
+                       *net::Ipv4Address::parse("10.0.0.4"));
+  FbsIpMapping d_fbs(d_stack, cfg, *d_node.keys, world_.clock, world_.rng);
+  net::UdpService d_udp(d_stack);
+  int udp_delivered = 0;
+  d_udp.bind(7, [&](net::Ipv4Address, std::uint16_t, util::Bytes) {
+    ++udp_delivered;
+  });
+  // Raw IP passes unprotected and is delivered inline, pipeline or not.
+  int raw_delivered = 0;
+  d_stack.register_protocol(net::IpProto::kIcmp,
+                            [&](const net::Ipv4Header&, util::Bytes) {
+                              ++raw_delivered;
+                            });
+
+  constexpr std::size_t kBurst = 16;
+  ASSERT_TRUE(a_stack_.output(d_stack.address(), net::IpProto::kIcmp,
+                              util::to_bytes("raw")));
+  for (std::size_t i = 0; i < kBurst; ++i)
+    ASSERT_TRUE(a_udp_.send(d_stack.address(), 5000, 7,
+                            util::Bytes(256, static_cast<std::uint8_t>(i))));
+  net_.run();
+  d_fbs.drain_pipeline_all();
+
+  const auto& stack = d_stack.counters();
+  const auto& pipe = d_fbs.pipeline()->stats();
+  const std::uint64_t reassembled = kBurst + 1;
+  EXPECT_EQ(stack.packets_in, reassembled);
+  EXPECT_GE(pipe.backpressure_drops, 3u);
+  EXPECT_EQ(stack.hook_drops_in, pipe.backpressure_drops);
+  EXPECT_EQ(d_fbs.pipeline()->ingress_dropped(), pipe.backpressure_drops);
+  EXPECT_EQ(stack.deferred_in + stack.hook_drops_in, kBurst);
+  EXPECT_EQ(d_fbs.counters().in_deferred, stack.deferred_in);
+  EXPECT_EQ(pipe.submitted, kBurst);
+
+  // The pipeline delivered what it took; the raw datagram went inline.
+  EXPECT_EQ(pipe.drained, stack.deferred_in);
+  EXPECT_EQ(udp_delivered, static_cast<int>(stack.deferred_in));
+  EXPECT_EQ(raw_delivered, 1);
+  const std::uint64_t delivered_inline = stack.delivered - pipe.drained;
+  EXPECT_EQ(delivered_inline, 1u);
+  EXPECT_EQ(stack.deferred_in + stack.hook_drops_in + delivered_inline,
+            reassembled);
 }
 
 }  // namespace

@@ -84,14 +84,15 @@ void run_steady_state(bool secret, bool combined) {
   FbsEndpoint bob(b.principal, cfg, *b.keys, world.clock, world.rng);
 
   const Datagram d = make_datagram(a.principal, b.principal, 1400);
+  WorkContext tx, rx;
   util::Bytes wire;
   util::Bytes body;
 
   // Warm-up: derive the flow key, build the per-flow crypto contexts, and
   // size every scratch buffer on both ends.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(alice.protect_into(d, secret, wire));
-    const auto outcome = bob.unprotect_into(a.principal, wire, body);
+    ASSERT_TRUE(alice.protect_into(tx, d, secret, wire));
+    const auto outcome = bob.unprotect_into(rx, a.principal, wire, body);
     ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(outcome));
     ASSERT_EQ(body, d.body);
   }
@@ -100,14 +101,14 @@ void run_steady_state(bool secret, bool combined) {
   for (int i = 0; i < 16; ++i) {
     {
       CountingScope scope;
-      ASSERT_TRUE(alice.protect_into(d, secret, wire));
+      ASSERT_TRUE(alice.protect_into(tx, d, secret, wire));
       EXPECT_EQ(scope.news(), 0u)
           << "protect_into allocated (secret=" << secret
           << " combined=" << combined << " iteration " << i << ")";
     }
     {
       CountingScope scope;
-      const auto outcome = bob.unprotect_into(a.principal, wire, body);
+      const auto outcome = bob.unprotect_into(rx, a.principal, wire, body);
       EXPECT_EQ(scope.news(), 0u)
           << "unprotect_into allocated (secret=" << secret
           << " combined=" << combined << " iteration " << i << ")";
@@ -201,7 +202,8 @@ TEST(ZeroAlloc, PipelinedReceiveSteadyState) {
   header.source = a.principal.ipv4();
   header.destination = b.principal.ipv4();
 
-  util::Bytes wire;
+  WorkContext tx;
+  DatagramPipeline::Submission sub{header, {}};
   util::Bytes got;
   // Built once, outside any counting scope: converting a lambda to
   // std::function may allocate, and that cost is per-sink, not per-datagram.
@@ -212,11 +214,11 @@ TEST(ZeroAlloc, PipelinedReceiveSteadyState) {
   };
 
   auto cycle = [&] {
-    ASSERT_TRUE(alice.protect_into(d, /*secret=*/true, wire));
-    ASSERT_TRUE(pipe.submit(header, std::move(wire)));
+    ASSERT_TRUE(alice.protect_into(tx, d, /*secret=*/true, sub.wire));
+    ASSERT_EQ(pipe.submit({&sub, 1}), 1u);
     pipe.drain_all(sink);
     ASSERT_EQ(got, d.body);
-    wire = std::move(got);  // delivered body becomes next wire staging
+    sub.wire = std::move(got);  // delivered body becomes next wire staging
   };
 
   // Warm-up: flow key + crypto contexts on both ends, the worker's
@@ -267,7 +269,8 @@ TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
   header.source = a.principal.ipv4();
   header.destination = b.principal.ipv4();
 
-  std::vector<util::Bytes> wires(kFlows);
+  WorkContext tx;
+  std::vector<DatagramPipeline::Submission> subs(kFlows, {header, {}});
   std::vector<util::Bytes> returned;
   returned.reserve(kFlows);
   const DatagramPipeline::Sink sink = [&](const net::Ipv4Header&,
@@ -277,13 +280,13 @@ TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
 
   auto cycle = [&] {
     for (std::size_t f = 0; f < kFlows; ++f)
-      ASSERT_TRUE(alice.protect_into(datagrams[f], /*secret=*/true,
-                                     wires[f]));
-    ASSERT_EQ(pipe.submit_batch(header, wires), kFlows);
+      ASSERT_TRUE(alice.protect_into(tx, datagrams[f], /*secret=*/true,
+                                     subs[f].wire));
+    ASSERT_EQ(pipe.submit(subs), kFlows);
     pipe.drain_all(sink);
     ASSERT_EQ(returned.size(), kFlows);
     for (std::size_t f = 0; f < kFlows; ++f)
-      wires[f] = std::move(returned[f]);  // bodies become next wire staging
+      subs[f].wire = std::move(returned[f]);  // bodies: next wire staging
     returned.clear();
   };
 
@@ -300,12 +303,15 @@ TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
   EXPECT_EQ(pipe.stats().accepted.load(), 24u * kFlows);
 }
 
-void run_ip_map_batch(std::size_t burst) {
+void run_ip_map_batch(std::size_t burst, bool pipelined = false) {
   // FbsIpMapping's input hook over one stack receive batch: four flows'
   // datagrams interleaved, opened by one unprotect_burst_into (mixed-key
   // lanes, 8-lane MACs). Once warm -- engine scratch, burst staging,
   // scratch principals, and body buffers swapped in from earlier wires --
-  // the hook allocates nothing, whatever the batch size.
+  // the hook allocates nothing, whatever the batch size. With a pipeline
+  // the hook moves the wires into one submit instead, and hook plus drain
+  // (bodies recycled into the pool by the protocol handler) allocate
+  // nothing either.
   TestWorld world(4245);
   auto& a = world.add_node("a", "10.0.0.1");
   auto& b = world.add_node("b", "10.0.0.2");
@@ -313,8 +319,10 @@ void run_ip_map_batch(std::size_t burst) {
   net::IpStack a_stack(net, world.clock, a.principal.ipv4());
   net::IpStack b_stack(net, world.clock, b.principal.ipv4());
   const IpMappingConfig config;
+  IpMappingConfig b_config;
+  if (pipelined) b_config.pipeline_workers = 1;
   FbsIpMapping a_fbs(a_stack, config, *a.keys, world.clock, world.rng);
-  FbsIpMapping b_fbs(b_stack, config, *b.keys, world.clock, world.rng);
+  FbsIpMapping b_fbs(b_stack, b_config, *b.keys, world.clock, world.rng);
   net::UdpService a_udp(a_stack);
 
   std::vector<util::Bytes> frames;
@@ -339,28 +347,47 @@ void run_ip_map_batch(std::size_t burst) {
       batch[i].header = wires[i].header;
       batch[i].payload.assign(wires[i].payload.begin(),
                               wires[i].payload.end());
-      batch[i].accept = true;
+      batch[i].outcome = net::IpStack::InputOutcome::kDeliver;
     }
   };
+  // Pipeline mode: one worker and one shard keep the drain in batch order.
+  std::size_t drained = 0;
+  b_stack.register_protocol(
+      net::IpProto::kUdp, [&](const net::Ipv4Header&, util::Bytes body) {
+        // The opened body is the UDP datagram: 8-byte header, then data.
+        EXPECT_EQ(body.size(), 1408u);
+        EXPECT_EQ(body.back(), static_cast<std::uint8_t>(drained % burst));
+        ++drained;
+        b_fbs.pipeline()->recycle(std::move(body));
+      });
   const auto& hook = b_stack.security_hooks().input;
+  const auto run = [&] {
+    hook(batch);
+    b_fbs.drain_pipeline_all();
+  };
   const auto check = [&] {
     for (std::size_t i = 0; i < burst; ++i) {
-      ASSERT_TRUE(batch[i].accept) << "datagram " << i;
-      // The opened body is the UDP datagram: 8-byte header, then data.
+      if (pipelined) {
+        ASSERT_EQ(batch[i].outcome, net::IpStack::InputOutcome::kTaken)
+            << "datagram " << i;
+        continue;
+      }
+      ASSERT_EQ(batch[i].outcome, net::IpStack::InputOutcome::kDeliver)
+          << "datagram " << i;
       ASSERT_EQ(batch[i].payload.size(), 1408u);
       ASSERT_EQ(batch[i].payload.back(), static_cast<std::uint8_t>(i));
     }
   };
   for (int i = 0; i < 3; ++i) {
     load();
-    hook(batch);
+    run();
     check();
   }
   for (int i = 0; i < 8; ++i) {
     load();
     {
       CountingScope scope;
-      hook(batch);
+      run();
       EXPECT_EQ(scope.news(), 0u)
           << "batch hook allocated (burst " << burst << ", iteration " << i
           << ")";
@@ -368,6 +395,7 @@ void run_ip_map_batch(std::size_t burst) {
     check();
   }
   EXPECT_EQ(b_fbs.counters().in_accepted, 11u * burst);
+  EXPECT_EQ(drained, pipelined ? 11u * burst : 0u);
 }
 
 TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf1) { run_ip_map_batch(1); }
@@ -378,6 +406,14 @@ TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf16) {
 
 TEST(ZeroAlloc, IpMappingBatchHookSteadyStateBurstOf64) {
   run_ip_map_batch(64);
+}
+
+TEST(ZeroAlloc, PipelinedIpMappingBatchHookSteadyStateBurstOf4) {
+  run_ip_map_batch(4, /*pipelined=*/true);
+}
+
+TEST(ZeroAlloc, PipelinedIpMappingBatchHookSteadyStateBurstOf64) {
+  run_ip_map_batch(64, /*pipelined=*/true);
 }
 
 TEST(ZeroAlloc, CountersActuallyCount) {

@@ -116,13 +116,41 @@ TEST_F(StackTest, InputHookSeesReassembledDatagram) {
 TEST_F(StackTest, InputHookDropCounted) {
   IpStack::SecurityHooks hooks;
   hooks.input = [](std::span<IpStack::InputDatagram> batch) {
-    for (IpStack::InputDatagram& d : batch) d.accept = false;
+    for (IpStack::InputDatagram& d : batch)
+      d.outcome = IpStack::InputOutcome::kDrop;
   };
   b_.set_security_hooks(std::move(hooks));
   a_.output(kB, IpProto::kUdp, util::to_bytes("x"));
   net_.run();
   EXPECT_EQ(b_.counters().hook_drops_in, 1u);
   EXPECT_TRUE(received_.empty());
+}
+
+TEST_F(StackTest, InputHookTakesDatagramAndDeliversLater) {
+  // A hook that takes a datagram (as the parallel pipeline does) owns its
+  // payload: the stack counts it as deferred and dispatches nothing until
+  // the hook calls deliver().
+  std::vector<IpStack::InputDatagram> taken;
+  IpStack::SecurityHooks hooks;
+  hooks.input = [&](std::span<IpStack::InputDatagram> batch) {
+    for (IpStack::InputDatagram& d : batch) {
+      taken.push_back({d.header, std::move(d.payload)});
+      d.outcome = IpStack::InputOutcome::kTaken;
+    }
+  };
+  b_.set_security_hooks(std::move(hooks));
+  a_.output(kB, IpProto::kUdp, util::to_bytes("later"));
+  net_.run();
+  EXPECT_EQ(b_.counters().deferred_in, 1u);
+  EXPECT_EQ(b_.counters().hook_drops_in, 0u);
+  EXPECT_EQ(b_.counters().delivered, 0u);
+  EXPECT_TRUE(received_.empty());
+
+  ASSERT_EQ(taken.size(), 1u);
+  b_.deliver(taken[0].header, std::move(taken[0].payload));
+  EXPECT_EQ(b_.counters().delivered, 1u);
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0], util::to_bytes("later"));
 }
 
 TEST_F(StackTest, EffectivePayloadSizeAccountsForOverhead) {

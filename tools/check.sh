@@ -113,7 +113,8 @@ fi
 if [ "${1:-}" = "--tsan-smoke" ]; then
   # Data-race detection for the shard-per-core datagram path, including the
   # batched ring transfers (push_wait_batch/pop_batch producers), the
-  # grouped submit_batch ingress and the stop-vs-submit shutdown races.
+  # grouped DatagramPipeline::submit ingress and the stop-vs-submit
+  # shutdown races.
   # FBS_TSAN is mutually exclusive with FBS_SANITIZE, so this runs in its
   # own tree.
   BUILD_DIR=build-tsan
