@@ -18,11 +18,11 @@
 #include "crypto/des3.hpp"
 #include "crypto/des_bitslice.hpp"
 #include "crypto/dh.hpp"
-#include "crypto/fused.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha1.hpp"
+#include "support/fused.hpp"
 #include "support/metrics_io.hpp"
 #include "util/rng.hpp"
 

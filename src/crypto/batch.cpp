@@ -3,25 +3,13 @@
 #include <algorithm>
 #include <array>
 
+#include "crypto/block_modes.hpp"
+
 namespace fbs::crypto {
 namespace {
 
 std::size_t open_blocks(const CbcOpenJob& job) {
   return job.ciphertext.size() / Des::kBlockSize;
-}
-
-std::size_t seal_blocks(const CbcSealJob& job) {
-  return CryptoBatch::padded_size(job.plaintext.size()) / Des::kBlockSize;
-}
-
-/// The PKCS#7 tail block: whatever plaintext remains past `off`, padded.
-std::uint64_t tail_block(util::BytesView plaintext, std::size_t off) {
-  std::uint8_t last[Des::kBlockSize];
-  const std::size_t tail = plaintext.size() - off;
-  const std::uint8_t pad = static_cast<std::uint8_t>(Des::kBlockSize - tail);
-  for (std::size_t k = 0; k < tail; ++k) last[k] = plaintext[off + k];
-  for (std::size_t k = tail; k < Des::kBlockSize; ++k) last[k] = pad;
-  return Des::load_be64(last);
 }
 
 }  // namespace
@@ -60,7 +48,7 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
                    kKeyLanesBlocks) +
           spill >=
       total) {
-    for (const CbcOpenJob& job : jobs) open_scalar(job);
+    open_scalar(jobs, 0);
     return;
   }
 
@@ -129,7 +117,7 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   if (passes * kPassBlocks + keying_blocks(runs) + rekeys * kKeyGroupBlocks +
           spill >=
       total) {
-    for (const CbcOpenJob& job : jobs) open_scalar(job);
+    open_scalar(jobs, 0);
     return;
   }
   key_lanes(lane_key, runs);
@@ -169,85 +157,8 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
     }
   }
   stats_.bitsliced_blocks += wide_total;
-
-  if (spill != 0) {
-    // Finish the last `spill` blocks of the global sequence on the scalar
-    // core. A mid-job start chains from the preceding ciphertext block,
-    // exactly like a mid-job lane run above.
-    std::size_t j = 0;
-    std::size_t acc = 0;
-    while (acc + open_blocks(jobs[j]) <= wide_total)
-      acc += open_blocks(jobs[j++]);
-    for (std::size_t b = wide_total - acc; j < jobs.size(); ++j, b = 0) {
-      const CbcOpenJob& job = jobs[j];
-      const std::size_t n = open_blocks(job);
-      if (b >= n) continue;
-      const std::uint8_t* ct = job.ciphertext.data() + Des::kBlockSize * b;
-      std::uint8_t* pt = job.plaintext + Des::kBlockSize * b;
-      std::uint64_t chain =
-          b == 0 ? job.iv : Des::load_be64(ct - Des::kBlockSize);
-      for (std::size_t k = b; k < n; ++k) {
-        const std::uint64_t c = Des::load_be64(ct);
-        Des::store_be64(job.des->decrypt_block(c) ^ chain, pt);
-        chain = c;
-        ct += Des::kBlockSize;
-        pt += Des::kBlockSize;
-      }
-    }
-    stats_.scalar_blocks += spill;
-  }
-}
-
-void CryptoBatch::seal_cbc(std::span<const CbcSealJob> jobs) {
-  for (std::size_t off = 0; off < jobs.size(); off += kLanes) {
-    seal_group(jobs.subspan(off, std::min(kLanes, jobs.size() - off)));
-  }
-}
-
-void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
-  // CBC encrypt chains serially per datagram: one job per lane, peel one
-  // block per pass. `jobs` has at most kLanes entries here.
-  if (jobs.size() < kSealMinJobs) {
-    for (const CbcSealJob& job : jobs) seal_scalar(job);
-    return;
-  }
-  std::size_t total = 0;
-  std::size_t passes = 0;
-  for (const CbcSealJob& job : jobs) {
-    const std::size_t n = seal_blocks(job);
-    total += n;
-    passes = std::max(passes, n);
-  }
-
-  const Des* lane_key[kLanes];
-  for (std::size_t lane = 0; lane < kLanes; ++lane)
-    lane_key[lane] = jobs[std::min(lane, jobs.size() - 1)].des;
-  key_lanes(lane_key, key_runs(lane_key));
-
-  std::uint64_t chain[kLanes];
-  for (std::size_t i = 0; i < jobs.size(); ++i) chain[i] = jobs[i].iv;
-
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    std::uint64_t blocks[kLanes] = {};
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const CbcSealJob& job = jobs[i];
-      if (pass >= seal_blocks(job)) continue;
-      const std::size_t off = pass * Des::kBlockSize;
-      const std::uint64_t p = off + Des::kBlockSize <= job.plaintext.size()
-                                  ? Des::load_be64(job.plaintext.data() + off)
-                                  : tail_block(job.plaintext, off);
-      blocks[i] = p ^ chain[i];
-    }
-    engine_.encrypt(blocks);
-    ++stats_.passes;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const CbcSealJob& job = jobs[i];
-      if (pass >= seal_blocks(job)) continue;
-      chain[i] = blocks[i];
-      Des::store_be64(blocks[i], job.ciphertext + pass * Des::kBlockSize);
-    }
-  }
-  stats_.bitsliced_blocks += total;
+  // The last `spill` blocks of the global sequence run scalar.
+  if (spill != 0) open_scalar(jobs, wide_total);
 }
 
 std::size_t CryptoBatch::key_runs(const Des* const lane_key[kLanes]) {
@@ -284,36 +195,23 @@ void CryptoBatch::key_lanes(const Des* const lane_key[kLanes],
   engine_.set_lanes(ptrs);
 }
 
-void CryptoBatch::open_scalar(const CbcOpenJob& job) {
-  const std::size_t n = open_blocks(job);
-  std::uint64_t chain = job.iv;
-  const std::uint8_t* ct = job.ciphertext.data();
-  std::uint8_t* pt = job.plaintext;
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::uint64_t c = Des::load_be64(ct);
-    Des::store_be64(job.des->decrypt_block(c) ^ chain, pt);
-    chain = c;
-    ct += Des::kBlockSize;
-    pt += Des::kBlockSize;
+void CryptoBatch::open_scalar(std::span<const CbcOpenJob> jobs,
+                              std::size_t first) {
+  // A start inside a job chains from the ciphertext block before it,
+  // exactly like a mid-job lane run.
+  for (const CbcOpenJob& job : jobs) {
+    const std::size_t n = open_blocks(job);
+    if (first >= n) {
+      first -= n;
+      continue;
+    }
+    const std::uint8_t* ct = job.ciphertext.data() + Des::kBlockSize * first;
+    cbc_decrypt_blocks(
+        *job.des, first == 0 ? job.iv : Des::load_be64(ct - Des::kBlockSize),
+        ct, job.plaintext + Des::kBlockSize * first, n - first);
+    stats_.scalar_blocks += n - first;
+    first = 0;
   }
-  stats_.scalar_blocks += n;
-}
-
-void CryptoBatch::seal_scalar(const CbcSealJob& job) {
-  const std::size_t whole = job.plaintext.size() / Des::kBlockSize;
-  std::uint64_t chain = job.iv;
-  const std::uint8_t* in = job.plaintext.data();
-  std::uint8_t* out = job.ciphertext;
-  for (std::size_t b = 0; b < whole; ++b) {
-    chain = job.des->encrypt_block(Des::load_be64(in) ^ chain);
-    Des::store_be64(chain, out);
-    in += Des::kBlockSize;
-    out += Des::kBlockSize;
-  }
-  chain = job.des->encrypt_block(
-      tail_block(job.plaintext, whole * Des::kBlockSize) ^ chain);
-  Des::store_be64(chain, out);
-  stats_.scalar_blocks += whole + 1;
 }
 
 }  // namespace fbs::crypto

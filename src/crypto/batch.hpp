@@ -1,22 +1,20 @@
-// Cross-datagram batch scheduler for the bitsliced DES engine.
+// Cross-datagram batch planner for the bitsliced DES engine: CBC decrypt
+// (open) only.
 //
 // The pipeline hands each worker a *burst* of datagrams per ring visit
-// (PR 7's batched rings); this planner turns that burst into kLanes-wide
-// bitslice passes (DesBitslice::kLanes, currently 256):
+// (its batched rings); this planner turns that burst into kLanes-wide
+// bitslice passes (DesBitslice::kLanes, currently 256). CBC decrypt is
+// block-parallel even within one datagram, because every chain input is
+// ciphertext already in hand. The jobs' blocks form one global sequence,
+// split into kLanes contiguous per-lane runs, so each lane's key changes at
+// most when its cursor crosses a job boundary (incremental set_lane) --
+// for a single-flow burst there are zero mid-batch rekeys, and an N-flow
+// burst costs at most ~N-1 crossings total. Sealing has no wide plan: CBC
+// encrypt chains serially per datagram, so a pass would light one lane per
+// datagram and pays only from about 40 of them, a burst no send path forms.
 //
-//   open (CBC decrypt): block-parallel even within one datagram, because
-//   every chain input is ciphertext already in hand. The jobs' blocks form
-//   one global sequence, split into kLanes contiguous per-lane runs, so
-//   each lane's key changes at most when its cursor crosses a job boundary
-//   (incremental set_lane) -- for a single-flow burst there are zero mid-
-//   batch rekeys, and an N-flow burst costs at most ~N-1 crossings total.
-//
-//   seal (CBC encrypt): chains serially within a datagram, so lanes map
-//   one job per lane and each pass peels the next block of up to kLanes
-//   datagrams (PKCS#7 tail blocks materialized on the fly).
-//
-// Cost model. The open planner prices both plans in units of one scalar
-// CBC block and takes the cheaper, so a burst is never planned slower than
+// Cost model. The planner prices both plans in units of one scalar CBC
+// block and takes the cheaper, so a burst is never planned slower than
 // the scalar loop (constants measured on a 4-vCPU AVX-512 guest, DESIGN.md
 // 5h; one scalar block is ~115 ns there):
 //
@@ -32,9 +30,8 @@
 // transpose (kKeyLanesBlocks), which by itself costs more than a 192-block
 // scalar burst, so a small multi-flow burst must never pay it. A
 // leftover shorter than one pass (spill < kPassBlocks) runs scalar rather
-// than taking a mostly-empty pass. Seal stays a job count (kSealMinJobs),
-// since each job lights one lane however long it is; it keys its lanes the
-// same way.
+// than taking a mostly-empty pass. The scalar plan and the spill both run
+// block_modes' cbc_decrypt_blocks, the loop decrypt_into uses.
 //
 // The planner itself never allocates; all cursors live on the stack and
 // outputs land in caller-provided buffers (the zero-alloc steady-state
@@ -62,16 +59,6 @@ struct CbcOpenJob {
   std::uint8_t* plaintext = nullptr;
 };
 
-/// One datagram's CBC-encrypt work order. `plaintext` is the raw body (any
-/// length, including 0); `ciphertext` receives padded_size(plaintext.size())
-/// bytes of PKCS#7-padded CBC output.
-struct CbcSealJob {
-  const Des* des = nullptr;
-  std::uint64_t iv = 0;
-  util::BytesView plaintext;
-  std::uint8_t* ciphertext = nullptr;
-};
-
 class CryptoBatch {
  public:
   static constexpr std::size_t kLanes = DesBitslice::kLanes;
@@ -87,20 +74,7 @@ class CryptoBatch {
   /// set_lanes: the per-lane transpose, whatever the keys (22-27 us).
   static constexpr std::size_t kKeyLanesBlocks = 220;
 
-  /// Seal groups of fewer jobs than this run the scalar cores: every pass
-  /// costs a full kLanes-wide evaluation, so seal pays only with enough
-  /// lit lanes (break-even measured between 32 and 48 jobs of 1408 B, see
-  /// DESIGN.md 5h). One 1408 B job on the wide engine is 177 passes with
-  /// one lane lit, ~35x slower than scalar.
-  static constexpr std::size_t kSealMinJobs = 40;
-
-  /// PKCS#7 always pads, so sealed output is the next full block up.
-  static constexpr std::size_t padded_size(std::size_t n) {
-    return n / Des::kBlockSize * Des::kBlockSize + Des::kBlockSize;
-  }
-
   void open_cbc(std::span<const CbcOpenJob> jobs);
-  void seal_cbc(std::span<const CbcSealJob> jobs);
 
   /// Counters for tests and benches (cumulative; reset_stats to zero).
   struct Stats {
@@ -113,9 +87,9 @@ class CryptoBatch {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  void open_scalar(const CbcOpenJob& job);
-  void seal_scalar(const CbcSealJob& job);
-  void seal_group(std::span<const CbcSealJob> jobs);
+  /// Decrypt the jobs' global block sequence from block `first` on with
+  /// the scalar loop (the whole burst, or the spill after the passes).
+  void open_scalar(std::span<const CbcOpenJob> jobs, std::size_t first);
   /// Runs of equal consecutive keys over the lanes.
   static std::size_t key_runs(const Des* const lane_key[kLanes]);
   /// The cost-model price of keying lanes that come in `runs` runs.

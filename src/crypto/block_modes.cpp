@@ -84,12 +84,8 @@ bool decrypt_into(const Cipher& cipher, CipherMode mode, std::uint64_t iv,
     case CipherMode::kCbc: {
       if (ciphertext.empty() || ciphertext.size() % kBlock != 0) return false;
       out.resize(ciphertext.size());
-      std::uint64_t chain = iv;
-      for (std::size_t off = 0; off < out.size(); off += kBlock) {
-        const std::uint64_t ct = Des::load_be64(&ciphertext[off]);
-        Des::store_be64(cipher.decrypt_block(ct) ^ chain, &out[off]);
-        chain = ct;
-      }
+      cbc_decrypt_blocks(cipher, iv, ciphertext.data(), out.data(),
+                         ciphertext.size() / kBlock);
       return detail::pkcs7_unpad_in_place(out);
     }
     case CipherMode::kCfb:

@@ -50,6 +50,25 @@ inline bool pkcs7_unpad_in_place(util::Bytes& data) {
 
 }  // namespace detail
 
+/// The one scalar CBC-decrypt loop: `blocks` whole blocks from `ct` into
+/// `pt`, chained from `chain` -- the IV at the start of a message, or the
+/// ciphertext block before `ct` when a run starts mid-message (CBC decrypt
+/// needs no earlier plaintext). `pt` may equal `ct` but must not otherwise
+/// overlap it. A header template so the batch planner's scalar plan and
+/// spill compile under its kernel flags (crypto/CMakeLists.txt).
+template <class Cipher>
+inline void cbc_decrypt_blocks(const Cipher& cipher, std::uint64_t chain,
+                               const std::uint8_t* ct, std::uint8_t* pt,
+                               std::size_t blocks) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint64_t c = Des::load_be64(ct);
+    Des::store_be64(cipher.decrypt_block(c) ^ chain, pt);
+    chain = c;
+    ct += Des::kBlockSize;
+    pt += Des::kBlockSize;
+  }
+}
+
 /// Encrypt into a caller-owned buffer, reusing its capacity: `out` is
 /// resized to the ciphertext length and allocates only if it has never held
 /// a datagram this large. `plaintext` must not alias `out`. ECB and CBC

@@ -21,8 +21,9 @@
 // produces are kept for the bitsliced batch engine (des_bitslice.hpp), which
 // keys its lanes straight from a Des, and in the two-word form the round
 // uses; there is one schedule per key. The bit-at-a-time transcription of
-// the standard survives as DesReference (des_reference.hpp) and the two are
-// tested bit-exact round by round.
+// the standard survives as the test oracle DesReference
+// (tests/support/des_reference.hpp) and the two are tested bit-exact round
+// by round.
 #pragma once
 
 #include <array>

@@ -19,7 +19,7 @@ using des_tables::kSbox;
 /// The gate network's word: kWords 64-lane groups evaluated per boolean op.
 /// GCC/Clang lower &, |, ^, ~ on this type to one SIMD op where the target
 /// has 256-bit registers (AVX2) and to kWords scalar ops otherwise, so the
-/// same source covers both. may_alias lets crypt() view the uint64_t key
+/// same source covers both. may_alias lets decrypt() view the uint64_t key
 /// rows in ks_ as Words without strict-aliasing UB.
 typedef std::uint64_t Word
     __attribute__((vector_size(sizeof(std::uint64_t) * DesBitslice::kWords),
@@ -315,7 +315,7 @@ void DesBitslice::set_lane_range(std::size_t first, std::size_t last,
   }
 }
 
-void DesBitslice::crypt(std::uint64_t blocks[kLanes], bool decrypt) const {
+void DesBitslice::decrypt(std::uint64_t blocks[kLanes]) const {
   // To sliced form, one 64x64 tile per group: after the transposes,
   // blocks[w * 64 + j] is the standard's input bit j+1 across group w's
   // lanes (lane w*64+i at word bit 63-i). The Word gathers below then
@@ -345,9 +345,9 @@ void DesBitslice::crypt(std::uint64_t blocks[kLanes], bool decrypt) const {
   // Round R (0-based): l ^= f(r, key) turns l into R_{R+1} while the other
   // bank already holds L_{R+1}; parity decides which bank plays which role.
   // ks_ rows are [t * kWords + w], i.e. exactly 48 consecutive Words.
+  // Decryption is the same network with the round keys in reverse order.
   const auto round = [&](int index, Word* l, const Word* r) {
-    const auto& row =
-        ks_[static_cast<std::size_t>(decrypt ? 15 - index : index)];
+    const auto& row = ks_[static_cast<std::size_t>(15 - index)];
     sbox_layer(l, r, reinterpret_cast<const Word*>(row.data()),
                std::make_index_sequence<8>{});
   };

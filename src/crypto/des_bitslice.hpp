@@ -13,7 +13,8 @@
 // derived at compile time from the FIPS kSbox tables in des_tables.hpp by
 // a template-recursive positive-Davio decomposition (see des_bitslice.cpp),
 // so this implementation shares only the standard's constants with the
-// scalar cores and is differentially tested against DesReference.
+// scalar cores and is differentially tested against the bit-at-a-time
+// reference DES in tests/support.
 //
 // Key handling supports mixed keys across lanes: a key's 16 48-bit round
 // keys (DesRoundKeys, read straight from the scalar Des that a flow's
@@ -23,11 +24,12 @@
 // that share a key), or one lane at a time (the batch scheduler's
 // job-boundary rekey).
 //
-// CBC interaction: decryption is block-parallel even within one datagram
-// (the chain input is ciphertext, all of it in hand), so a decrypt batch
-// can split a single datagram across lanes. Encryption chains serially per
-// datagram, so a seal batch assigns one datagram per lane. Both schedules
-// live in crypto/batch.hpp.
+// The engine decrypts only. CBC decryption is block-parallel even within
+// one datagram (the chain input is ciphertext, all of it in hand), so the
+// open planner (crypto/batch.hpp) can split a single datagram across
+// lanes. CBC encryption chains serially per datagram and lights one lane
+// per datagram; no send path forms a burst wide enough to pay for a pass,
+// so sealing stays on the scalar cores.
 #pragma once
 
 #include <array>
@@ -67,24 +69,17 @@ class DesBitslice {
     set_lane_range(lane, lane + 1, ks);
   }
 
-  /// Encrypt/decrypt kLanes blocks in place, one per lane; blocks[i] is
-  /// lane i's block as loaded by Des::load_be64. Lanes with no real work
-  /// may carry anything -- every lane is computed regardless.
-  void encrypt(std::uint64_t blocks[kLanes]) const {
-    crypt(blocks, /*decrypt=*/false);
-  }
-  void decrypt(std::uint64_t blocks[kLanes]) const {
-    crypt(blocks, /*decrypt=*/true);
-  }
+  /// Decrypt kLanes blocks in place, one per lane; blocks[i] is lane i's
+  /// block as loaded by Des::load_be64. Lanes with no real work may carry
+  /// anything -- every lane is computed regardless.
+  void decrypt(std::uint64_t blocks[kLanes]) const;
 
   /// In-place 64x64 bit-matrix transpose, bit (63-c) of m[r] <-> bit
   /// (63-r) of m[c]. Exposed for tests and the key-schedule expansion;
-  /// crypt applies it per 64-lane group.
+  /// decrypt applies it per 64-lane group.
   static void transpose64(std::uint64_t m[kGroupLanes]);
 
  private:
-  void crypt(std::uint64_t blocks[kLanes], bool decrypt) const;
-
   /// ks_[round][t * kWords + w]: lane-mask word for round-key bit t+1
   /// (FIPS numbering), group w -- lane (w * 64 + i)'s key bit lives at
   /// word bit 63-i, matching the transposed data layout. Stored as plain

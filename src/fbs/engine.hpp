@@ -11,8 +11,8 @@
 // sealing body: MAC, then encrypt_into for the flow's DES or 3DES schedule.
 // unprotect_burst_into is the only opening body (freshness, key, decrypt,
 // MAC, accept); unprotect_into is a burst of one. The Section 5.3 single
-// pass over the data (crypto/fused.hpp) is measured as a bench ablation,
-// not used here (EXPERIMENTS.md).
+// pass over the data (bench/support/fused.hpp) is measured as a bench
+// ablation, not used here (EXPERIMENTS.md).
 //
 // Concurrency (DESIGN.md section 5f): per-flow state is striped across
 // config.shards independent FlowDomains. protect_into, unprotect_into and

@@ -24,10 +24,6 @@ FbsIpMapping::FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
     PipelineConfig pc;
     pc.workers = config_.pipeline_workers;
     pc.ingress_capacity = config_.pipeline_ingress_capacity;
-    pc.egress_capacity = config_.pipeline_egress_capacity;
-    pc.batch = config_.pipeline_batch;
-    pc.pool_buffers = config_.pipeline_pool_buffers;
-    pc.pool_buffer_bytes = config_.pipeline_pool_buffer_bytes;
     pipeline_ = std::make_unique<DatagramPipeline>(
         endpoint_, pc, [this](ReceiveError err) {
           ++counters_.in_rejected[static_cast<std::size_t>(err)];

@@ -60,14 +60,9 @@ struct IpMappingConfig {
   /// (or drain_pipeline_all()) from the stack's thread to complete
   /// delivery. Pair with fbs.shards > 1 or workers will be clamped to the
   /// shard count.
+  /// The other PipelineConfig values keep their defaults.
   std::size_t pipeline_workers = 0;
   std::size_t pipeline_ingress_capacity = 1024;
-  std::size_t pipeline_egress_capacity = 4096;
-  /// Burst size for the pipeline's ring transfers and pooled buffers
-  /// (PipelineConfig::batch); 0 pool buffers means auto-sized.
-  std::size_t pipeline_batch = 32;
-  std::size_t pipeline_pool_buffers = 0;
-  std::size_t pipeline_pool_buffer_bytes = 2048;
 };
 
 class FbsIpMapping {

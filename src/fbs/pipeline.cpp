@@ -40,18 +40,14 @@ PipelineConfig normalized(PipelineConfig config, std::size_t shards) {
   if (config.workers == 0) config.workers = 1;
   if (config.workers > shards) config.workers = shards;
   if (config.batch == 0) config.batch = 1;
-  if (config.pool_buffers == 0) {
-    // Auto: two bursts of bodies per worker (one being filled, one riding
-    // the egress ring) plus a burst of slack for the drain lane.
-    config.pool_buffers = config.workers * config.batch * 2 + config.batch;
-  }
   return config;
 }
 
 util::BufferPoolConfig pool_config(const PipelineConfig& config) {
-  util::BufferPoolConfig pc;
-  pc.buffer_bytes = config.pool_buffer_bytes;
-  pc.slab_buffers = config.pool_buffers;
+  util::BufferPoolConfig pc;  // 2048-byte buffers
+  // Two bursts of bodies per worker (one being filled, one riding the
+  // egress ring) plus a burst of slack for the drain lane.
+  pc.slab_buffers = config.workers * config.batch * 2 + config.batch;
   pc.lanes = config.workers + 1;  // +1: the drain thread's recycle lane
   pc.lane_cap = config.batch * 2;
   return pc;

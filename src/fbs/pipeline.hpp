@@ -80,10 +80,6 @@ struct PipelineConfig {
   /// Max items moved per ring visit: the unit over which mutex acquisitions,
   /// condvar signals and egress pushes are amortized. 0 means 1.
   std::size_t batch = 32;
-  /// Buffer pool sizing for the per-worker body/wire recycling. 0 buffers
-  /// means auto: enough for every worker to keep two bursts in flight.
-  std::size_t pool_buffers = 0;
-  std::size_t pool_buffer_bytes = 2048;
 };
 
 /// Owns the worker pool, the rings and the buffer pool; borrows the

@@ -142,13 +142,12 @@ std::size_t UdpTransport::drain_socket() {
       ++counters_.rx_malformed;
       continue;
     }
-    if (config_.learn_peers) {
-      // The frame's IPv4 source is the peer's FBS-layer identity; the
-      // datagram's source sockaddr is where to reach it.
-      peers_.emplace(frame_addr_at(frame, kIpSrcOffset),
-                     pack_endpoint(ntohl(src.sin_addr.s_addr),
-                                   ntohs(src.sin_port)));
-    }
+    // Learn the peer: the frame's IPv4 source is its FBS-layer identity,
+    // the datagram's source sockaddr is where to reach it, so a responder
+    // needs no out-of-band peer table to answer.
+    peers_.emplace(frame_addr_at(frame, kIpSrcOffset),
+                   pack_endpoint(ntohl(src.sin_addr.s_addr),
+                                 ntohs(src.sin_port)));
     capture(frame_addr_at(frame, kIpSrcOffset),
             frame_addr_at(frame, kIpDstOffset), frame, /*outbound=*/false);
     ++rx_count_;

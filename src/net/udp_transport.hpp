@@ -41,9 +41,6 @@ struct UdpTransportConfig {
   /// socket buffer for the next pass. The frame buffers are reused from
   /// drain to drain.
   std::size_t recv_queue_frames = 1024;
-  /// Learn peer socket endpoints from the IPv4 source address of received
-  /// frames, so a responder needs no out-of-band peer table to answer.
-  bool learn_peers = true;
 };
 
 class UdpTransport final : public Transport {

@@ -20,7 +20,7 @@ struct Flow {
 };
 
 /// Build a burst of bodies with the given sizes, CBC-encrypt each with the
-/// scalar reference path, then check the batch planner both directions.
+/// scalar path, then check that the open planner recovers them.
 void check_burst(std::uint64_t seed, const std::vector<std::size_t>& sizes,
                  std::size_t flows) {
   util::SplitMix64 rng(seed);
@@ -63,20 +63,6 @@ void check_burst(std::uint64_t seed, const std::vector<std::size_t>& sizes,
       ASSERT_EQ(opened[i][k], pad) << "job " << i << " pad byte " << k;
     }
   }
-
-  // seal: batch-encrypt the bodies, expect the scalar ciphertexts.
-  std::vector<util::Bytes> sealed(sizes.size());
-  std::vector<CbcSealJob> seal_jobs;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const Flow& f = flow_set[owner[i]];
-    sealed[i].resize(CryptoBatch::padded_size(bodies[i].size()));
-    seal_jobs.push_back(CbcSealJob{&f.des, ivs[i], bodies[i],
-                                   sealed[i].data()});
-  }
-  batch.seal_cbc(seal_jobs);
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    ASSERT_EQ(sealed[i], ciphertexts[i]) << "job " << i;
-  }
 }
 
 TEST(CryptoBatch, SingleLargeDatagramSingleFlow) {
@@ -116,36 +102,6 @@ TEST(CryptoBatch, SubThresholdBurstFallsBackToScalar) {
   probe.open_cbc({&job, 1});
   EXPECT_EQ(probe.stats().bitsliced_blocks, 0u);
   EXPECT_EQ(probe.stats().scalar_blocks, 2u);
-}
-
-TEST(CryptoBatch, SealPlansByJobsNotBlocks) {
-  // One 1408 B job is 177 blocks but lights one lane: it must seal scalar.
-  util::SplitMix64 rng(10);
-  Flow f(rng.next_bytes(8));
-  const util::Bytes body = rng.next_bytes(1408);
-  util::Bytes out(CryptoBatch::padded_size(body.size()));
-  CryptoBatch one;
-  const CbcSealJob job{&f.des, 5, body, out.data()};
-  one.seal_cbc({&job, 1});
-  EXPECT_EQ(one.stats().bitsliced_blocks, 0u);
-  EXPECT_EQ(one.stats().scalar_blocks, out.size() / 8);
-  EXPECT_EQ(out, encrypt(f.des, CipherMode::kCbc, 5, body));
-
-  // Enough short jobs light enough lanes for the wide engine.
-  std::vector<util::Bytes> bodies, outs;
-  std::vector<CbcSealJob> jobs;
-  for (std::size_t i = 0; i < CryptoBatch::kSealMinJobs; ++i) {
-    bodies.push_back(rng.next_bytes(16));
-    outs.emplace_back(CryptoBatch::padded_size(16));
-  }
-  for (std::size_t i = 0; i < bodies.size(); ++i)
-    jobs.push_back(CbcSealJob{&f.des, i, bodies[i], outs[i].data()});
-  CryptoBatch many;
-  many.seal_cbc(jobs);
-  EXPECT_EQ(many.stats().scalar_blocks, 0u);
-  EXPECT_EQ(many.stats().bitsliced_blocks, 3u * jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    EXPECT_EQ(outs[i], encrypt(f.des, CipherMode::kCbc, i, bodies[i])) << i;
 }
 
 TEST(CryptoBatch, LargeBurstUsesBitsliceEngine) {
@@ -240,6 +196,55 @@ TEST(CryptoBatch, OpenMatchesScalarLoopOnRandomShapes) {
   }
   EXPECT_GT(batch.stats().bitsliced_blocks, 0u);
   EXPECT_GT(batch.stats().scalar_blocks, 0u);
+
+  // Fixed shapes whose scalar spill starts at a chosen place, each job
+  // checked against decrypt_into. One key and one full pass each, so the
+  // wide plan wins and the last total % kLanes blocks spill.
+  struct Shape {
+    const char* name;
+    std::vector<std::size_t> blocks;  // per job
+  };
+  const Shape shapes[] = {
+      {"spill starts mid-job", {100, 100, 76}},
+      {"spill starts at a job boundary", {128, 128, 30}},
+      {"spill follows zero-block jobs", {150, 106, 0, 0, 12, 0, 9}},
+  };
+  for (const Shape& shape : shapes) {
+    std::vector<util::Bytes> cts;
+    std::vector<util::Bytes> got;
+    std::vector<std::uint64_t> ivs;
+    std::size_t total = 0;
+    for (std::size_t n : shape.blocks) {
+      ivs.push_back(rng.next_u64());
+      // A body of 8n - 3 bytes pads to exactly n blocks.
+      cts.push_back(n == 0 ? util::Bytes{}
+                           : encrypt(flows[0].des, CipherMode::kCbc,
+                                     ivs.back(), rng.next_bytes(8 * n - 3)));
+      got.emplace_back(cts.back().size());
+      total += n;
+    }
+    std::vector<CbcOpenJob> jobs;
+    for (std::size_t j = 0; j < cts.size(); ++j)
+      jobs.push_back(CbcOpenJob{&flows[0].des, ivs[j], cts[j], got[j].data()});
+    CryptoBatch fixed;
+    fixed.open_cbc(jobs);
+    EXPECT_EQ(fixed.stats().passes, 1u) << shape.name;
+    EXPECT_EQ(fixed.stats().bitsliced_blocks, CryptoBatch::kLanes)
+        << shape.name;
+    EXPECT_EQ(fixed.stats().scalar_blocks, total - CryptoBatch::kLanes)
+        << shape.name;
+    for (std::size_t j = 0; j < cts.size(); ++j) {
+      if (cts[j].empty()) continue;
+      util::Bytes want;
+      ASSERT_TRUE(decrypt_into(flows[0].des, CipherMode::kCbc, ivs[j], cts[j],
+                               want))
+          << shape.name << ", job " << j;
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got[j].begin()))
+          << shape.name << ", job " << j;
+      for (std::size_t k = want.size(); k < got[j].size(); ++k)
+        ASSERT_EQ(got[j][k], 3u) << shape.name << ", job " << j;
+    }
+  }
 }
 
 TEST(CryptoBatch, SmallMultiKeyOpenPlansScalar) {
@@ -280,7 +285,6 @@ TEST(CryptoBatch, SmallMultiKeyOpenPlansScalar) {
 TEST(CryptoBatch, EmptyAndZeroBlockJobsAreSafe) {
   CryptoBatch batch;
   batch.open_cbc({});
-  batch.seal_cbc({});
   EXPECT_EQ(batch.stats().passes, 0u);
 }
 

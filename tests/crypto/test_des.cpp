@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "crypto/des_reference.hpp"
+#include "support/des_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {

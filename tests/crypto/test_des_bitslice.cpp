@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "crypto/des.hpp"
-#include "crypto/des_reference.hpp"
+#include "support/des_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {
@@ -53,13 +53,13 @@ TEST(DesBitslice, BroadcastKeyMatchesReferenceBothDirections) {
     DesBitslice bs;
     bs.set_all_lanes(Des(key).round_keys());
 
+    // The reference encrypts and the engine decrypts, so every lane must
+    // come back to its plaintext.
     std::uint64_t blocks[kLanes];
     std::uint64_t pt[kLanes];
-    for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = pt[i] = rng.next_u64();
-
-    bs.encrypt(blocks);
     for (std::size_t i = 0; i < kLanes; ++i) {
-      ASSERT_EQ(blocks[i], ref.encrypt_block(pt[i])) << "lane " << i;
+      pt[i] = rng.next_u64();
+      blocks[i] = ref.encrypt_block(pt[i]);
     }
     bs.decrypt(blocks);
     for (std::size_t i = 0; i < kLanes; ++i) {
@@ -82,16 +82,12 @@ TEST(DesBitslice, AllLanesDistinctKeysBulkLoad) {
   bs.set_lanes(ptrs);
 
   std::uint64_t blocks[kLanes];
-  std::uint64_t pt[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = pt[i] = rng.next_u64();
-  bs.encrypt(blocks);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    const DesReference ref(keys[i]);
-    ASSERT_EQ(blocks[i], ref.encrypt_block(pt[i])) << "lane " << i;
-  }
+  std::uint64_t ct[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = ct[i] = rng.next_u64();
   bs.decrypt(blocks);
   for (std::size_t i = 0; i < kLanes; ++i) {
-    ASSERT_EQ(blocks[i], pt[i]) << "lane " << i;
+    const DesReference ref(keys[i]);
+    ASSERT_EQ(blocks[i], ref.decrypt_block(ct[i])) << "lane " << i;
   }
 }
 
@@ -106,14 +102,14 @@ TEST(DesBitslice, SetLaneRekeysOneLaneOnly) {
   bs.set_lane(63, other);
 
   std::uint64_t blocks[kLanes];
-  std::uint64_t pt[kLanes];
-  for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = pt[i] = rng.next_u64();
-  bs.encrypt(blocks);
+  std::uint64_t ct[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = ct[i] = rng.next_u64();
+  bs.decrypt(blocks);
   const DesReference base_ref(base_key);
   const DesReference other_ref(other_key);
   for (std::size_t i = 0; i < kLanes; ++i) {
     const DesReference& ref = (i == 7 || i == 63) ? other_ref : base_ref;
-    ASSERT_EQ(blocks[i], ref.encrypt_block(pt[i])) << "lane " << i;
+    ASSERT_EQ(blocks[i], ref.decrypt_block(ct[i])) << "lane " << i;
   }
 }
 
@@ -136,11 +132,11 @@ TEST(DesBitslice, MonteCarloChainPerLane) {
   std::uint64_t blocks[kLanes];
   std::uint64_t seed[kLanes];
   for (std::size_t i = 0; i < kLanes; ++i) blocks[i] = seed[i] = rng.next_u64();
-  for (int iter = 0; iter < 1000; ++iter) bs.encrypt(blocks);
+  for (int iter = 0; iter < 1000; ++iter) bs.decrypt(blocks);
   for (std::size_t i = 0; i < kLanes; ++i) {
     const DesReference ref(keys[i]);
     std::uint64_t v = seed[i];
-    for (int iter = 0; iter < 1000; ++iter) v = ref.encrypt_block(v);
+    for (int iter = 0; iter < 1000; ++iter) v = ref.decrypt_block(v);
     ASSERT_EQ(blocks[i], v) << "lane " << i;
   }
 }

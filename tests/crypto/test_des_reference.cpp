@@ -7,7 +7,7 @@
 // every round's Li/Ri), round-by-round agreement between the two
 // implementations on random inputs, and NIST-style Monte Carlo chains where
 // a single wrong bit anywhere compounds across 1,000 blocks.
-#include "crypto/des_reference.hpp"
+#include "support/des_reference.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "crypto/fused.hpp"
+#include "support/fused.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,8 +6,10 @@
 #   tools/check.sh --bench-smoke  # Release build, run the crypto + fig8 +
 #                                 # parallel + keying-ablation benches'
 #                                 # self-timed passes and diff their gauges
-#                                 # against the BENCH_seed.json baseline
-#                                 # (regressions exit non-zero)
+#                                 # against the BENCH_seed.json baseline;
+#                                 # every step runs, then the failed ones
+#                                 # (regressions, gates) are named and the
+#                                 # exit status is non-zero
 #   tools/check.sh --fuzz-smoke   # ASan+UBSan build, replay the regression
 #                                 # corpus and run every deterministic fuzz
 #                                 # driver with a raised iteration budget
@@ -36,7 +38,8 @@
 #                                 # expiry / memory-ceiling gates asserted
 #   FBS_CHECK_JOBS=8 tools/check.sh   # override parallelism (default: nproc)
 #
-# Exit status is non-zero as soon as any step fails.
+# Exit status is non-zero as soon as any step fails (--bench-smoke runs all
+# of its benches and the compare step first).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,31 +67,49 @@ if [ "${1:-}" = "--bench-smoke" ]; then
              fbs_bench_parallel_throughput fbs_bench_ablation_keying
   OUT_DIR="$BUILD_DIR/bench-smoke"
   mkdir -p "$OUT_DIR"
-  echo "== bench_crypto =="
-  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_crypto.json" \
-    "$BUILD_DIR/bench/fbs_bench_crypto" --benchmark_filter='$^'
-  echo "== bench_fig8_throughput =="
-  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_fig8_throughput.json" \
-    "$BUILD_DIR/bench/fbs_bench_fig8_throughput" --benchmark_filter='$^'
-  echo "== bench_parallel_throughput =="
-  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_parallel_throughput.json" \
-    "$BUILD_DIR/bench/fbs_bench_parallel_throughput"
-  echo "== bench_ablation_keying =="
-  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_ablation_keying.json" \
-    "$BUILD_DIR/bench/fbs_bench_ablation_keying" --benchmark_filter='$^'
-  echo "== combine snapshots =="
-  python3 - "$OUT_DIR" <<'EOF'
+  rm -f "$OUT_DIR"/*.json
+  # Every bench and the compare step run even when an earlier step fails
+  # (bench_parallel_throughput exits 1 when its own acceptance misses), so
+  # each run reports every --require gate; the failed steps are named at
+  # the end and make the exit status 1.
+  FAILED=""
+  step() {
+    name="$1"
+    shift
+    echo "== $name =="
+    if ! "$@"; then
+      echo "== $name FAILED =="
+      FAILED="$FAILED $name"
+    fi
+  }
+  run_bench() {
+    bench="fbs_$1"
+    shift
+    FBS_METRICS_OUT="$OUT_DIR/$bench.json" "$BUILD_DIR/bench/$bench" "$@"
+  }
+  step bench_crypto run_bench bench_crypto --benchmark_filter='$^'
+  step bench_fig8_throughput run_bench bench_fig8_throughput \
+    --benchmark_filter='$^'
+  step bench_parallel_throughput run_bench bench_parallel_throughput
+  step bench_ablation_keying run_bench bench_ablation_keying \
+    --benchmark_filter='$^'
+  # A bench that died without writing its snapshot is left out; its gauges
+  # then read as missing, and its gates fail, in the compare step.
+  step "combine snapshots" python3 - "$OUT_DIR" <<'EOF'
 import json, sys, os
 out_dir = sys.argv[1]
 combined = {}
 for name in ("fbs_bench_crypto", "fbs_bench_fig8_throughput",
              "fbs_bench_parallel_throughput", "fbs_bench_ablation_keying"):
-    with open(os.path.join(out_dir, name + ".json")) as f:
+    path = os.path.join(out_dir, name + ".json")
+    if not os.path.exists(path):
+        print(f"no snapshot from {name}")
+        continue
+    with open(path) as f:
         combined[name] = json.load(f)
 with open(os.path.join(out_dir, "current.json"), "w") as f:
     json.dump(combined, f, indent=1)
 EOF
-  echo "== compare against BENCH_seed.json =="
   # Besides the relative diff, assert the absolute acceptance gates: crit
   # speedup @4 workers and the hardware-aware wall gate (wall speedup @8
   # normalized by what this host's core count makes achievable; see
@@ -100,12 +121,18 @@ EOF
   # emit_metrics there). The open planner must never plan a small
   # multi-key burst (16 jobs x 44 blocks under 8 keys) slower than the
   # scalar loop: the lane-keying trap gate.
-  python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" --all \
+  step "compare against BENCH_seed.json" \
+    python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" \
+    --all \
     --require "fbs_bench_parallel_throughput:parallel.speedup4=3.0" \
     --require "fbs_bench_parallel_throughput:parallel.wall_gate=1.0" \
     --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0" \
     --require "fbs_bench_crypto:crypto.keyed_md5_batch_speedup=3.0" \
     --require "fbs_bench_crypto:crypto.des_open_multikey_speedup=1.0"
+  if [ -n "$FAILED" ]; then
+    echo "Bench smoke failed:$FAILED"
+    exit 1
+  fi
   echo "Bench smoke passed."
   exit 0
 fi
