@@ -410,6 +410,29 @@ void emit_metrics() {
     reg.gauge("crypto.keyed_md5_batch8.kBps").set(bytes / 1000.0 / best_batch);
     reg.gauge("crypto.keyed_md5_batch_speedup").set(best_scalar / best_batch);
   }
+  // The send side's seal burst: four 177-block (1416 B) CBC-encrypt chains
+  // under one flow key, the bulk_1408 shape, interleaved by
+  // cbc_encrypt_chains against the same four run one after the other on
+  // the one-chain loop (encrypt_into's kCbc case).
+  {
+    const crypto::Des seal_des(buffer_of(8));
+    std::vector<util::Bytes> bodies(crypto::kCbcLanes, buffer_of(177 * 8));
+    std::vector<crypto::CbcChain<crypto::Des>> chains;
+    for (std::size_t i = 0; i < bodies.size(); ++i)
+      chains.push_back({&seal_des, 42 + i, bodies[i].data(), 177});
+    const auto one_chain = [&] {
+      for (const auto& c : chains)
+        crypto::cbc_encrypt_blocks(*c.cipher, c.iv, c.data, c.blocks);
+    };
+    double best_chains = 1e30, best_one = 1e30;
+    for (int rep = 0; rep < 8; ++rep) {
+      best_one = std::min(best_one, time_leg(one_chain));
+      best_chains = std::min(best_chains, time_leg([&] {
+        crypto::cbc_encrypt_chains<crypto::Des>(chains);
+      }));
+    }
+    reg.gauge("crypto.des_cbc_seal4_speedup").set(best_one / best_chains);
+  }
   // Burst-width sweep: how quickly the transpose + key-load overhead
   // amortizes as lanes light up (batch=1 still splits one datagram's 183
   // blocks across lanes -- see DESIGN.md 5h).

@@ -93,6 +93,9 @@ int main() {
 
   // Warm the flow (key derivation + directory fetch off the clock).
   a.udp->send(b.address, 4000, 9000, payload);
+  // A never polls its own socket, so nothing drains its seal queue but a
+  // full queue or a flush: hand each datagram it holds to B explicitly.
+  a.stack->flush();
   while (delivered < 1) b.transport->poll(util::TimeUs{5'000});
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -102,6 +105,7 @@ int main() {
     // the poll itself is part of the measured receive cost.
     if (i % 16 == 0) b.transport->poll(util::TimeUs{0});
   }
+  a.stack->flush();  // a partly filled last queue
   const auto deadline = t0 + std::chrono::seconds(30);
   while (delivered < kCount &&
          std::chrono::steady_clock::now() < deadline) {

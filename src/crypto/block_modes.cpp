@@ -51,11 +51,7 @@ void encrypt_into(const Cipher& cipher, CipherMode mode, std::uint64_t iv,
     }
     case CipherMode::kCbc: {
       detail::pkcs7_pad_into(plaintext, out);
-      std::uint64_t chain = iv;
-      for (std::size_t off = 0; off < out.size(); off += kBlock) {
-        chain = cipher.encrypt_block(Des::load_be64(&out[off]) ^ chain);
-        Des::store_be64(chain, &out[off]);
-      }
+      cbc_encrypt_blocks(cipher, iv, out.data(), out.size() / kBlock);
       return;
     }
     case CipherMode::kCfb:

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 
 #include "crypto/des.hpp"
 #include "util/bytes.hpp"
@@ -69,6 +70,116 @@ inline void cbc_decrypt_blocks(const Cipher& cipher, std::uint64_t chain,
   }
 }
 
+/// The one scalar CBC-encrypt loop: `blocks` whole blocks at `data`
+/// (plaintext already padded) encrypted in place, chained from `iv`. Runs
+/// encrypt_into's kCbc case and the last lane of cbc_encrypt_chains.
+template <class Cipher>
+inline void cbc_encrypt_blocks(const Cipher& cipher, std::uint64_t iv,
+                               std::uint8_t* data, std::size_t blocks) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    iv = cipher.encrypt_block(Des::load_be64(data) ^ iv);
+    Des::store_be64(iv, data);
+    data += Des::kBlockSize;
+  }
+}
+
+/// One message for cbc_encrypt_chains: `blocks` whole blocks at `data`
+/// (plaintext already padded), encrypted in place under `*cipher` from
+/// `iv`.
+template <class Cipher>
+struct CbcChain {
+  const Cipher* cipher = nullptr;
+  std::uint64_t iv = 0;
+  std::uint8_t* data = nullptr;
+  std::size_t blocks = 0;
+};
+
+/// Most chains cbc_encrypt_chains runs interleaved. One CBC-encrypt chain
+/// is a chain of dependent table loads; four fill the out-of-order window
+/// (EXPERIMENTS.md), and eight gained nothing more.
+inline constexpr std::size_t kCbcLanes = 4;
+
+namespace detail {
+
+inline std::uint64_t load_be(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = v << 8 | p[i];
+  return v;
+}
+
+inline void store_be(std::uint64_t v, std::uint8_t* p) {
+  for (int i = 7; i >= 0; --i) {
+    p[i] = static_cast<std::uint8_t>(v);
+    v >>= 8;
+  }
+}
+
+template <class Cipher>
+struct CbcLane {
+  const Cipher* cipher;
+  std::uint64_t chain;
+  std::uint8_t* data;
+  std::size_t left;  // blocks still to encrypt
+};
+
+/// Run lanes [0, W) together until the shortest of them ends.
+template <std::size_t W, class Cipher>
+inline void cbc_encrypt_lanes(CbcLane<Cipher>* lanes) {
+  const Cipher* keys[W];
+  std::size_t steps = lanes[0].left;
+  for (std::size_t c = 0; c < W; ++c) {
+    keys[c] = lanes[c].cipher;
+    steps = lanes[c].left < steps ? lanes[c].left : steps;
+  }
+  for (std::size_t s = 0; s < steps; ++s) {
+    std::uint64_t blocks[W];
+    for (std::size_t c = 0; c < W; ++c)
+      blocks[c] = load_be(lanes[c].data) ^ lanes[c].chain;
+    Cipher::template encrypt_lanes<W>(keys, blocks);
+    for (std::size_t c = 0; c < W; ++c) {
+      lanes[c].chain = blocks[c];
+      store_be(blocks[c], lanes[c].data);
+      lanes[c].data += Des::kBlockSize;
+    }
+  }
+  for (std::size_t c = 0; c < W; ++c) lanes[c].left -= steps;
+}
+
+}  // namespace detail
+
+/// CBC-encrypt independent messages together -- the send side's burst,
+/// where every datagram is its own chain under its own confounder IV, in
+/// any mix of keys and lengths. Up to kCbcLanes chains run interleaved
+/// through Cipher::encrypt_lanes; a lane whose message ends takes the next
+/// one. With fewer than four left, two run as a pair, and a last one runs
+/// alone on cbc_encrypt_blocks. Bit-exact with encrypt_into's kCbc case on
+/// each padded message. A header template like cbc_decrypt_blocks, so it
+/// compiles under the kernel flags: instantiated for Des in cbc_chains.cpp.
+template <class Cipher>
+void cbc_encrypt_chains(std::span<const CbcChain<Cipher>> chains) {
+  detail::CbcLane<Cipher> lanes[kCbcLanes];
+  std::size_t live = 0;
+  std::size_t next = 0;
+  for (;;) {
+    while (live < kCbcLanes && next < chains.size()) {
+      const CbcChain<Cipher>& c = chains[next++];
+      if (c.blocks > 0) lanes[live++] = {c.cipher, c.iv, c.data, c.blocks};
+    }
+    if (live < 2) break;
+    if (live == kCbcLanes)
+      detail::cbc_encrypt_lanes<kCbcLanes>(lanes);
+    else
+      detail::cbc_encrypt_lanes<2>(lanes);
+    std::size_t kept = 0;
+    for (std::size_t c = 0; c < live; ++c)
+      if (lanes[c].left > 0) lanes[kept++] = lanes[c];
+    live = kept;
+  }
+  if (live == 1)
+    cbc_encrypt_blocks(*lanes[0].cipher, lanes[0].chain, lanes[0].data,
+                       lanes[0].left);
+}
+
 /// Encrypt into a caller-owned buffer, reusing its capacity: `out` is
 /// resized to the ciphertext length and allocates only if it has never held
 /// a datagram this large. `plaintext` must not alias `out`. ECB and CBC
@@ -111,6 +222,8 @@ extern template bool decrypt_into<Des>(const Des&, CipherMode, std::uint64_t,
 extern template void encrypt_into<Des3>(const Des3&, CipherMode,
                                         std::uint64_t, util::BytesView,
                                         util::Bytes&);
+extern template void cbc_encrypt_chains<Des>(
+    std::span<const CbcChain<Des>>);
 extern template bool decrypt_into<Des3>(const Des3&, CipherMode,
                                         std::uint64_t, util::BytesView,
                                         util::Bytes&);

@@ -23,7 +23,8 @@
 // uses; there is one schedule per key. The bit-at-a-time transcription of
 // the standard survives as the test oracle DesReference
 // (tests/support/des_reference.hpp) and the two are tested bit-exact round
-// by round.
+// by round. The round itself lives in des_round.hpp, which the interleaved
+// CBC-encrypt kernel shares.
 #pragma once
 
 #include <array>
@@ -60,6 +61,14 @@ class Des {
   std::uint64_t decrypt_block(std::uint64_t block) const;
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
+
+  /// Encrypt blocks[c] under *keys[c] for each of L lanes with the lanes'
+  /// rounds interleaved, so their table loads overlap where one block's
+  /// are a single dependent chain. Bit-exact with encrypt_block. Defined
+  /// in des_round.hpp, for the kernel file that runs the interleaved
+  /// CBC-encrypt chains (block_modes.hpp, cbc_encrypt_chains).
+  template <std::size_t L>
+  static void encrypt_lanes(const Des* const* keys, std::uint64_t* blocks);
 
   /// Per-round intermediate values (FIPS 46 notation): l[0]/r[0] are L0/R0
   /// (after IP), l[i]/r[i] are Li/Ri after round i. For tests comparing

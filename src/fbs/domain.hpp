@@ -13,13 +13,15 @@
 // wear-out counters, FST gap detection) exactly as strong as in the
 // single-threaded engine.
 //
-// Locking contract: FlowDomain::mu is held for the ENTIRE protect or
-// unprotect of a datagram touching that domain. One lock for the whole
-// operation is what makes the replay check+commit pair a single atomic
-// step per shard (see replay.hpp) and keeps the per-flow MacContext safe
-// to mutate. The lock is uncontended unless two threads genuinely race on
-// the same flow's shard; its cost is nanoseconds against the tens of
-// microseconds of per-datagram cryptography.
+// Locking contract: FlowDomain::mu is held for the ENTIRE admit of an
+// outgoing datagram and the ENTIRE unprotect of a receive group touching
+// that domain. One lock for the whole operation is what makes the replay
+// check+commit pair a single atomic step per shard (see replay.hpp) and
+// keeps the per-flow MacContext safe to mutate; the seal runs outside it,
+// on the copy of the flow's context the admit took (SealItem). The lock is
+// uncontended unless two threads genuinely race on the same flow's shard;
+// its cost is nanoseconds against the tens of microseconds of
+// per-datagram cryptography.
 //
 // Everything here is soft state, exactly as in the unsharded engine:
 // clearing any domain at any moment merely costs re-derivation.
@@ -35,6 +37,7 @@
 
 #include "crypto/algorithms.hpp"
 #include "crypto/batch.hpp"
+#include "crypto/block_modes.hpp"
 #include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
 #include "fbs/fam.hpp"
@@ -186,6 +189,22 @@ inline constexpr std::size_t kMacPrefixSize = 10;
 /// Room for any MAC tag we produce (MD5 = 16, SHA-1 = 20).
 inline constexpr std::size_t kMaxMacSize = 64;
 
+/// One datagram between FbsEndpoint::admit and FbsEndpoint::seal_burst_into.
+/// Admit fills the header (all but the MAC) and a copy of the flow's
+/// crypto context: its own Des/Des3 schedule and MacContext, never a
+/// pointer into the TFKC or the combined table, so a later admit may evict
+/// or rekey the flow's entry before this datagram is sealed. The context
+/// holds no heap memory, so parking one allocates nothing.
+struct SealItem {
+  FbsHeaderView header;      // sfl, confounder, timestamp, suite, secret
+  FlowCryptoContext crypto;  // the flow's cipher and MAC state, copied
+  std::size_t shard = 0;     // the admitting domain (for stage tracing)
+  util::BytesView body;      // the plaintext; must outlive the seal
+  util::Bytes* wire_out = nullptr;  // receives FBSheader || body
+  std::array<std::uint8_t, kMacPrefixSize> mac_prefix{};  // MAC job input
+  std::array<std::uint8_t, kMaxMacSize> tag{};            // MAC job output
+};
+
 /// Per-worker scratch making protect_into/unprotect_into re-entrant: every
 /// buffer the single-threaded engine kept as an endpoint member now travels
 /// with the calling thread. One WorkContext per concurrent caller; reusing
@@ -222,18 +241,30 @@ class WorkContext {
     FlowKey key{};  // the flow key fctx was built from, for a rebuild
     bool grouped = false;
     bool batched = false;  // decrypted by open_cbc, padding not yet checked
+    /// fctx was derived for this group and is not in the RFKC: it enters
+    /// it when this datagram is accepted.
+    bool derived = false;
+    /// fctx came from an earlier datagram's derivation in this group; the
+    /// RFKC lookup this datagram would have made alone runs at commit.
+    bool follows = false;
+    bool verified = false;  // reached the MAC check: tag and tag_size set
+    std::size_t tag_size = 0;
     std::array<std::uint8_t, kMacPrefixSize> mac_prefix{};  // MAC job input
     std::array<std::uint8_t, kMaxMacSize> tag{};  // the MAC job's output
   };
   std::vector<ReceiveSlot> recv_slots;
   std::vector<crypto::CbcOpenJob> open_jobs;
   std::vector<crypto::MacJob> mac_jobs;
-  /// Flow contexts rebuilt for one locked receive group: an RFKC entry
-  /// evicted by a later datagram of the same chunk, or a cached flow seen
-  /// under a different header suite (the cached context is never re-suited
-  /// from an unauthenticated header).
-  /// Capacity is reserved to kBurstChunk on first use so pointers into it
-  /// stay valid for the whole group; emptied when the group ends.
+  /// Seal-burst scratch (FbsEndpoint::seal_burst_into): the burst's
+  /// DES-CBC bodies as interleaved chains. Its MAC jobs reuse mac_jobs.
+  std::vector<crypto::CbcChain<crypto::Des>> seal_chains;
+  /// Flow contexts built for one locked receive group: one derived on an
+  /// RFKC miss (it enters the RFKC only when its datagram is accepted), or
+  /// a flow seen under a different header suite than its context's (a
+  /// cached or derived context is never re-suited from an unauthenticated
+  /// header). At most one per datagram; capacity is reserved to
+  /// kBurstChunk on first use so pointers into it stay valid for the
+  /// whole group; emptied when the group ends.
   std::vector<FlowCryptoContext> rebuilt;
 };
 

@@ -260,15 +260,15 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
                         dom.tfkc.insert(ctx.key, std::move(fctx)));
 }
 
-bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
-                               bool secret, util::Bytes& wire_out) {
-  wire_out.clear();
+bool FbsEndpoint::admit(WorkContext& ctx, const Datagram& d, bool secret,
+                        SealItem& item) {
   d.attrs.encode_into(ctx.attrs);
-  FlowDomain& dom =
-      *domains_[shard_index(util::flow_hash64(ctx.attrs, kSendShardSeed))];
-  // One lock for the whole datagram: flow resolution, key wear-out
-  // accounting, confounder draw, MAC/cipher (the per-flow MacContext is
-  // mutable state), and stats all belong to this domain.
+  const std::size_t shard =
+      shard_index(util::flow_hash64(ctx.attrs, kSendShardSeed));
+  FlowDomain& dom = *domains_[shard];
+  // One lock for everything that reads or writes flow state: flow
+  // resolution, key wear-out accounting, confounder draw, stats. The seal
+  // works on the copied context alone.
   std::lock_guard<std::mutex> lock(dom.mu);
 
   auto classify_timer = dom.tracer.start(obs::Stage::kSendClassify);
@@ -280,48 +280,125 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   }
   const auto& [sfl, fctx] = *flow;
 
-  FbsHeaderView header;
+  FbsHeaderView& header = item.header;
+  header = FbsHeaderView{};
   header.suite = config_.suite;
   header.sfl = sfl;
   header.confounder = dom.confounder_gen.step32();
   header.timestamp_minutes = util::to_header_minutes(clock_.now());
   header.secret =
       secret && config_.suite.cipher != crypto::CipherAlgorithm::kNone;
-
-  std::uint8_t prefix[kMacPrefixSize];
-  mac_prefix_into(header.flags_byte(), header.suite_byte(),
-                  header.confounder, header.timestamp_minutes, prefix);
-  std::uint8_t mac_buf[kMaxMacSize];
-  const std::size_t mac_n = fctx->mac.mac_size();
-
-  // (S6) the MAC covers the plaintext body, then (S8-9) the body is
-  // encrypted under the confounder IV.
-  {
-    auto mac_timer = dom.tracer.start(obs::Stage::kSendMac);
-    fctx->mac.begin();
-    fctx->mac.update({prefix, kMacPrefixSize});
-    fctx->mac.update(d.body);
-    fctx->mac.finish_into(mac_buf);
-  }
-  util::BytesView body = d.body;
-  if (header.secret) {
-    auto cipher_timer = dom.tracer.start(obs::Stage::kSendCipher);
-    const auto mode = *crypto::cipher_mode(config_.suite.cipher);
-    const std::uint64_t iv = confounder_iv(header.confounder);
-    if (fctx->des3)
-      crypto::encrypt_into(*fctx->des3, mode, iv, d.body, ctx.body);
-    else
-      crypto::encrypt_into(*fctx->des, mode, iv, d.body, ctx.body);
-    body = ctx.body;
-    ++dom.send_stats.encrypted;
-  }
-  header.mac = {mac_buf, mac_n};
-
+  item.crypto = *fctx;
+  item.shard = shard;
+  item.body = d.body;
+  if (header.secret) ++dom.send_stats.encrypted;
   ++dom.send_stats.datagrams;
-  auto wire_timer = dom.tracer.start(obs::Stage::kSendWire);
-  wire_out.reserve(FbsHeader::kFixedSize + mac_n + body.size());
-  header.serialize_into(wire_out);
-  wire_out.insert(wire_out.end(), body.begin(), body.end());
+  return true;
+}
+
+std::size_t FbsEndpoint::wire_size(const SealItem& item) {
+  const FbsHeaderView& h = item.header;
+  std::size_t body = item.body.size();
+  if (h.secret && h.suite.cipher != crypto::CipherAlgorithm::kDesCfb &&
+      h.suite.cipher != crypto::CipherAlgorithm::kDesOfb)
+    body += crypto::Des::kBlockSize - body % crypto::Des::kBlockSize;
+  return FbsHeader::kFixedSize + item.crypto.mac.mac_size() + body;
+}
+
+void FbsEndpoint::seal_burst_into(WorkContext& ctx,
+                                  std::span<SealItem> items) {
+  const std::size_t n = items.size();
+  if (n == 0) return;
+  if (ctx.mac_jobs.size() < n) ctx.mac_jobs.resize(n);
+  // Stage clocks, read only when tracing.
+  const bool tracing = config_.trace_stages;
+  using Clock = std::chrono::steady_clock;
+  const auto now = [&] { return tracing ? Clock::now() : Clock::time_point{}; };
+  const auto since_ns = [&](Clock::time_point from) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now() - from)
+            .count());
+  };
+
+  // (S6) the MAC covers the plaintext body: one MacBatch over the burst,
+  // each job on the datagram's own copy of its flow's MacContext.
+  Clock::time_point start = now();
+  for (std::size_t i = 0; i < n; ++i) {
+    SealItem& it = items[i];
+    const FbsHeaderView& h = it.header;
+    mac_prefix_into(h.flags_byte(), h.suite_byte(), h.confounder,
+                    h.timestamp_minutes, it.mac_prefix.data());
+    ctx.mac_jobs[i] = crypto::MacJob{&it.crypto.mac, it.mac_prefix, it.body,
+                                     it.tag.data()};
+  }
+  ctx.mac_batch.compute({ctx.mac_jobs.data(), n});
+  const double mac_ns = since_ns(start);
+
+  // The wire: header and MAC, then the body. (S8-9) secret bodies are
+  // encrypted under the confounder IV: DES-CBC ones are padded in place in
+  // the wire and encrypted below as interleaved chains; other ciphers
+  // encrypt inline.
+  double cipher_ns = 0;
+  bool any_secret = false;
+  start = now();
+  ctx.seal_chains.clear();
+  for (SealItem& it : items) {
+    FbsHeaderView& h = it.header;
+    h.mac = {it.tag.data(), it.crypto.mac.mac_size()};
+    util::Bytes& wire = *it.wire_out;
+    wire.clear();
+    wire.reserve(wire_size(it));
+    h.serialize_into(wire);
+    if (!h.secret) {
+      wire.insert(wire.end(), it.body.begin(), it.body.end());
+      continue;
+    }
+    any_secret = true;
+    const std::uint64_t iv = confounder_iv(h.confounder);
+    if (it.crypto.des && h.suite.cipher == crypto::CipherAlgorithm::kDesCbc) {
+      const std::size_t off = wire.size();
+      wire.insert(wire.end(), it.body.begin(), it.body.end());
+      const std::size_t pad =
+          crypto::Des::kBlockSize - it.body.size() % crypto::Des::kBlockSize;
+      wire.insert(wire.end(), pad, static_cast<std::uint8_t>(pad));
+      ctx.seal_chains.push_back(
+          {&*it.crypto.des, iv, wire.data() + off,
+           (wire.size() - off) / crypto::Des::kBlockSize});
+      continue;
+    }
+    const Clock::time_point cipher_start = now();
+    const auto mode = *crypto::cipher_mode(h.suite.cipher);
+    if (it.crypto.des3)
+      crypto::encrypt_into(*it.crypto.des3, mode, iv, it.body, ctx.body);
+    else
+      crypto::encrypt_into(*it.crypto.des, mode, iv, it.body, ctx.body);
+    wire.insert(wire.end(), ctx.body.begin(), ctx.body.end());
+    cipher_ns += since_ns(cipher_start);
+  }
+  const double wire_ns = since_ns(start) - cipher_ns;
+  if (!ctx.seal_chains.empty()) {
+    start = now();
+    crypto::cbc_encrypt_chains<crypto::Des>(ctx.seal_chains);
+    cipher_ns += since_ns(start);
+  }
+
+  // Stage times are per burst: the totals stay per-datagram sums.
+  if (tracing) {
+    FlowDomain& dom = *domains_[items.front().shard];
+    std::lock_guard<std::mutex> lock(dom.mu);
+    dom.tracer.record(obs::Stage::kSendMac, mac_ns);
+    if (any_secret) dom.tracer.record(obs::Stage::kSendCipher, cipher_ns);
+    dom.tracer.record(obs::Stage::kSendWire, wire_ns);
+  }
+}
+
+bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
+                               bool secret, util::Bytes& wire_out) {
+  wire_out.clear();
+  SealItem item;
+  if (!admit(ctx, d, secret, item)) return false;
+  item.wire_out = &wire_out;
+  seal_burst_into(ctx, {&item, 1});
   return true;
 }
 
@@ -391,6 +468,9 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     s.shard = recv_shard_of(*items[i].source, s.header ? s.header->sfl : 0);
     s.grouped = false;
     s.batched = false;
+    s.derived = false;
+    s.follows = false;
+    s.verified = false;
     s.fctx = nullptr;
   }
 
@@ -438,18 +518,22 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     }
 
     // (R5-6) recover each flow's crypto context (RFKC-cached: a hit returns
-    // the ready DES schedule and keyed MAC state). Every RFKC insert of the
-    // group happens first. An insert may evict or move the entries earlier
-    // datagrams resolved to, so datagrams before the group's last insert
-    // re-take their pointer by a peek, which cannot evict; from then on the
-    // pointers stay valid to the end of the group. A context that is gone
-    // (set collision) is rebuilt into ctx.rebuilt for this group alone, and
-    // so is one whose suite differs from the datagram's header: the suite
-    // byte is not yet authenticated, so it never changes a cached context.
-    // A rebuild starts from the flow key the first pass kept in the slot,
-    // so every datagram derives (and counts) at most one key, as it would
-    // arriving alone. derive() makes a flow key from the master key
-    // (counted); nullopt rejects the datagram as from an unknown peer.
+    // the ready DES schedule and keyed MAC state). Nothing unauthenticated
+    // changes the RFKC: a miss derives the flow key (counted) into a
+    // context in ctx.rebuilt, which enters the RFKC in the commit pass
+    // below, and only if its datagram is accepted -- a forged sfl from a
+    // known source costs a derivation but evicts nobody. A later datagram
+    // of the group with the same (sfl, source) follows that context
+    // instead of deriving again; its RFKC lookup is replayed at commit,
+    // after the datagrams before it have committed, so it counts a hit
+    // or a miss and derivation exactly as it would arriving alone. With no
+    // insert before the commit pass, every pointer taken here stays valid
+    // through the MAC check. A context whose suite differs from the
+    // datagram's header -- the suite byte is not yet authenticated -- is
+    // rebuilt from the flow key into ctx.rebuilt for this datagram alone
+    // and never re-suits a cached one. derive() makes a flow key from the
+    // master key (counted); nullopt rejects the datagram as from an
+    // unknown peer.
     const auto derive = [&](std::size_t j) -> std::optional<FlowKey> {
       if (!keys_.master_key_into(*items[j].source, ctx.master)) {
         items[j].outcome = reject(dom, ReceiveError::kUnknownPeer);
@@ -459,40 +543,40 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       return derive_flow_key(ctx.kdf_hash, slot[j].header->sfl, ctx.master,
                              *items[j].source, self_);
     };
-    std::size_t pos = 0;
-    std::size_t first_valid = 0;  // live position of the last insert
+    const auto build = [&](const FlowKey& key, crypto::AlgorithmSuite suite) {
+      ctx.rebuilt.reserve(kBurstChunk);  // pointers into it must not move
+      return &ctx.rebuilt.emplace_back(
+          make_flow_crypto_context(key, suite, suite_mac(suite.mac)));
+    };
+    std::size_t leads[kBurstChunk];  // datagrams that derived, in order
+    std::size_t nleads = 0;
     nlive = retain(live, nlive, [&](std::size_t j) {
-      const FbsHeaderView& h = *slot[j].header;
+      WorkContext::ReceiveSlot& s = slot[j];
+      const FbsHeaderView& h = *s.header;
       auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
+      for (std::size_t k = 0; k < nleads; ++k) {
+        const WorkContext::ReceiveSlot& lead = slot[leads[k]];
+        if (lead.header->sfl != h.sfl ||
+            *items[leads[k]].source != *items[j].source)
+          continue;
+        s.key = lead.key;
+        s.fctx = lead.fctx->suite == h.suite ? lead.fctx
+                                             : build(s.key, h.suite);
+        s.derived = s.follows = true;
+        return true;
+      }
       cache_key_into(h.sfl, *items[j].source, self_, ctx.key);
       if (auto* cached = dom.rfkc.lookup(ctx.key)) {
-        slot[j].fctx = cached;
-        slot[j].key = cached->key;
-        ++pos;
+        s.key = cached->key;
+        s.fctx = cached->suite == h.suite ? cached : build(s.key, h.suite);
         return true;
       }
       const auto key = derive(j);
       if (!key) return false;
-      slot[j].key = *key;
-      slot[j].fctx = dom.rfkc.insert(
-          ctx.key,
-          make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
-      first_valid = pos++;
-      return true;
-    });
-    pos = 0;
-    nlive = retain(live, nlive, [&](std::size_t j) {
-      const FbsHeaderView& h = *slot[j].header;
-      FlowCryptoContext*& fctx = slot[j].fctx;
-      if (pos++ < first_valid) {
-        cache_key_into(h.sfl, *items[j].source, self_, ctx.key);
-        fctx = const_cast<FlowCryptoContext*>(dom.rfkc.peek(ctx.key));
-      }
-      if (fctx && fctx->suite == h.suite) return true;
-      auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
-      ctx.rebuilt.reserve(kBurstChunk);
-      fctx = &ctx.rebuilt.emplace_back(make_flow_crypto_context(
-          slot[j].key, h.suite, suite_mac(h.suite.mac)));
+      s.key = *key;
+      s.fctx = build(s.key, h.suite);
+      s.derived = true;
+      leads[nleads++] = j;
       return true;
     });
 
@@ -558,31 +642,50 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
                       h.timestamp_minutes, s.mac_prefix.data());
       ctx.mac_jobs[nmac++] =
           crypto::MacJob{&s.fctx->mac, s.mac_prefix, body, s.tag.data()};
+      s.tag_size = s.fctx->mac.mac_size();
+      s.verified = true;
       return true;
     });
     if (nmac > 0) {
       auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
       ctx.mac_batch.compute({ctx.mac_jobs.data(), nmac});
     }
-    for (std::size_t k = 0; k < nlive; ++k) {
-      const std::size_t j = live[k];
+
+    // Commit, over the whole group in submission order: a follower's
+    // replayed RFKC lookup, then for each MAC-checked datagram the
+    // constant-time compare, the replay commit and, on accept, a derived
+    // context into the RFKC. An insert may evict an entry a later datagram
+    // resolved to; its MAC is already computed, and nothing below reads
+    // its context.
+    for (std::size_t j = first; j < n; ++j) {
+      WorkContext::ReceiveSlot& s = slot[j];
+      if (s.shard != slot[first].shard) continue;
+      const FbsHeaderView* h = s.header ? &*s.header : nullptr;
+      if (s.follows) {
+        cache_key_into(h->sfl, *items[j].source, self_, ctx.key);
+        if (dom.rfkc.lookup(ctx.key)) s.derived = false;
+        else ++dom.receive_stats.flow_keys_derived;
+      }
+      if (!s.verified) continue;
       ReceiveBurstItem& it = items[j];
-      const FbsHeaderView& h = *slot[j].header;
-      if (!util::ct_equal({slot[j].tag.data(), slot[j].fctx->mac.mac_size()},
-                          h.mac)) {
+      if (!util::ct_equal({s.tag.data(), s.tag_size}, h->mac)) {
         it.outcome = reject(dom, ReceiveError::kBadMac);
         continue;
       }
       // Every datagram of this group passed check() before any committed;
       // the non-counting probe catches the second copy of an intra-burst
       // duplicate before it can double-commit.
-      if (dom.freshness.seen(h.timestamp_minutes, h.mac)) {
+      if (dom.freshness.seen(h->timestamp_minutes, h->mac)) {
         it.outcome = reject(dom, ReceiveError::kReplay);
         continue;
       }
-      dom.freshness.commit(h.timestamp_minutes, h.mac);
+      dom.freshness.commit(h->timestamp_minutes, h->mac);
+      if (s.derived) {
+        cache_key_into(h->sfl, *items[j].source, self_, ctx.key);
+        dom.rfkc.insert(ctx.key, *s.fctx);
+      }
       ++dom.receive_stats.accepted;
-      it.outcome = ReceivedInfo{h.sfl, h.secret, h.suite};
+      it.outcome = ReceivedInfo{h->sfl, h->secret, h->suite};
     }
     ctx.rebuilt.clear();
   }

@@ -7,19 +7,28 @@
 // moment is safe and merely costs re-derivation, which is what preserves
 // datagram semantics.
 //
-// There is one send path and one receive path. protect_into is the only
-// sealing body: MAC, then encrypt_into for the flow's DES or 3DES schedule.
-// unprotect_burst_into is the only opening body (freshness, key, decrypt,
-// MAC, accept); unprotect_into is a burst of one. The Section 5.3 single
-// pass over the data (bench/support/fused.hpp) is measured as a bench
-// ablation, not used here (EXPERIMENTS.md).
+// There is one send path and one receive path. Sending is two phases:
+// admit (flow classify, keying, lifetime wear-out accounting, confounder
+// and timestamp draw, stats -- everything under the domain lock) parks a
+// SealItem holding its own copy of the flow's crypto context, and
+// seal_burst_into, the only sealing body, seals any number of parked
+// datagrams without a lock: one MacBatch over the burst (8-lane MD5), then
+// every DES-CBC body on the interleaved chains of cbc_encrypt_chains, then
+// the wire. protect_into is admit plus a seal burst of one; the stack's
+// seal queue (net/stack.hpp) admits each datagram as it is sent and seals
+// up to four together. unprotect_burst_into is the only opening body
+// (freshness, key, decrypt, MAC, accept); unprotect_into is a burst of
+// one. The Section 5.3 single pass over the data (bench/support/fused.hpp)
+// is measured as a bench ablation, not used here (EXPERIMENTS.md).
 //
 // Concurrency (DESIGN.md section 5f): per-flow state is striped across
-// config.shards independent FlowDomains. protect_into, unprotect_into and
-// unprotect_burst_into are re-entrant -- any number of threads may call
-// them concurrently, each with its own WorkContext (the caller's scratch);
-// the engine takes exactly one domain lock per datagram (per shard group
-// of a burst). Only the allocating protect()/unprotect() use an internal
+// config.shards independent FlowDomains. protect_into, admit,
+// seal_burst_into, unprotect_into and unprotect_burst_into are re-entrant
+// -- any number of threads may call them concurrently, each with its own
+// WorkContext (the caller's scratch); the engine takes exactly one domain
+// lock per admitted datagram and per shard group of a receive burst, and
+// none to seal (one per burst to record stage times when tracing). Only
+// the allocating protect()/unprotect() use an internal
 // context and therefore keep the original single-threaded contract. Key
 // management (KeyManager / MKD) is deliberately serial behind its own
 // lock: keying is the cold path.
@@ -88,6 +97,26 @@ class FbsEndpoint {
   /// fully in parallel; same-shard datagrams serialize on that shard's lock.
   bool protect_into(WorkContext& ctx, const Datagram& d, bool secret,
                     util::Bytes& wire_out);
+
+  /// The first half of protect_into: resolve `d`'s flow and key, account
+  /// for it (datagram, encryption and wear-out counts), draw its
+  /// confounder and timestamp, and copy the flow's crypto context into
+  /// `item`, whose `body` then views d.body. Returns false, counting
+  /// key_unavailable, if no master key for the destination can be
+  /// obtained. The caller sets item.wire_out (and may re-point item.body at
+  /// the same bytes elsewhere) before sealing.
+  bool admit(WorkContext& ctx, const Datagram& d, bool secret,
+             SealItem& item);
+
+  /// The exact size of the wire seal_burst_into will write for `item`:
+  /// header, MAC and the (padded, if a block mode) body.
+  static std::size_t wire_size(const SealItem& item);
+
+  /// The second half: seal admitted datagrams, each into its wire_out.
+  /// Takes no lock and touches no flow state, so the items may come from
+  /// any domains and any number of admits. Verdicts and wire bytes do not
+  /// depend on how datagrams are grouped into bursts.
+  void seal_burst_into(WorkContext& ctx, std::span<SealItem> items);
 
   /// Allocation-free, re-entrant FBSReceive: a burst of one through
   /// unprotect_burst_into. The plaintext body lands in `body_out` (capacity

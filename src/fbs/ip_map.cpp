@@ -30,8 +30,11 @@ FbsIpMapping::FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
         });
   }
   net::IpStack::SecurityHooks hooks;
-  hooks.output = [this](net::Ipv4Header& h, util::Bytes& p) {
-    return on_output(h, p);
+  hooks.admit = [this](net::IpStack::OutputDatagram& d) {
+    return on_admit(d);
+  };
+  hooks.seal = [this](std::span<net::IpStack::OutputDatagram> queue) {
+    on_seal(queue);
   };
   hooks.input = [this](std::span<net::IpStack::InputDatagram> batch) {
     on_input(batch);
@@ -39,6 +42,8 @@ FbsIpMapping::FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
   hooks.header_overhead = endpoint_.max_wire_overhead();
   stack.set_security_hooks(std::move(hooks));
 }
+
+FbsIpMapping::~FbsIpMapping() { stack_.flush(); }
 
 FlowAttributes FbsIpMapping::attributes_of(const net::Ipv4Header& header,
                                            util::BytesView payload) {
@@ -60,7 +65,8 @@ FlowAttributes FbsIpMapping::attributes_of(const net::Ipv4Header& header,
   return attrs;
 }
 
-bool FbsIpMapping::on_output(net::Ipv4Header& header, util::Bytes& payload) {
+bool FbsIpMapping::on_admit(net::IpStack::OutputDatagram& d) {
+  const net::Ipv4Header& header = d.header;
   if (!is_transport(header.protocol) && !config_.protect_raw_ip) {
     ++counters_.out_raw_ip;
     return true;
@@ -70,25 +76,50 @@ bool FbsIpMapping::on_output(net::Ipv4Header& header, util::Bytes& payload) {
     return true;
   }
 
-  Datagram d;
-  d.source = Principal::from_ipv4(header.source);
-  d.destination = Principal::from_ipv4(header.destination);
-  d.attrs = attributes_of(header, payload);
-  d.body = std::move(payload);
-
+  Datagram& dg = tx_datagram_;
+  dg.source.assign_ipv4(header.source);
+  dg.destination.assign_ipv4(header.destination);
+  dg.attrs = attributes_of(header, d.payload);
+  dg.body = std::move(d.payload);
   const bool secret =
-      config_.secret_policy ? config_.secret_policy(d.attrs) : true;
-  if (!endpoint_.protect_into(tx_ctx_, d, secret, scratch_wire_)) {
+      config_.secret_policy ? config_.secret_policy(dg.attrs) : true;
+  SealItem& item = seal_items_[d.slot];
+  const bool admitted = endpoint_.admit(tx_ctx_, dg, secret, item);
+  d.payload = std::move(dg.body);
+  if (!admitted) {
     // Fail closed: traffic must not leave unprotected when keying fails.
     ++counters_.out_dropped;
-    payload = std::move(d.body);
     return false;
   }
   ++counters_.out_protected;
-  std::swap(payload, scratch_wire_);
-  // Recycle the plaintext buffer as next packet's wire staging.
-  scratch_wire_ = std::move(d.body);
+  // The plaintext stays in the slot until the seal.
+  item.body = d.payload;
+  item.wire_out = &seal_wires_[d.slot];
+  d.seal = true;
+  d.wire_size = FbsEndpoint::wire_size(item);
   return true;
+}
+
+void FbsIpMapping::on_seal(std::span<net::IpStack::OutputDatagram> queue) {
+  // The queue is the stack's slots in admit order, so a run of datagrams
+  // to seal is a run of seal_items_. A datagram admit finished at once
+  // (bypass, raw IP) splits the queue into runs, one burst each.
+  for (std::size_t first = 0; first < queue.size();) {
+    if (!queue[first].seal) {
+      ++first;
+      continue;
+    }
+    std::size_t end = first + 1;
+    while (end < queue.size() && queue[end].seal) ++end;
+    endpoint_.seal_burst_into(
+        tx_ctx_, std::span(seal_items_).subspan(queue[first].slot,
+                                                end - first));
+    ++counters_.out_seal_bursts;
+    counters_.out_sealed += end - first;
+    for (std::size_t i = first; i < end; ++i)
+      std::swap(queue[i].payload, seal_wires_[queue[i].slot]);
+    first = end;
+  }
 }
 
 void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
@@ -160,10 +191,13 @@ void FbsIpMapping::submit_to_pipeline(
 
 std::size_t FbsIpMapping::drain_pipeline() {
   if (!pipeline_) return 0;
-  return pipeline_->drain([this](const net::Ipv4Header& h, util::Bytes body) {
-    ++counters_.in_accepted;
-    stack_.deliver(h, std::move(body));
-  });
+  const std::size_t n =
+      pipeline_->drain([this](const net::Ipv4Header& h, util::Bytes body) {
+        ++counters_.in_accepted;
+        stack_.deliver(h, std::move(body));
+      });
+  stack_.flush();
+  return n;
 }
 
 void FbsIpMapping::drain_pipeline_all() {
@@ -172,6 +206,7 @@ void FbsIpMapping::drain_pipeline_all() {
     ++counters_.in_accepted;
     stack_.deliver(h, std::move(body));
   });
+  stack_.flush();
 }
 
 }  // namespace fbs::core

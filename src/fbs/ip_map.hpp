@@ -7,6 +7,13 @@
 // short-cut form of IP encapsulation"); forwarding routers see nothing
 // strange, and `header_overhead` feeds the tcp_output.c segment-size fix.
 //
+// Output uses the stack's two-phase hooks. The admit hook runs
+// FbsEndpoint::admit at once (so output() still fails closed on a missing
+// key, and the DF check sees the exact sealed size) and keeps the admitted
+// datagram by its queue slot; the seal hook seals the queue's FBS
+// datagrams with one FbsEndpoint::seal_burst_into per run of them, so up to
+// four datagrams share interleaved DES-CBC chains and the 8-lane MD5.
+//
 // The input hook takes the datagrams of a stack receive batch together
 // (up to IpStack::kMaxInputBatch per call): bypass-host and raw-IP
 // datagrams pass through. Without a pipeline, every FBS datagram of the
@@ -74,6 +81,8 @@ class FbsIpMapping {
     std::atomic<std::uint64_t> out_bypassed{0};
     std::atomic<std::uint64_t> out_raw_ip{0};   // non-TCP/UDP, passed through
     std::atomic<std::uint64_t> out_dropped{0};  // master key unavailable
+    std::atomic<std::uint64_t> out_sealed{0};       // datagrams sealed
+    std::atomic<std::uint64_t> out_seal_bursts{0};  // seal_burst_into calls
     std::atomic<std::uint64_t> in_accepted{0};
     std::atomic<std::uint64_t> in_bypassed{0};
     std::atomic<std::uint64_t> in_raw_ip{0};
@@ -85,6 +94,11 @@ class FbsIpMapping {
   FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
                KeyManager& keys, const util::Clock& clock,
                util::RandomSource& rng);
+  /// Seals and sends what the stack's queue holds: only this mapping can.
+  ~FbsIpMapping();
+
+  FbsIpMapping(const FbsIpMapping&) = delete;
+  FbsIpMapping& operator=(const FbsIpMapping&) = delete;
 
   FbsEndpoint& endpoint() { return endpoint_; }
   const Counters& counters() const { return counters_; }
@@ -94,13 +108,15 @@ class FbsIpMapping {
 
   /// Deliver every pipeline result that is ready (no-op in sync mode).
   /// Call from the stack's thread -- results complete via IpStack::deliver,
-  /// which is single-writer. Returns the number delivered.
+  /// which is single-writer -- then send what the handlers sent (a
+  /// delivery batch ends with a seal-queue flush). Returns the number
+  /// delivered.
   std::size_t drain_pipeline();
   /// Deliver until nothing the pipeline holds remains in flight.
   void drain_pipeline_all();
 
-  /// Publish the endpoint's metrics plus the IP-layer counters as pull
-  /// sources under `<prefix>.` names.
+  /// Publish the endpoint's metrics plus the IP-layer counters, the seal
+  /// queue's among them, as pull sources under `<prefix>.` names.
   void register_metrics(obs::MetricsRegistry& registry,
                         const std::string& prefix) const;
 
@@ -111,7 +127,8 @@ class FbsIpMapping {
   }
 
  private:
-  bool on_output(net::Ipv4Header& header, util::Bytes& payload);
+  bool on_admit(net::IpStack::OutputDatagram& d);
+  void on_seal(std::span<net::IpStack::OutputDatagram> queue);
   void on_input(std::span<net::IpStack::InputDatagram> batch);
   void submit_to_pipeline(std::span<net::IpStack::InputDatagram> batch);
   static FlowAttributes attributes_of(const net::Ipv4Header& header,
@@ -123,11 +140,14 @@ class FbsIpMapping {
   Counters counters_;
   std::unique_ptr<DatagramPipeline> pipeline_;  // null in sync mode
 
-  /// Send-side engine scratch and wire staging, reused across packets so
-  /// the steady-state hook path (flow-cache hit, warm buffers) performs no
-  /// heap allocations.
+  /// Send-side engine scratch, the datagram staging admit reads (its
+  /// principals rewritten in place), and per queue slot the admitted
+  /// datagram and its wire staging (swapped with the slot's payload once
+  /// sealed), all reused, so a warm send performs no heap allocations.
   WorkContext tx_ctx_;
-  util::Bytes scratch_wire_;
+  Datagram tx_datagram_;
+  std::array<SealItem, net::IpStack::kSealQueue> seal_items_;
+  std::array<util::Bytes, net::IpStack::kSealQueue> seal_wires_;
 
   /// Receive-batch staging, grown to the largest batch seen and reused:
   /// the engine's scratch, the batch's FBS datagrams (by index), their

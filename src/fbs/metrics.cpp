@@ -177,6 +177,13 @@ void FbsIpMapping::register_metrics(obs::MetricsRegistry& registry,
     emit.counter(prefix + ".ip.out.bypassed", counters_.out_bypassed);
     emit.counter(prefix + ".ip.out.raw_ip", counters_.out_raw_ip);
     emit.counter(prefix + ".ip.out.dropped", counters_.out_dropped);
+    emit.counter(prefix + ".ip.out.sealed", counters_.out_sealed);
+    emit.counter(prefix + ".ip.out.seal_bursts", counters_.out_seal_bursts);
+    const net::IpStack::Counters& stack = stack_.counters();
+    emit.counter(prefix + ".ip.out.drains.full", stack.drains_full);
+    emit.counter(prefix + ".ip.out.drains.pump", stack.drains_pump);
+    emit.counter(prefix + ".ip.out.drains.receive", stack.drains_receive);
+    emit.counter(prefix + ".ip.out.drains.flush", stack.drains_flush);
     emit.counter(prefix + ".ip.in.accepted", counters_.in_accepted);
     emit.counter(prefix + ".ip.in.bypassed", counters_.in_bypassed);
     emit.counter(prefix + ".ip.in.raw_ip", counters_.in_raw_ip);

@@ -4,6 +4,15 @@
 
 namespace fbs::net {
 
+bool fits_mtu(const Ipv4Header& header, std::size_t payload_size,
+              std::size_t mtu) {
+  const std::size_t hlen = header.header_size();
+  if (hlen + payload_size <= mtu) return true;
+  // Needs fragmenting: not with DF set, nor when the link cannot carry one
+  // 8-byte fragment unit (per-fragment payloads are multiples of 8).
+  return !header.dont_fragment && mtu > hlen && (mtu - hlen) / 8 > 0;
+}
+
 std::vector<util::Bytes> fragment(const Ipv4Header& header,
                                   util::BytesView payload, std::size_t mtu) {
   std::vector<util::Bytes> out;
@@ -12,12 +21,8 @@ std::vector<util::Bytes> fragment(const Ipv4Header& header,
     out.push_back(header.serialize(payload));
     return out;
   }
-  if (header.dont_fragment) return out;  // needs fragmenting but DF set
-
-  // Per-fragment payload must be a multiple of 8 bytes (offset unit).
-  if (mtu <= hlen) return out;
+  if (!fits_mtu(header, payload.size(), mtu)) return out;
   const std::size_t max_data = (mtu - hlen) / 8 * 8;
-  if (max_data == 0) return out;
 
   std::size_t off = 0;
   while (off < payload.size()) {

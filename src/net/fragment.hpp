@@ -17,6 +17,12 @@
 
 namespace fbs::net {
 
+/// Whether a payload of `payload_size` bytes under `header` can leave on
+/// an `mtu`-byte link: it fits, or it may and can be fragmented. fragment()
+/// returns no packets exactly when this is false.
+bool fits_mtu(const Ipv4Header& header, std::size_t payload_size,
+              std::size_t mtu);
+
 /// Split (header, payload) into wire packets that fit `mtu` bytes each.
 /// Returns an empty vector if the payload needs fragmenting but the header
 /// has DF set (the caller should count this as a drop). A payload that fits

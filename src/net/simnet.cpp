@@ -134,6 +134,9 @@ void SimNetwork::inject(Ipv4Address to, util::Bytes frame, util::TimeUs delay) {
 }
 
 void SimNetwork::call_later(util::TimeUs delay, std::function<void()> fn) {
+  // Frames a sender holds back were sent before this timer was set: they
+  // take their queue sequence numbers first, as they would unheld.
+  flush_holders();
   Event ev;
   ev.time = clock_.now() + delay;
   ev.seq = next_seq_++;
@@ -150,6 +153,7 @@ SimNetwork::Event SimNetwork::pop() {
 }
 
 bool SimNetwork::step() {
+  flush_holders();
   if (queue_.empty()) return false;
   Event ev = pop();
   if (ev.time > clock_.now()) clock_.set(ev.time);

@@ -91,14 +91,17 @@ class SimNetwork : public Transport {
 
   /// Schedule an arbitrary callback on the simulation clock (protocol
   /// timers: TCP retransmission, sweepers, ...). Runs in event order with
-  /// frame deliveries.
+  /// frame deliveries. First flushes every sender holding frames back, so
+  /// a timer set after a send never runs ahead of that send's frames.
   void call_later(util::TimeUs delay, std::function<void()> fn) override;
 
   /// Handle the earliest pending event, advancing the clock to its time:
   /// run a timer, or deliver a frame together with every frame queued
   /// right behind it that is addressed to the same host and already due.
   /// The batch stops at the first timer, other host or later frame, so
-  /// events still run in (time, sequence) order. Returns false when idle.
+  /// events still run in (time, sequence) order. First flushes every
+  /// sender holding frames back (Transport::Holder). Returns false when
+  /// idle.
   bool step();
   /// Run until no events remain.
   void run();

@@ -1,5 +1,7 @@
 #include "net/stack.hpp"
 
+#include <cassert>
+
 namespace fbs::net {
 
 IpStack::IpStack(Transport& network, const util::Clock& clock,
@@ -8,12 +10,22 @@ IpStack::IpStack(Transport& network, const util::Clock& clock,
       address_(address),
       mtu_(mtu),
       reassembler_(clock) {
+  for (std::size_t i = 0; i < kSealQueue; ++i) queue_[i].slot = i;
   network_.attach(address_, [this](std::span<const util::Bytes> frames) {
     on_frames(frames);
   });
 }
 
-IpStack::~IpStack() { network_.detach(address_); }
+IpStack::~IpStack() {
+  drain(Drain::kFlush);
+  if (holding_) network_.release(*this);
+  network_.detach(address_);
+}
+
+void IpStack::set_security_hooks(SecurityHooks hooks) {
+  drain(Drain::kFlush);
+  hooks_ = std::move(hooks);
+}
 
 std::size_t IpStack::effective_payload_size() const {
   return mtu_ - Ipv4Header::kSize - hooks_.header_overhead;
@@ -25,35 +37,74 @@ void IpStack::register_protocol(IpProto proto, ProtocolHandler handler) {
 
 bool IpStack::output(Ipv4Address destination, IpProto proto,
                      util::BytesView payload, bool dont_fragment) {
-  // Part [1]: header construction and (trivial, fully-connected) routing.
-  Ipv4Header header;
-  header.id = next_id_++;
-  header.protocol = static_cast<std::uint8_t>(proto);
-  header.source = address_;
-  header.destination = destination;
-  header.dont_fragment = dont_fragment;
-
-  util::Bytes body(payload.begin(), payload.end());
+  // Part [1]: header construction and (trivial, fully-connected) routing,
+  // into the next free slot of the seal queue.
+  assert(!draining_ && "a seal or transmit hook sent on its own stack");
+  OutputDatagram& d = queue_[held_];
+  d.header = Ipv4Header{};
+  d.header.id = next_id_++;
+  d.header.protocol = static_cast<std::uint8_t>(proto);
+  d.header.source = address_;
+  d.header.destination = destination;
+  d.header.dont_fragment = dont_fragment;
+  d.payload.assign(payload.begin(), payload.end());
+  d.seal = false;
 
   // FBS output hook sits between route selection and fragmentation.
-  if (hooks_.output && !hooks_.output(header, body)) {
+  const bool accepted = hooks_.admit    ? hooks_.admit(d)
+                        : hooks_.output ? hooks_.output(d.header, d.payload)
+                                        : true;
+  if (!accepted) {
     ++counters_.hook_drops_out;
     return false;
   }
-
-  // Part [2]: fragmentation.
-  auto packets = fragment(header, body, mtu_);
-  if (packets.empty()) {
+  if (!d.seal) d.wire_size = d.payload.size();
+  if (!fits_mtu(d.header, d.wire_size, mtu_)) {
     ++counters_.df_drops;
     return false;
   }
-
-  // Part [3]: transmit on the chosen interface (toward the next hop).
   ++counters_.packets_out;
-  counters_.fragments_out += packets.size();
-  const Ipv4Address hop = next_hop_for(destination);
-  for (auto& p : packets) transmit(hop, std::move(p));
+  if (!d.seal && held_ == 0) {
+    send_datagram(d);
+    return true;
+  }
+  if (++held_ == kSealQueue) {
+    drain(Drain::kFull);
+  } else if (!holding_) {
+    holding_ = true;
+    network_.hold(*this);
+  }
   return true;
+}
+
+void IpStack::flush() { drain(Drain::kFlush); }
+
+void IpStack::drain(Drain why) {
+  if (why == Drain::kPump) holding_ = false;
+  // A transmit hook that sets a timer (a transit router's serializer)
+  // flushes holders from inside a drain; the drain under way sends all.
+  if (held_ == 0 || draining_) return;
+  switch (why) {
+    case Drain::kFull: ++counters_.drains_full; break;
+    case Drain::kPump: ++counters_.drains_pump; break;
+    case Drain::kReceive: ++counters_.drains_receive; break;
+    case Drain::kFlush: ++counters_.drains_flush; break;
+  }
+  draining_ = true;
+  const std::span<OutputDatagram> burst(queue_.data(), held_);
+  if (hooks_.seal) hooks_.seal(burst);
+  for (const OutputDatagram& d : burst) send_datagram(d);
+  held_ = 0;
+  draining_ = false;
+}
+
+void IpStack::send_datagram(const OutputDatagram& d) {
+  // Part [2]: fragmentation.
+  auto packets = fragment(d.header, d.payload, mtu_);
+  // Part [3]: transmit on the chosen interface (toward the next hop).
+  counters_.fragments_out += packets.size();
+  const Ipv4Address hop = next_hop_for(d.header.destination);
+  for (auto& p : packets) transmit(hop, std::move(p));
 }
 
 void IpStack::transmit(Ipv4Address next_hop, util::Bytes frame) {
@@ -82,6 +133,8 @@ Ipv4Address IpStack::next_hop_for(Ipv4Address destination) const {
 }
 
 bool IpStack::forward_packet(Ipv4Header header, util::BytesView payload) {
+  // What this stack sent before the frame it forwards goes out first.
+  drain(Drain::kReceive);
   if (header.ttl <= 1) {
     ++counters_.ttl_expired;
     return false;
@@ -99,8 +152,11 @@ bool IpStack::forward_packet(Ipv4Header header, util::BytesView payload) {
 }
 
 void IpStack::on_frames(std::span<const util::Bytes> frames) {
+  drain(Drain::kReceive);
   for (const util::Bytes& frame : frames) on_frame(frame);
   flush_input();
+  // What the handlers sent in reply leaves with the batch.
+  drain(Drain::kReceive);
 }
 
 void IpStack::on_frame(util::BytesView frame) {

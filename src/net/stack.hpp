@@ -10,6 +10,23 @@
 // segment-size calculation must account for the inserted FBS header or DF
 // packets would need fragmenting).
 //
+// Output may seal in bursts. With an admit + seal hook pair (FbsIpMapping
+// installs one), the output hook runs in two phases:
+//
+//   output(): [1] -> admit hook -> DF check -> park in the seal queue
+//   drain:    seal hook (one burst) -> [2] fragment -> [3] tx, admit order
+//
+// output() still returns every verdict at once -- hook drop, key
+// unavailable, and DF on the exact sealed size the admit hook reports --
+// and copies the payload into its queue slot's reused buffer. A datagram
+// the hook finishes at admit (bypass, raw IP) goes out at once unless
+// sealed ones wait ahead of it; then it parks too, so nothing overtakes.
+// The queue (at most kSealQueue datagrams) drains when it is full; before
+// the transport pumps or orders a timer behind it (SimNetwork::step/run/
+// call_later, UdpTransport::poll; see Transport::Holder); before
+// the stack handles received frames or forwards a frame; at the end of a
+// receive batch, after its handlers ran; on flush(); and in ~IpStack.
+//
 // Input runs a batch at a time: the transport hands the stack every frame
 // it has due at once. Each frame is still validated and reassembled (or
 // forwarded) on its own; the reassembled datagrams are collected and handed
@@ -20,6 +37,7 @@
 // before it, so what the stack emits keeps frame order too.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -33,7 +51,7 @@
 
 namespace fbs::net {
 
-class IpStack {
+class IpStack : private Transport::Holder {
  public:
   using ProtocolHandler =
       std::function<void(const Ipv4Header&, util::Bytes payload)>;
@@ -63,11 +81,36 @@ class IpStack {
   /// batches raised that latency ~25% and batches of 8 ~7%.
   static constexpr std::size_t kMaxInputBatch = 4;
 
+  /// One datagram of the seal queue, as the admit and seal hooks see it.
+  struct OutputDatagram {
+    Ipv4Header header;
+    util::Bytes payload;  // as sent; the wire bytes once sealed
+    /// Set by the admit hook: the seal hook must still finish `payload`,
+    /// which will then hold exactly `wire_size` bytes.
+    bool seal = false;
+    std::size_t wire_size = 0;
+    /// This datagram's queue slot, [0, kSealQueue): a hook keeps its
+    /// per-datagram state by it. Fixed per slot.
+    std::size_t slot = 0;
+  };
+
+  /// Most datagrams the seal queue holds, and so the largest seal burst.
+  /// Four is where interleaved DES-CBC chains stop gaining
+  /// (crypto::kCbcLanes), as it is for the receive batch.
+  static constexpr std::size_t kSealQueue = 4;
+
   struct SecurityHooks {
     /// Called between output parts [1] and [2]; may grow the payload
     /// (inserting the FBS header) and must keep the header's protocol field
     /// meaningful. Return false to drop (counted).
     std::function<bool(Ipv4Header&, util::Bytes&)> output;
+    /// The two-phase form of `output`, used instead of it when set. Admit
+    /// decides at once: return false to drop (counted), or accept and
+    /// either finish the payload itself or set `seal` and `wire_size`.
+    std::function<bool(OutputDatagram&)> admit;
+    /// Finish the datagrams admit marked `seal`, in one burst; called with
+    /// the queue in admit order when it drains.
+    std::function<void(std::span<OutputDatagram>)> seal;
     /// Called between input parts [2] and [3] with the datagrams of a
     /// receive batch, in frame order and at most kMaxInputBatch at a
     /// time; strips/validates each one's FBS header or takes it over
@@ -97,6 +140,13 @@ class IpStack {
     std::atomic<std::uint64_t> no_protocol{0};
     std::atomic<std::uint64_t> delivered{0};
     std::atomic<std::uint64_t> deferred_in{0};  // taken by the input hook
+    // Seal-queue drains by trigger: the queue filled, the transport was
+    // about to pump, the stack received or forwarded, or flush() / the
+    // destructor.
+    std::atomic<std::uint64_t> drains_full{0};
+    std::atomic<std::uint64_t> drains_pump{0};
+    std::atomic<std::uint64_t> drains_receive{0};
+    std::atomic<std::uint64_t> drains_flush{0};
   };
 
   IpStack(Transport& network, const util::Clock& clock, Ipv4Address address,
@@ -113,13 +163,19 @@ class IpStack {
   std::size_t effective_payload_size() const;
 
   void register_protocol(IpProto proto, ProtocolHandler handler);
-  void set_security_hooks(SecurityHooks hooks) { hooks_ = std::move(hooks); }
+  /// Replacing the hooks first seals and sends what the old ones admitted.
+  void set_security_hooks(SecurityHooks hooks);
   const SecurityHooks& security_hooks() const { return hooks_; }
 
   /// Send a transport payload. Returns false if dropped before the wire
-  /// (DF conflict or output-hook rejection).
+  /// (DF conflict or output-hook rejection). A datagram the admit hook
+  /// parks is sealed and sent when the seal queue drains (see above).
   bool output(Ipv4Address destination, IpProto proto, util::BytesView payload,
               bool dont_fragment = false);
+
+  /// Seal and send everything in the seal queue now. For a caller that
+  /// hands off to a peer without pumping this stack's transport.
+  void flush();
 
   // --- Routing and forwarding (gateway role) ---
 
@@ -175,6 +231,14 @@ class IpStack {
   void deliver(const Ipv4Header& header, util::Bytes payload);
 
  private:
+  enum class Drain : std::uint8_t { kFull, kPump, kReceive, kFlush };
+
+  /// Seal the queue as one burst, then fragment and transmit it in admit
+  /// order.
+  void drain(Drain why);
+  void flush_before_pump() override { drain(Drain::kPump); }
+  /// Output parts [2] and [3] for one finished datagram.
+  void send_datagram(const OutputDatagram& d);
   /// Transport sink: input parts [1] and [2] per frame, then the batch.
   void on_frames(std::span<const util::Bytes> frames);
   void on_frame(util::BytesView frame);
@@ -203,6 +267,12 @@ class IpStack {
   std::uint16_t next_id_ = 1;
   /// Datagrams collected for the input hook; kept for its capacity.
   std::vector<InputDatagram> input_batch_;
+  /// The seal queue: slots [0, held_) wait in admit order. Every slot keeps
+  /// its payload buffer, so a warm queue parks without allocating.
+  std::array<OutputDatagram, kSealQueue> queue_;
+  std::size_t held_ = 0;
+  bool holding_ = false;  // registered with the transport for a flush
+  bool draining_ = false;
 };
 
 }  // namespace fbs::net

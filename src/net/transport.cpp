@@ -2,6 +2,14 @@
 
 namespace fbs::net {
 
+void Transport::flush_holders() {
+  // Indexed, not iterated: a flush that makes another sender hold appends
+  // to the list, and that sender is flushed in this pass too.
+  for (std::size_t i = 0; i < holders_.size(); ++i)
+    holders_[i]->flush_before_pump();
+  holders_.clear();
+}
+
 void Transport::register_transport_metrics(obs::MetricsRegistry& registry,
                                            const std::string& prefix) const {
   registry.add_source([prefix, this](obs::MetricsRegistry::Emitter& emit) {

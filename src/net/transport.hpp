@@ -8,12 +8,19 @@
 // the transit mesh, FBS endpoints and tunnels -- consumes `Transport&`;
 // which wire actually moves the bytes (the discrete-event SimNetwork or a
 // real UDP socket, see udp_transport.hpp) is the backend's business.
+//
+// A sender may hold frames back between calls (IpStack's seal queue). It
+// registers as a Holder, and the backend flushes every registered holder
+// before it pumps -- before SimNetwork moves time or delivers anything,
+// before UdpTransport reads its socket -- so nothing held back waits on a
+// pump that never comes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "net/ip.hpp"
 #include "obs/metrics.hpp"
@@ -38,7 +45,25 @@ class Transport {
       Ipv4Address from, Ipv4Address to, const util::Bytes& frame,
       bool outbound)>;
 
+  /// A sender that holds frames back between calls.
+  class Holder {
+   public:
+    /// Send everything held back.
+    virtual void flush_before_pump() = 0;
+
+   protected:
+    ~Holder() = default;
+  };
+
   virtual ~Transport() = default;
+
+  /// `holder` has started holding frames back: flush it before the next
+  /// pump. Call once per hold; the registration ends with that flush. A
+  /// transport that wraps another forwards both calls to the one that
+  /// pumps.
+  virtual void hold(Holder& holder) { holders_.push_back(&holder); }
+  /// Drop `holder`'s registration (it is going away).
+  virtual void release(Holder& holder) { std::erase(holders_, &holder); }
 
   /// Bind a local address: frames addressed to `addr` are handed to
   /// `receive`, in batches. Rebinding an address replaces the previous
@@ -101,8 +126,13 @@ class Transport {
   }
   bool capturing() const { return static_cast<bool>(capture_); }
 
+  /// Flush every registered holder, in registration order. Each backend
+  /// calls this first in every pump.
+  void flush_holders();
+
  private:
   CaptureFn capture_;
+  std::vector<Holder*> holders_;
 };
 
 }  // namespace fbs::net

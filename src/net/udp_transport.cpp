@@ -199,6 +199,7 @@ std::size_t UdpTransport::poll(util::TimeUs budget) {
   std::size_t handled = 0;
   const util::TimeUs deadline = clock_.now() + budget;
   for (;;) {
+    flush_holders();
     handled += fire_due_timers();
     drain_socket();
     handled += dispatch_rx();
@@ -215,6 +216,9 @@ std::size_t UdpTransport::poll(util::TimeUs budget) {
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0 && errno != EINTR) break;
   }
+  // What the last pass's timers and sinks sent does not wait for the next
+  // poll.
+  flush_holders();
   return handled;
 }
 

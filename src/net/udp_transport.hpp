@@ -69,7 +69,9 @@ class UdpTransport final : public Transport {
 
   /// Pump the socket and the timer heap for up to `budget` of clock time
   /// (0 = one non-blocking pass). Everything the backend does -- reads,
-  /// sink dispatch, timer callbacks -- happens here, on this thread.
+  /// sink dispatch, timer callbacks -- happens here, on this thread. Each
+  /// pass, and the return, first flushes every sender holding frames back
+  /// (Transport::Holder).
   /// Returns the number of events handled (frames delivered + timers
   /// fired), so callers can loop `while (work_pending()) poll(...)` or
   /// alternate two in-process transports. Not re-entrant: a sink holds a

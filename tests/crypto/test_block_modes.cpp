@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -184,6 +185,47 @@ TEST(BlockModes, EcbConfounderXorChangesCiphertext) {
   const util::Bytes plain(16, 0x00);
   EXPECT_NE(encrypt(des, CipherMode::kEcb, 1, plain),
             encrypt(des, CipherMode::kEcb, 2, plain));
+}
+
+// The interleaved seal kernel against encrypt_into's one-chain loop: 1-4
+// chains (and more, so lanes refill) of unequal lengths, under one shared
+// key or a key per chain. A chain of `blocks` blocks carries a plaintext of
+// 8 * blocks - pad bytes, padded as encrypt_into pads it; empty chains are
+// left alone.
+TEST(BlockModes, EncryptChainsMatchEncryptIntoOnRandomShapes) {
+  util::SplitMix64 rng(23);
+  constexpr std::size_t kLengths[] = {0, 1, 9, 73, 177};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n =
+        trial < 160 ? 1 + trial % 4 : 5 + rng.next_below(8);
+    const bool shared = trial % 2 == 0;
+    std::vector<Des> keys;
+    for (std::size_t i = 0; i < (shared ? 1 : n); ++i)
+      keys.emplace_back(rng.next_bytes(8));
+    std::vector<util::Bytes> plains(n), buffers(n);
+    std::vector<std::uint64_t> ivs(n);
+    std::vector<CbcChain<Des>> chains(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t blocks = kLengths[rng.next_below(5)];
+      ivs[i] = rng.next_u64();
+      if (blocks > 0) {
+        plains[i] = rng.next_bytes(8 * blocks - 1 - rng.next_below(8));
+        detail::pkcs7_pad_into(plains[i], buffers[i]);
+      }
+      ASSERT_EQ(buffers[i].size(), 8 * blocks);
+      chains[i] = {&keys[shared ? 0 : i], ivs[i], buffers[i].data(), blocks};
+    }
+    cbc_encrypt_chains<Des>(chains);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (chains[i].blocks == 0) {
+        EXPECT_TRUE(buffers[i].empty());
+        continue;
+      }
+      EXPECT_EQ(buffers[i], encrypt(keys[shared ? 0 : i], CipherMode::kCbc,
+                                    ivs[i], plains[i]))
+          << "trial " << trial << " chain " << i << " of " << n;
+    }
+  }
 }
 
 }  // namespace

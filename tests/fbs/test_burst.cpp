@@ -459,5 +459,121 @@ TEST_F(BurstTest, BodiesLongerThan1600BytesStillVerify) {
   EXPECT_EQ(bob_burst->receive_stats().accepted, 12u);
 }
 
+/// The RFKC key of a flow from `source` to `self` with label `sfl`: (sfl,
+/// S, D).
+util::Bytes rfkc_key(Sfl sfl, const Principal& source, const Principal& self) {
+  util::Bytes key;
+  for (int i = 7; i >= 0; --i)
+    key.push_back(static_cast<std::uint8_t>(sfl >> (8 * i)));
+  key.insert(key.end(), source.address.begin(), source.address.end());
+  key.insert(key.end(), self.address.begin(), self.address.end());
+  return key;
+}
+
+/// `wire` relabelled with `sfl`: from a source whose master key resolves,
+/// it derives a flow key the sender never used, so it cannot verify.
+util::Bytes with_sfl(const util::Bytes& wire, Sfl sfl) {
+  auto header = FbsHeaderView::parse(wire);
+  header->sfl = sfl;
+  util::Bytes out;
+  header->serialize_into(out);
+  out.insert(out.end(), header->body.begin(), header->body.end());
+  return out;
+}
+
+TEST_F(BurstTest, ForgedSflFloodLeavesGenuineRfkcEntry) {
+  // Authenticate before state: a flood of datagrams from a known source
+  // with made-up sfls costs the receiver one flow-key derivation each, but
+  // none of them is inserted into the RFKC, so none evicts the genuine
+  // flow's entry -- whose next datagram hits it without deriving again.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  auto bob = receiver(cfg);
+  const Datagram d = datagram(alice->self(), bob_node_->principal,
+                              "genuine " + std::string(200, 'g'));
+  const auto first = alice->protect(d, /*secret=*/true);
+  const auto second = alice->protect(d, /*secret=*/true);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  const Sfl sfl = FbsHeaderView::parse(*first)->sfl;
+  WorkContext ctx;
+  util::Bytes body;
+  ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(
+      bob->unprotect_into(ctx, alice->self(), *first, body)));
+  ASSERT_EQ(bob->receive_stats().flow_keys_derived, 1u);
+  const FlowDomain& dom = bob->shard(0);
+  const util::Bytes genuine = rfkc_key(sfl, alice->self(), bob->self());
+  const std::uint64_t evictions = dom.rfkc.evictions();
+
+  // 2048 forged sfls over a 256-set direct-mapped RFKC, as single
+  // datagrams and in bursts of 16.
+  util::SplitMix64 rng(31);
+  std::vector<Sfl> forged;
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 2048; ++i) {
+    forged.push_back(rng.next_u64());
+    wires.push_back(with_sfl(*first, forged.back()));
+  }
+  for (std::size_t i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(std::holds_alternative<ReceiveError>(
+        bob->unprotect_into(ctx, alice->self(), wires[i], body)));
+  }
+  std::vector<util::Bytes> bodies(16);
+  for (std::size_t i = 1024; i < wires.size(); i += 16) {
+    std::vector<ReceiveBurstItem> items(16);
+    for (std::size_t k = 0; k < 16; ++k)
+      items[k] = {&alice->self(), wires[i + k], &bodies[k]};
+    bob->unprotect_burst_into(ctx, items);
+    for (const ReceiveBurstItem& it : items)
+      ASSERT_TRUE(std::holds_alternative<ReceiveError>(it.outcome));
+  }
+  // Under the wrong flow key the body decrypts to bad padding or a bad MAC.
+  EXPECT_EQ(bob->receive_stats().rejected(), 2048u);
+  EXPECT_EQ(bob->receive_stats().flow_keys_derived, 1u + 2048u);
+
+  // The RFKC did not move: no forged entry, no eviction, the genuine
+  // entry in place.
+  EXPECT_EQ(dom.rfkc.evictions(), evictions);
+  for (const Sfl f : forged)
+    ASSERT_EQ(dom.rfkc.peek(rfkc_key(f, alice->self(), bob->self())),
+              nullptr);
+  EXPECT_NE(dom.rfkc.peek(genuine), nullptr);
+  ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(
+      bob->unprotect_into(ctx, alice->self(), *second, body)));
+  EXPECT_EQ(body, d.body);
+  EXPECT_EQ(bob->receive_stats().flow_keys_derived, 1u + 2048u);
+}
+
+TEST_F(BurstTest, ForgedLeadOfANewFlowCachesNothing) {
+  // A new flow whose first datagram of a burst is forged: the followers of
+  // that datagram's derived key count exactly what they would arriving
+  // alone -- the first genuine one misses (the forgery cached nothing) and
+  // derives, and it alone enters the RFKC.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 4; ++i) {
+    const auto wire = alice->protect(
+        datagram(alice->self(), bob_node_->principal,
+                 "new flow " + std::to_string(i) + std::string(300, 'n')),
+        /*secret=*/true);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  wires[0][FbsHeader::kFixedSize] ^= 0x01;  // first tag byte
+
+  auto bob_item = receiver(cfg);
+  auto bob_burst = receiver(cfg);
+  expect_burst_equivalence(*bob_item, *bob_burst, alice->self(), wires);
+  EXPECT_EQ(bob_burst->receive_stats().accepted, 3u);
+  EXPECT_EQ(bob_burst->receive_stats().flow_keys_derived, 2u);
+  EXPECT_EQ(bob_item->receive_stats().flow_keys_derived, 2u);
+  const CacheStats item = bob_item->rfkc_stats();
+  const CacheStats burst = bob_burst->rfkc_stats();
+  EXPECT_EQ(burst.hits, item.hits);
+  EXPECT_EQ(burst.misses(), item.misses());
+  EXPECT_EQ(burst.hits, 2u);
+  EXPECT_EQ(burst.misses(), 2u);
+}
+
 }  // namespace
 }  // namespace fbs::core

@@ -1,7 +1,7 @@
 // The tentpole perf claim, enforced: once a flow is warm (key derived,
 // crypto context cached, scratch buffers sized), protect_into(),
-// unprotect_into(), the pipeline and FbsIpMapping's batch input hook
-// perform ZERO heap allocations per datagram. Global
+// unprotect_into(), the pipeline, FbsIpMapping's batch input hook and its
+// seal-queue send hooks perform ZERO heap allocations per datagram. Global
 // operator new/delete are replaced with counting versions; the counters
 // must not move across the steady-state calls.
 //
@@ -336,6 +336,7 @@ void run_ip_map_batch(std::size_t burst, bool pipelined = false) {
                            static_cast<std::uint16_t>(6000 + i % kFlows), 7,
                            util::Bytes(1400, static_cast<std::uint8_t>(i))));
   }
+  a_stack.flush();  // a burst of 1 waits in A's seal queue
   net.clear_capture();
   ASSERT_EQ(frames.size(), burst);
   std::vector<net::Ipv4Packet> wires;
@@ -415,6 +416,63 @@ TEST(ZeroAlloc, PipelinedIpMappingBatchHookSteadyStateBurstOf4) {
 TEST(ZeroAlloc, PipelinedIpMappingBatchHookSteadyStateBurstOf64) {
   run_ip_map_batch(64, /*pipelined=*/true);
 }
+
+void run_seal_queue(std::size_t burst) {
+  // FbsIpMapping's send hooks over the stack's seal queue: `burst`
+  // datagrams of four flows admitted slot by slot and sealed whenever the
+  // queue fills (and at the end), as IpStack::output and its drain call
+  // them. Once warm -- engine scratch, the admit datagram's principals,
+  // each slot's payload and wire buffers swapping roles at every seal --
+  // neither the admit hook nor the seal hook allocates.
+  TestWorld world(4246);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  net::SimNetwork net(world.clock, 1);
+  net::IpStack a_stack(net, world.clock, a.principal.ipv4());
+  FbsIpMapping a_fbs(a_stack, IpMappingConfig{}, *a.keys, world.clock,
+                     world.rng);
+  const auto& hooks = a_stack.security_hooks();
+  constexpr std::size_t kSlots = net::IpStack::kSealQueue;
+  std::array<net::IpStack::OutputDatagram, kSlots> queue;
+  for (std::size_t i = 0; i < kSlots; ++i) queue[i].slot = i;
+  // A UDP datagram: ports first (the flow), then 1400 bytes of data.
+  util::Bytes payload(1408, 0x5A);
+  const auto run = [&] {
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < burst; ++i) {
+      net::IpStack::OutputDatagram& d = queue[held];
+      d.header = net::Ipv4Header{};
+      d.header.protocol = static_cast<std::uint8_t>(net::IpProto::kUdp);
+      d.header.source = a.principal.ipv4();
+      d.header.destination = b.principal.ipv4();
+      payload[1] = static_cast<std::uint8_t>(i % 4);
+      d.payload.assign(payload.begin(), payload.end());
+      d.seal = false;
+      ASSERT_TRUE(hooks.admit(d));
+      ASSERT_TRUE(d.seal);
+      if (++held < kSlots && i + 1 < burst) continue;
+      hooks.seal({queue.data(), held});
+      for (std::size_t k = 0; k < held; ++k)
+        ASSERT_EQ(queue[k].payload.size(), queue[k].wire_size);
+      held = 0;
+    }
+  };
+  for (int i = 0; i < 3; ++i) run();
+  for (int i = 0; i < 8; ++i) {
+    CountingScope scope;
+    run();
+    EXPECT_EQ(scope.news(), 0u)
+        << "seal queue allocated (burst " << burst << ", iteration " << i
+        << ")";
+  }
+  EXPECT_EQ(a_fbs.counters().out_sealed, 11u * burst);
+}
+
+TEST(ZeroAlloc, SealQueueSteadyStateBurstOf1) { run_seal_queue(1); }
+
+TEST(ZeroAlloc, SealQueueSteadyStateBurstOf4) { run_seal_queue(4); }
+
+TEST(ZeroAlloc, SealQueueSteadyStateBurstOf16) { run_seal_queue(16); }
 
 TEST(ZeroAlloc, CountersActuallyCount) {
   // Sanity-check the hook itself so a silent linker surprise (the default

@@ -120,7 +120,9 @@ EOF
   # bench_crypto (min over interleaved wall/CPU-clock reps; see
   # emit_metrics there). The open planner must never plan a small
   # multi-key burst (16 jobs x 44 blocks under 8 keys) slower than the
-  # scalar loop: the lane-keying trap gate.
+  # scalar loop: the lane-keying trap gate. The send side's four
+  # interleaved DES-CBC chains must hold >= 1.3x the one-chain loop
+  # (4 x 177 blocks under one key, the seal queue's bulk burst).
   step "compare against BENCH_seed.json" \
     python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" \
     --all \
@@ -128,7 +130,8 @@ EOF
     --require "fbs_bench_parallel_throughput:parallel.wall_gate=1.0" \
     --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0" \
     --require "fbs_bench_crypto:crypto.keyed_md5_batch_speedup=3.0" \
-    --require "fbs_bench_crypto:crypto.des_open_multikey_speedup=1.0"
+    --require "fbs_bench_crypto:crypto.des_open_multikey_speedup=1.0" \
+    --require "fbs_bench_crypto:crypto.des_cbc_seal4_speedup=1.3"
   if [ -n "$FAILED" ]; then
     echo "Bench smoke failed:$FAILED"
     exit 1
