@@ -90,7 +90,13 @@ void BM_FbsCombined(benchmark::State& state) {
   core::FbsEndpoint sender(world.a.principal, cfg, *world.a.keys, world.clock,
                            world.rng);
   const core::Datagram d = world.datagram(kPayload);
-  for (auto _ : state) benchmark::DoNotOptimize(sender.protect(d, true));
+  core::WorkContext ctx;
+  util::Bytes wire;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sender.protect_into(ctx, d, true, wire));
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kPayload);
 }
@@ -103,7 +109,13 @@ void BM_FbsSplit(benchmark::State& state) {
   core::FbsEndpoint sender(world.a.principal, cfg, *world.a.keys, world.clock,
                            world.rng);
   const core::Datagram d = world.datagram(kPayload);
-  for (auto _ : state) benchmark::DoNotOptimize(sender.protect(d, true));
+  core::WorkContext ctx;
+  util::Bytes wire;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sender.protect_into(ctx, d, true, wire));
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kPayload);
 }
@@ -185,10 +197,14 @@ void BM_FbsNewFlowEveryDatagram(benchmark::State& state) {
   core::FbsEndpoint sender(world.a.principal, cfg, *world.a.keys, world.clock,
                            world.rng);
   core::Datagram d = world.datagram(kPayload);
+  core::WorkContext ctx;
+  util::Bytes wire;
   std::uint16_t port = 1;
   for (auto _ : state) {
     d.attrs.source_port = port++;  // forces a new flow every time
-    benchmark::DoNotOptimize(sender.protect(d, true));
+    benchmark::DoNotOptimize(sender.protect_into(ctx, d, true, wire));
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kPayload);
@@ -293,9 +309,11 @@ void emit_metrics() {
   combined.register_metrics(reg, "combined");
   split.register_metrics(reg, "split");
   const core::Datagram d = world.datagram(kPayload);
+  core::WorkContext ctx;
+  util::Bytes wire;
   for (int i = 0; i < 1000; ++i) {
-    (void)combined.protect(d, true);
-    (void)split.protect(d, true);
+    (void)combined.protect_into(ctx, d, true, wire);
+    (void)split.protect_into(ctx, d, true, wire);
   }
   emit_miss_costs(world, reg);
   bench::write_metrics(reg.snapshot(), "fbs_bench_ablation_keying");

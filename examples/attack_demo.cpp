@@ -83,6 +83,18 @@ int main() {
   core::FbsConfig fbs_cfg;
   core::FbsEndpoint fbs_alice(alice.id, fbs_cfg, *alice.keys, clock, rng);
   core::FbsEndpoint fbs_bob(bob.id, fbs_cfg, *bob.keys, clock, rng);
+  // FBS engine calls: alice seals secret datagrams, a receiver opens what
+  // the attacker delivers. One WorkContext serves both (engine scratch).
+  core::WorkContext ctx;
+  util::Bytes fbs_body;
+  const auto seal = [&](const core::Datagram& d) {
+    util::Bytes wire;
+    (void)fbs_alice.protect_into(ctx, d, /*secret=*/true, wire);
+    return wire;
+  };
+  const auto open = [&](core::FbsEndpoint& receiver, util::BytesView wire) {
+    return receiver.unprotect_into(ctx, alice.id, wire, fbs_body);
+  };
 
   std::printf("== datagram security attack demo ==\n");
   std::printf("schemes: [host-pair] raw pair-key encryption (Section 2.2)\n");
@@ -94,8 +106,8 @@ int main() {
   const auto hp_wire =
       *hp_alice.protect(make_datagram(alice, bob, 40, 7, "wire transfer "
                                                          "$1000 to carol"));
-  const auto fbs_wire = *fbs_alice.protect(
-      make_datagram(alice, bob, 40, 7, "wire transfer $1000 to carol"), true);
+  const auto fbs_wire = seal(
+      make_datagram(alice, bob, 40, 7, "wire transfer $1000 to carol"));
   auto leaks = [](const util::Bytes& wire) {
     static const util::Bytes needle = util::to_bytes("$1000");
     return std::search(wire.begin(), wire.end(), needle.begin(),
@@ -116,9 +128,9 @@ int main() {
               verdict(hp_result.has_value()));
   util::Bytes fbs_bad = fbs_wire;
   fbs_bad[fbs_bad.size() - 3] ^= 0xFF;
-  auto fbs_result = fbs_bob.unprotect(alice.id, fbs_bad);
+  auto fbs_result = open(fbs_bob, fbs_bad);
   const bool fbs_accepted =
-      std::holds_alternative<core::ReceivedDatagram>(fbs_result);
+      std::holds_alternative<core::ReceivedInfo>(fbs_result);
   std::printf("   FBS:       receiver %s (%s) -> %s\n\n",
               fbs_accepted ? "ACCEPTS" : "rejects",
               fbs_accepted ? "?"
@@ -138,48 +150,45 @@ int main() {
               hp_spliced ? util::to_string(*hp_spliced).c_str() : "(reject)",
               verdict(hp_spliced.has_value()));
   // FBS: same ciphertext splice across two flows.
-  const auto fbs_a = *fbs_alice.protect(
-      make_datagram(alice, bob, 40, 7, "pay carol  $10"), true);
-  const auto fbs_b = *fbs_alice.protect(
-      make_datagram(alice, bob, 41, 9, "pay mallet $99"), true);
-  const auto pa = core::FbsHeader::parse(fbs_a);
-  const auto pb = core::FbsHeader::parse(fbs_b);
-  util::Bytes spliced = pa->header.serialize();
+  const auto fbs_a = seal(make_datagram(alice, bob, 40, 7, "pay carol  $10"));
+  const auto fbs_b = seal(make_datagram(alice, bob, 41, 9, "pay mallet $99"));
+  const auto pa = core::FbsHeaderView::parse(fbs_a);
+  const auto pb = core::FbsHeaderView::parse(fbs_b);
+  util::Bytes spliced;
+  pa->serialize_into(spliced);
   spliced.insert(spliced.end(), pb->body.begin(), pb->body.end());
-  auto fbs_spliced = fbs_bob.unprotect(alice.id, spliced);
+  auto fbs_spliced = open(fbs_bob, spliced);
   const bool splice_ok =
-      std::holds_alternative<core::ReceivedDatagram>(fbs_spliced);
+      std::holds_alternative<core::ReceivedInfo>(fbs_spliced);
   std::printf("   FBS:       spliced datagram %s -> %s\n\n",
               splice_ok ? "accepted" : "rejected (flow keys differ)",
               verdict(splice_ok));
 
   // ---- 4. Replay -----------------------------------------------------------
   std::printf("4. REPLAY of a recorded FBS datagram\n");
-  const auto recorded = *fbs_alice.protect(
-      make_datagram(alice, bob, 40, 7, "launch the batch job"), true);
-  (void)fbs_bob.unprotect(alice.id, recorded);  // original delivery
-  auto replay1 = fbs_bob.unprotect(alice.id, recorded);
-  const bool within =
-      std::holds_alternative<core::ReceivedDatagram>(replay1);
+  const auto recorded = seal(
+      make_datagram(alice, bob, 40, 7, "launch the batch job"));
+  (void)open(fbs_bob, recorded);  // original delivery
+  auto replay1 = open(fbs_bob, recorded);
+  const bool within = std::holds_alternative<core::ReceivedInfo>(replay1);
   std::printf("   within freshness window: %s -> %s (paper Section 6.2: "
               "residual risk, left to higher layers)\n",
               within ? "ACCEPTED" : "rejected", verdict(within));
   clock.advance(util::minutes(10));
-  auto replay2 = fbs_bob.unprotect(alice.id, recorded);
-  const bool outside =
-      std::holds_alternative<core::ReceivedDatagram>(replay2);
+  auto replay2 = open(fbs_bob, recorded);
+  const bool outside = std::holds_alternative<core::ReceivedInfo>(replay2);
   std::printf("   after window slides:     %s -> %s\n",
               outside ? "ACCEPTED" : "rejected (stale)", verdict(outside));
 
   core::FbsConfig strict_cfg;
   strict_cfg.strict_replay = true;
   core::FbsEndpoint strict_bob(bob.id, strict_cfg, *bob.keys, clock, rng);
-  const auto recorded2 = *fbs_alice.protect(
-      make_datagram(alice, bob, 40, 7, "launch it again"), true);
-  (void)strict_bob.unprotect(alice.id, recorded2);
-  auto replay3 = strict_bob.unprotect(alice.id, recorded2);
+  const auto recorded2 = seal(
+      make_datagram(alice, bob, 40, 7, "launch it again"));
+  (void)open(strict_bob, recorded2);
+  auto replay3 = open(strict_bob, recorded2);
   const bool strict_within =
-      std::holds_alternative<core::ReceivedDatagram>(replay3);
+      std::holds_alternative<core::ReceivedInfo>(replay3);
   std::printf("   strict-replay extension, within window: %s -> %s\n",
               strict_within ? "ACCEPTED" : "rejected (soft-state MAC cache)",
               verdict(strict_within));

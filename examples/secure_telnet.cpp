@@ -89,9 +89,9 @@ int main() {
                       util::Bytes& frame) {
     if (from == client.stack->address() && to == server.stack->address()) {
       if (const auto ip = net::Ipv4Header::parse(frame)) {
-        if (const auto fbs_hdr = core::FbsHeader::parse(ip->payload)) {
-          if (fbs_hdr->header.sfl != last_sfl) {
-            last_sfl = fbs_hdr->header.sfl;
+        if (const auto fbs_hdr = core::FbsHeaderView::parse(ip->payload)) {
+          if (fbs_hdr->sfl != last_sfl) {
+            last_sfl = fbs_hdr->sfl;
             ++flows_seen;
             std::printf("  >> client->server flow #%d (sfl=%016llx)\n",
                         flows_seen,

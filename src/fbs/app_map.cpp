@@ -46,23 +46,21 @@ bool AppEndpoint::send(net::Ipv4Address host, std::uint16_t app_port,
   body.bytes(data);
   d.body = body.take();
 
-  const auto wire = endpoint_.protect(d, secret);
-  if (!wire) return false;
+  if (!endpoint_.protect_into(ctx_, d, secret, wire_)) return false;
   ++counters_.sent;
-  return udp_.send(host, app_port_, app_port, *wire);
+  return udp_.send(host, app_port_, app_port, wire_);
 }
 
 void AppEndpoint::on_datagram(net::Ipv4Address source,
                               std::uint16_t source_port,
                               util::Bytes payload) {
   const Principal claimed = app_principal(source, source_port);
-  auto outcome = endpoint_.unprotect(claimed, payload);
+  const auto outcome = endpoint_.unprotect_into(ctx_, claimed, payload, body_);
   if (std::holds_alternative<ReceiveError>(outcome)) {
     ++counters_.rejected;
     return;
   }
-  auto& received = std::get<ReceivedDatagram>(outcome);
-  util::ByteReader r(received.datagram.body);
+  util::ByteReader r(body_);
   const auto conversation = r.u64();
   if (!conversation) {
     ++counters_.malformed;

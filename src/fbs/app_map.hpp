@@ -69,6 +69,12 @@ class AppEndpoint {
   FbsEndpoint endpoint_;
   Handler handler_;
   Counters counters_;
+
+  /// Engine scratch and the sent wire / received body, reused across
+  /// messages.
+  WorkContext ctx_;
+  util::Bytes wire_;
+  util::Bytes body_;
 };
 
 }  // namespace fbs::core

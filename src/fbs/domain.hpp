@@ -125,18 +125,8 @@ inline constexpr std::size_t kReceiveErrorKinds = 6;
 
 const char* to_string(ReceiveError e);
 
-/// A successfully received datagram plus its flow demultiplexing info.
-struct ReceivedDatagram {
-  Datagram datagram;
-  Sfl sfl = 0;
-  bool was_secret = false;
-  crypto::AlgorithmSuite suite;
-};
-
-using ReceiveOutcome = std::variant<ReceivedDatagram, ReceiveError>;
-
-/// Demultiplexing info for the allocation-free receive path: the body lands
-/// in the caller's buffer, so only the flow facts travel in the result.
+/// Demultiplexing info for an accepted datagram: the body lands in the
+/// caller's buffer, so only the flow facts travel in the result.
 struct ReceivedInfo {
   Sfl sfl = 0;
   bool was_secret = false;

@@ -28,6 +28,14 @@ void mac_prefix_into(std::uint8_t flags, std::uint8_t suite,
   }
 }
 
+/// The one padding rule: a secret body grows by PKCS#7 padding (1..8
+/// bytes) under the block modes, ECB and CBC (3DES included); the stream
+/// modes CFB and OFB keep its length.
+bool pads(crypto::CipherAlgorithm cipher) {
+  const auto mode = crypto::cipher_mode(cipher);
+  return mode == crypto::CipherMode::kEcb || mode == crypto::CipherMode::kCbc;
+}
+
 /// Section 7.2: the 32-bit confounder is duplicated into the 64-bit DES IV.
 std::uint64_t confounder_iv(std::uint32_t confounder) {
   return static_cast<std::uint64_t>(confounder) << 32 | confounder;
@@ -299,10 +307,14 @@ bool FbsEndpoint::admit(WorkContext& ctx, const Datagram& d, bool secret,
 std::size_t FbsEndpoint::wire_size(const SealItem& item) {
   const FbsHeaderView& h = item.header;
   std::size_t body = item.body.size();
-  if (h.secret && h.suite.cipher != crypto::CipherAlgorithm::kDesCfb &&
-      h.suite.cipher != crypto::CipherAlgorithm::kDesOfb)
+  if (h.secret && pads(h.suite.cipher))
     body += crypto::Des::kBlockSize - body % crypto::Des::kBlockSize;
-  return FbsHeader::kFixedSize + item.crypto.mac.mac_size() + body;
+  return FbsHeaderView::kFixedSize + item.crypto.mac.mac_size() + body;
+}
+
+std::size_t FbsEndpoint::max_wire_overhead() const {
+  return header_overhead() +
+         (pads(config_.suite.cipher) ? crypto::Des::kBlockSize : 0);
 }
 
 void FbsEndpoint::seal_burst_into(WorkContext& ctx,
@@ -400,13 +412,6 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   item.wire_out = &wire_out;
   seal_burst_into(ctx, {&item, 1});
   return true;
-}
-
-std::optional<util::Bytes> FbsEndpoint::protect(const Datagram& d,
-                                                bool secret) {
-  util::Bytes wire;
-  if (!protect_into(default_ctx_, d, secret, wire)) return std::nullopt;
-  return wire;
 }
 
 ReceiveError FbsEndpoint::reject(FlowDomain& dom, ReceiveError e) {
@@ -689,23 +694,6 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     }
     ctx.rebuilt.clear();
   }
-}
-
-ReceiveOutcome FbsEndpoint::unprotect(const Principal& source,
-                                      util::BytesView wire) {
-  util::Bytes body;
-  const ReceiveIntoOutcome outcome =
-      unprotect_into(default_ctx_, source, wire, body);
-  if (const auto* err = std::get_if<ReceiveError>(&outcome)) return *err;
-  const auto& info = std::get<ReceivedInfo>(outcome);
-  ReceivedDatagram out;
-  out.datagram.source = source;
-  out.datagram.destination = self_;
-  out.datagram.body = std::move(body);
-  out.sfl = info.sfl;
-  out.was_secret = info.was_secret;
-  out.suite = info.suite;
-  return out;
 }
 
 void FbsEndpoint::rekey(const FlowAttributes& attrs) {

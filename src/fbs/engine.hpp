@@ -27,9 +27,7 @@
 // -- any number of threads may call them concurrently, each with its own
 // WorkContext (the caller's scratch); the engine takes exactly one domain
 // lock per admitted datagram and per shard group of a receive burst, and
-// none to seal (one per burst to record stage times when tracing). Only
-// the allocating protect()/unprotect() use an internal
-// context and therefore keep the original single-threaded contract. Key
+// none to seal (one per burst to record stage times when tracing). Key
 // management (KeyManager / MKD) is deliberately serial behind its own
 // lock: keying is the cold path.
 //
@@ -79,22 +77,15 @@ class FbsEndpoint {
   FbsEndpoint(Principal self, const FbsConfig& config, KeyManager& keys,
               const util::Clock& clock, util::RandomSource& rng);
 
-  /// FBSSend: protect `d` (whose source must be this principal) and return
-  /// the wire bytes `FBSheader || body`. nullopt if no master key for the
-  /// destination can be obtained.
-  std::optional<util::Bytes> protect(const Datagram& d, bool secret);
-
-  /// FBSReceive: validate wire bytes claimed to be from `source`.
-  ReceiveOutcome unprotect(const Principal& source, util::BytesView wire);
-
-  /// Allocation-free, re-entrant FBSSend: `wire_out` receives
-  /// `FBSheader || body`, reusing its capacity. On a flow-cache hit with
-  /// warm buffers (`ctx` and `wire_out`) the whole call performs zero heap
-  /// allocations. Returns false if no master key for the destination can
-  /// be obtained (wire_out is left cleared). Safe to call from any number
-  /// of threads concurrently, each passing its own WorkContext (and its
-  /// own wire_out). Datagrams of distinct flows on distinct shards proceed
-  /// fully in parallel; same-shard datagrams serialize on that shard's lock.
+  /// FBSSend: protect `d` (whose source must be this principal) into
+  /// `wire_out` as `FBSheader || body`, reusing its capacity. On a
+  /// flow-cache hit with warm buffers (`ctx` and `wire_out`) the whole call
+  /// performs zero heap allocations. Returns false if no master key for the
+  /// destination can be obtained (wire_out is left cleared). Safe to call
+  /// from any number of threads concurrently, each passing its own
+  /// WorkContext (and its own wire_out). Datagrams of distinct flows on
+  /// distinct shards proceed fully in parallel; same-shard datagrams
+  /// serialize on that shard's lock.
   bool protect_into(WorkContext& ctx, const Datagram& d, bool secret,
                     util::Bytes& wire_out);
 
@@ -118,12 +109,13 @@ class FbsEndpoint {
   /// depend on how datagrams are grouped into bursts.
   void seal_burst_into(WorkContext& ctx, std::span<SealItem> items);
 
-  /// Allocation-free, re-entrant FBSReceive: a burst of one through
-  /// unprotect_burst_into. The plaintext body lands in `body_out` (capacity
-  /// reused); on rejection its contents are unspecified. Same threading
-  /// contract as protect_into. Replay check+commit executes atomically
-  /// under the owning shard's lock, so a duplicated wire racing itself
-  /// from two threads is accepted exactly once (strict-replay mode).
+  /// FBSReceive: validate `wire`, claimed to be from `source`; a burst of
+  /// one through unprotect_burst_into. The plaintext body lands in
+  /// `body_out` (capacity reused); on rejection its contents are
+  /// unspecified. Same threading contract as protect_into. Replay
+  /// check+commit executes atomically under the owning shard's lock, so a
+  /// duplicated wire racing itself from two threads is accepted exactly
+  /// once (strict-replay mode).
   ReceiveIntoOutcome unprotect_into(WorkContext& ctx,
                                     const Principal& source,
                                     util::BytesView wire,
@@ -161,19 +153,13 @@ class FbsEndpoint {
 
   /// Wire overhead of the security flow header itself.
   std::size_t header_overhead() const {
-    return FbsHeader::overhead(config_.suite);
+    return FbsHeaderView::overhead(config_.suite);
   }
 
-  /// Worst-case wire growth of protect(): header plus block-cipher padding
-  /// (PKCS#7 adds 1..8 bytes under DES ECB/CBC). This is what MTU budgeting
-  /// -- the tcp_output.c fix -- must subtract.
-  std::size_t max_wire_overhead() const {
-    const bool pads =
-        config_.suite.cipher == crypto::CipherAlgorithm::kDesCbc ||
-        config_.suite.cipher == crypto::CipherAlgorithm::kDesEcb ||
-        config_.suite.cipher == crypto::CipherAlgorithm::kDes3Ede;
-    return header_overhead() + (pads ? crypto::Des::kBlockSize : 0);
-  }
+  /// Worst-case wire growth of protect_into: header plus block-cipher
+  /// padding (PKCS#7 adds 1..8 bytes in the ECB and CBC modes). This is
+  /// what MTU budgeting -- the tcp_output.c fix -- must subtract.
+  std::size_t max_wire_overhead() const;
 
   const Principal& self() const { return self_; }
   const FbsConfig& config() const { return config_; }
@@ -263,9 +249,6 @@ class FbsEndpoint {
   SflAllocator sfl_alloc_;  // atomic counter, shared by all domains
   std::array<std::unique_ptr<crypto::Mac>, 8> suite_macs_;  // by MacAlgorithm
   std::vector<std::unique_ptr<FlowDomain>> domains_;
-
-  /// Serves the allocating protect()/unprotect().
-  WorkContext default_ctx_;
 };
 
 }  // namespace fbs::core

@@ -4,8 +4,8 @@ namespace fbs::core {
 
 namespace {
 constexpr std::uint8_t kFlagSecret = 0x01;
-// The three unassigned flag bits. Every encoder writes them as zero; the
-// decoders reject anything else, both to keep the wire encoding canonical
+// The three unassigned flag bits. serialize_into writes them as zero; parse
+// rejects anything else, both to keep the wire encoding canonical
 // (one datagram, one encoding) and so future assignments of these bits
 // cannot be silently ignored by old receivers.
 constexpr std::uint8_t kFlagsReservedMask = 0x0E;
@@ -30,28 +30,15 @@ void append_be32(util::Bytes& out, std::uint32_t v) {
 }
 }  // namespace
 
-util::Bytes FbsHeader::serialize() const {
-  util::ByteWriter w(wire_size());
-  std::uint8_t flags = static_cast<std::uint8_t>(kVersion << kVersionShift);
-  if (secret) flags |= kFlagSecret;
-  w.u8(flags);
-  w.u8(crypto::encode_suite(suite));
-  w.u64(sfl);
-  w.u32(confounder);
-  w.u32(timestamp_minutes);
-  w.bytes(mac);
-  return w.take();
-}
-
 std::optional<FbsHeaderView> FbsHeaderView::parse(util::BytesView wire) {
-  if (wire.size() < FbsHeader::kFixedSize) return std::nullopt;
+  if (wire.size() < kFixedSize) return std::nullopt;
   const std::uint8_t flags = wire[0];
   if ((flags >> kVersionShift) != kVersion) return std::nullopt;
   if (flags & kFlagsReservedMask) return std::nullopt;
   const auto suite = crypto::decode_suite(wire[1]);
   if (!suite) return std::nullopt;
   const std::size_t mac_n = crypto::mac_size(suite->mac);
-  if (wire.size() < FbsHeader::kFixedSize + mac_n) return std::nullopt;
+  if (wire.size() < kFixedSize + mac_n) return std::nullopt;
 
   FbsHeaderView out;
   out.suite = *suite;
@@ -59,8 +46,8 @@ std::optional<FbsHeaderView> FbsHeaderView::parse(util::BytesView wire) {
   out.sfl = load_be64(wire.data() + 2);
   out.confounder = load_be32(wire.data() + 10);
   out.timestamp_minutes = load_be32(wire.data() + 14);
-  out.mac = wire.subspan(FbsHeader::kFixedSize, mac_n);
-  out.body = wire.subspan(FbsHeader::kFixedSize + mac_n);
+  out.mac = wire.subspan(kFixedSize, mac_n);
+  out.body = wire.subspan(kFixedSize + mac_n);
   return out;
 }
 
@@ -80,21 +67,7 @@ void FbsHeaderView::serialize_into(util::Bytes& out) const {
   out.insert(out.end(), mac.begin(), mac.end());
 }
 
-std::optional<FbsHeader::ParsedOut> FbsHeader::parse(util::BytesView wire) {
-  const auto view = FbsHeaderView::parse(wire);
-  if (!view) return std::nullopt;
-  ParsedOut out;
-  out.header.suite = view->suite;
-  out.header.secret = view->secret;
-  out.header.sfl = view->sfl;
-  out.header.confounder = view->confounder;
-  out.header.timestamp_minutes = view->timestamp_minutes;
-  out.header.mac.assign(view->mac.begin(), view->mac.end());
-  out.body.assign(view->body.begin(), view->body.end());
-  return out;
-}
-
-std::size_t FbsHeader::overhead(crypto::AlgorithmSuite suite) {
+std::size_t FbsHeaderView::overhead(crypto::AlgorithmSuite suite) {
   return kFixedSize + crypto::mac_size(suite.mac);
 }
 

@@ -15,51 +15,28 @@
 
 namespace fbs::core {
 
-struct FbsHeader {
+/// The one header type, a non-owning view: after parse(), `mac` and `body`
+/// alias the wire buffer, which must outlive the view. The send path fills
+/// the fields (`mac` viewing its tag) and writes them with serialize_into.
+struct FbsHeaderView {
   /// Fixed part: flags(1) + suite(1) + sfl(8) + confounder(4) + timestamp(4).
   static constexpr std::size_t kFixedSize = 18;
 
   Sfl sfl = 0;
   std::uint32_t confounder = 0;
   std::uint32_t timestamp_minutes = 0;
-  util::Bytes mac;  // size determined by the suite's MAC algorithm
+  util::BytesView mac;  // size determined by the suite's MAC algorithm
   crypto::AlgorithmSuite suite;
-  bool secret = false;  // body is encrypted
+  bool secret = false;   // body is encrypted
+  util::BytesView body;  // remainder of the wire after the header
 
-  std::size_t wire_size() const { return kFixedSize + mac.size(); }
-
-  /// Serialize the header (MAC field included verbatim).
-  util::Bytes serialize() const;
-
-  /// Parse the header off the front of `wire`; the remainder is the
-  /// (possibly encrypted) datagram body. nullopt on truncation or an
-  /// unknown algorithm suite.
-  struct ParsedOut;
-  static std::optional<ParsedOut> parse(util::BytesView wire);
+  /// Parse the header off the front of `wire`; `body` is the (possibly
+  /// encrypted) datagram body that follows. nullopt on truncation, an
+  /// unknown algorithm suite, a wrong version or a set reserved flag bit.
+  static std::optional<FbsHeaderView> parse(util::BytesView wire);
 
   /// Wire overhead of a header using `suite` (for tcp_output-style sizing).
   static std::size_t overhead(crypto::AlgorithmSuite suite);
-};
-
-struct FbsHeader::ParsedOut {
-  FbsHeader header;
-  util::Bytes body;
-};
-
-/// Non-owning header view for the allocation-free datagram path: `mac` and
-/// `body` alias the wire buffer handed to parse(), which must outlive the
-/// view. Field meanings match FbsHeader.
-struct FbsHeaderView {
-  Sfl sfl = 0;
-  std::uint32_t confounder = 0;
-  std::uint32_t timestamp_minutes = 0;
-  util::BytesView mac;
-  crypto::AlgorithmSuite suite;
-  bool secret = false;
-  util::BytesView body;  // remainder of the wire after the header
-
-  /// Allocation-free counterpart of FbsHeader::parse.
-  static std::optional<FbsHeaderView> parse(util::BytesView wire);
 
   /// The wire flags byte (version nibble + secret bit; reserved bits are
   /// always zero -- parse rejects anything else). Together with the suite

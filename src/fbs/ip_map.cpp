@@ -84,7 +84,7 @@ bool FbsIpMapping::on_admit(net::IpStack::OutputDatagram& d) {
   const bool secret =
       config_.secret_policy ? config_.secret_policy(dg.attrs) : true;
   SealItem& item = seal_items_[d.slot];
-  const bool admitted = endpoint_.admit(tx_ctx_, dg, secret, item);
+  const bool admitted = endpoint_.admit(ctx_, dg, secret, item);
   d.payload = std::move(dg.body);
   if (!admitted) {
     // Fail closed: traffic must not leave unprotected when keying fails.
@@ -112,8 +112,7 @@ void FbsIpMapping::on_seal(std::span<net::IpStack::OutputDatagram> queue) {
     std::size_t end = first + 1;
     while (end < queue.size() && queue[end].seal) ++end;
     endpoint_.seal_burst_into(
-        tx_ctx_, std::span(seal_items_).subspan(queue[first].slot,
-                                                end - first));
+        ctx_, std::span(seal_items_).subspan(queue[first].slot, end - first));
     ++counters_.out_seal_bursts;
     counters_.out_sealed += end - first;
     for (std::size_t i = first; i < end; ++i)
@@ -150,7 +149,7 @@ void FbsIpMapping::on_input(std::span<net::IpStack::InputDatagram> batch) {
     rx_sources_[k].assign_ipv4(d.header.source);
     rx_items_[k] = ReceiveBurstItem{&rx_sources_[k], d.payload, &rx_bodies_[k]};
   }
-  endpoint_.unprotect_burst_into(rx_ctx_, {rx_items_.data(), n});
+  endpoint_.unprotect_burst_into(ctx_, {rx_items_.data(), n});
   for (std::size_t k = 0; k < n; ++k) {
     net::IpStack::InputDatagram& d = batch[rx_index_[k]];
     if (const auto* err = std::get_if<ReceiveError>(&rx_items_[k].outcome)) {

@@ -88,7 +88,7 @@ class FbsIpMapping {
     std::atomic<std::uint64_t> in_raw_ip{0};
     std::atomic<std::uint64_t> in_deferred{0};  // handed to the pipeline
     // Indexed by ReceiveError.
-    std::array<std::atomic<std::uint64_t>, 6> in_rejected{};
+    std::array<std::atomic<std::uint64_t>, kReceiveErrorKinds> in_rejected{};
   };
 
   FbsIpMapping(net::IpStack& stack, const IpMappingConfig& config,
@@ -140,22 +140,24 @@ class FbsIpMapping {
   Counters counters_;
   std::unique_ptr<DatagramPipeline> pipeline_;  // null in sync mode
 
-  /// Send-side engine scratch, the datagram staging admit reads (its
-  /// principals rewritten in place), and per queue slot the admitted
-  /// datagram and its wire staging (swapped with the slot's payload once
-  /// sealed), all reused, so a warm send performs no heap allocations.
-  WorkContext tx_ctx_;
+  /// The engine's scratch for both directions: the admit, seal and input
+  /// hooks all run on the stack's thread, and none of them calls another.
+  WorkContext ctx_;
+
+  /// The datagram staging admit reads (its principals rewritten in place),
+  /// and per queue slot the admitted datagram and its wire staging
+  /// (swapped with the slot's payload once sealed), all reused, so a warm
+  /// send performs no heap allocations.
   Datagram tx_datagram_;
   std::array<SealItem, net::IpStack::kSealQueue> seal_items_;
   std::array<util::Bytes, net::IpStack::kSealQueue> seal_wires_;
 
   /// Receive-batch staging, grown to the largest batch seen and reused:
-  /// the engine's scratch, the batch's FBS datagrams (by index), their
-  /// claimed sources, the burst items and the plaintext bodies. A body
-  /// swaps with its wire on accept, so the old wire buffer (capacity >=
-  /// any body it can carry) becomes the next batch's body staging. In
-  /// pipeline mode the FBS datagrams are staged in rx_submissions_.
-  WorkContext rx_ctx_;
+  /// the batch's FBS datagrams (by index), their claimed sources, the
+  /// burst items and the plaintext bodies. A body swaps with its wire on
+  /// accept, so the old wire buffer (capacity >= any body it can carry)
+  /// becomes the next batch's body staging. In pipeline mode the FBS
+  /// datagrams are staged in rx_submissions_.
   std::vector<std::size_t> rx_index_;
   std::vector<Principal> rx_sources_;
   std::vector<ReceiveBurstItem> rx_items_;

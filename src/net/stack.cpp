@@ -50,11 +50,8 @@ bool IpStack::output(Ipv4Address destination, IpProto proto,
   d.payload.assign(payload.begin(), payload.end());
   d.seal = false;
 
-  // FBS output hook sits between route selection and fragmentation.
-  const bool accepted = hooks_.admit    ? hooks_.admit(d)
-                        : hooks_.output ? hooks_.output(d.header, d.payload)
-                                        : true;
-  if (!accepted) {
+  // The FBS admit hook sits between route selection and fragmentation.
+  if (hooks_.admit && !hooks_.admit(d)) {
     ++counters_.hook_drops_out;
     return false;
   }

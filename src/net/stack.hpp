@@ -1,7 +1,7 @@
 // Host IP stack mirroring the three-part 4.4BSD structure the paper hooks
 // into (Section 7.2):
 //
-//   output: [1] options/route  -> FBS output hook -> [2] fragment -> [3] tx
+//   output: [1] options/route  -> FBS admit hook -> [2] fragment -> [3] tx
 //   input:  [1] validate/recv  -> [2] reassemble  -> FBS input hook -> [3]
 //           dispatch to the higher-layer protocol
 //
@@ -10,17 +10,20 @@
 // segment-size calculation must account for the inserted FBS header or DF
 // packets would need fragmenting).
 //
-// Output may seal in bursts. With an admit + seal hook pair (FbsIpMapping
-// installs one), the output hook runs in two phases:
+// Output may seal in bursts. The output side is an admit hook and, for
+// datagrams admit leaves to be sealed, a seal hook (FbsIpMapping installs
+// both):
 //
-//   output(): [1] -> admit hook -> DF check -> park in the seal queue
+//   output(): [1] -> admit hook -> DF check -> [2] fragment -> [3] tx
+//             ... or, if admit marks it `seal`, park in the seal queue
 //   drain:    seal hook (one burst) -> [2] fragment -> [3] tx, admit order
 //
-// output() still returns every verdict at once -- hook drop, key
-// unavailable, and DF on the exact sealed size the admit hook reports --
-// and copies the payload into its queue slot's reused buffer. A datagram
-// the hook finishes at admit (bypass, raw IP) goes out at once unless
-// sealed ones wait ahead of it; then it parks too, so nothing overtakes.
+// output() returns every verdict at once -- hook drop, key unavailable,
+// and DF on the exact sealed size the admit hook reports -- and copies the
+// payload into its queue slot's reused buffer. A datagram the hook
+// finishes at admit (bypass, raw IP, or a hook with no seal half) goes out
+// at once unless sealed ones wait ahead of it; then it parks too, so
+// nothing overtakes.
 // The queue (at most kSealQueue datagrams) drains when it is full; before
 // the transport pumps or orders a timer behind it (SimNetwork::step/run/
 // call_later, UdpTransport::poll; see Transport::Holder); before
@@ -100,13 +103,11 @@ class IpStack : private Transport::Holder {
   static constexpr std::size_t kSealQueue = 4;
 
   struct SecurityHooks {
-    /// Called between output parts [1] and [2]; may grow the payload
-    /// (inserting the FBS header) and must keep the header's protocol field
-    /// meaningful. Return false to drop (counted).
-    std::function<bool(Ipv4Header&, util::Bytes&)> output;
-    /// The two-phase form of `output`, used instead of it when set. Admit
-    /// decides at once: return false to drop (counted), or accept and
-    /// either finish the payload itself or set `seal` and `wire_size`.
+    /// Called between output parts [1] and [2]; decides at once: return
+    /// false to drop (counted), or accept and either finish the payload
+    /// itself (it may grow it, inserting the FBS header, and must keep the
+    /// header's protocol field meaningful) or set `seal` and `wire_size`.
+    /// Unset, every datagram is accepted as it is.
     std::function<bool(OutputDatagram&)> admit;
     /// Finish the datagrams admit marked `seal`, in one burst; called with
     /// the queue in admit order when it drains.
@@ -116,8 +117,8 @@ class IpStack : private Transport::Holder {
     /// time; strips/validates each one's FBS header or takes it over
     /// (see InputDatagram).
     std::function<void(std::span<InputDatagram>)> input;
-    /// Wire bytes the output hook adds; reduces the payload budget that
-    /// upper layers (tcp_output-style senders) may use per packet.
+    /// Wire bytes the admit or seal hook adds; reduces the payload budget
+    /// that upper layers (tcp_output-style senders) may use per packet.
     std::size_t header_overhead = 0;
   };
 
@@ -168,7 +169,7 @@ class IpStack : private Transport::Holder {
   const SecurityHooks& security_hooks() const { return hooks_; }
 
   /// Send a transport payload. Returns false if dropped before the wire
-  /// (DF conflict or output-hook rejection). A datagram the admit hook
+  /// (DF conflict or admit-hook rejection). A datagram the admit hook
   /// parks is sealed and sent when the seal queue drains (see above).
   bool output(Ipv4Address destination, IpProto proto, util::BytesView payload,
               bool dont_fragment = false);

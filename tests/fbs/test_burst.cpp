@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::protect;
 using testing::TestWorld;
 
 Datagram datagram(const Principal& src, const Principal& dst,
@@ -113,7 +115,7 @@ TEST_F(BurstTest, MixedBurstMatchesPerItemPath) {
   std::vector<util::Bytes> wires;
   for (std::uint16_t flow = 0; flow < 8; ++flow) {
     for (int i = 0; i < 4; ++i) {
-      const auto wire = alice->protect(
+      const auto wire = protect(*alice,
           datagram(alice->self(), bob_node_->principal,
                    "flow " + std::to_string(flow) + " datagram " +
                        std::to_string(i) + std::string(120, 'x'),
@@ -123,7 +125,7 @@ TEST_F(BurstTest, MixedBurstMatchesPerItemPath) {
       wires.push_back(*wire);
     }
   }
-  const auto plain = alice->protect(
+  const auto plain = protect(*alice,
       datagram(alice->self(), bob_node_->principal, "in the clear"),
       /*secret=*/false);
   ASSERT_TRUE(plain.has_value());
@@ -156,7 +158,7 @@ TEST_F(BurstTest, MixedSuitesInOneBurst) {
   for (int i = 0; i < 6; ++i) {
     FbsEndpoint& s = i % 3 == 0 ? *send_cbc : i % 3 == 1 ? *send_cfb
                                                          : *send_des3;
-    const auto wire = s.protect(
+    const auto wire = protect(s,
         datagram(s.self(), bob_node_->principal,
                  "suite mix " + std::to_string(i) + std::string(90, 'y'),
                  static_cast<std::uint16_t>(3000 + i)),
@@ -178,7 +180,7 @@ TEST_F(BurstTest, IntraBurstDuplicateRejectedUnderStrictReplay) {
   FbsConfig cfg;
   cfg.strict_replay = true;
   auto alice = sender(cfg);
-  const auto wire = alice->protect(
+  const auto wire = protect(*alice,
       datagram(alice->self(), bob_node_->principal,
                std::string(200, 'd') + " duplicated"),
       /*secret=*/true);
@@ -198,7 +200,7 @@ TEST_F(BurstTest, DuplicatesAdmittedWithoutStrictReplay) {
   // burst path must not accidentally tighten that.
   FbsConfig cfg;
   auto alice = sender(cfg);
-  const auto wire = alice->protect(
+  const auto wire = protect(*alice,
       datagram(alice->self(), bob_node_->principal, "twice is fine"),
       /*secret=*/true);
   ASSERT_TRUE(wire.has_value());
@@ -217,7 +219,7 @@ TEST_F(BurstTest, BitsliceDisabledStillMatches) {
   auto alice = sender(send_cfg);
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 12; ++i) {
-    const auto wire = alice->protect(
+    const auto wire = protect(*alice,
         datagram(alice->self(), bob_node_->principal,
                  "scalar burst " + std::string(100 + i, 'z'),
                  static_cast<std::uint16_t>(5000 + i % 3)),
@@ -240,7 +242,7 @@ TEST_F(BurstTest, LargeBurstSpansMultipleChunks) {
   auto alice = sender(cfg);
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 150; ++i) {
-    const auto wire = alice->protect(
+    const auto wire = protect(*alice,
         datagram(alice->self(), bob_node_->principal,
                  "chunk seam " + std::to_string(i),
                  static_cast<std::uint16_t>(6000 + i % 5)),
@@ -269,8 +271,8 @@ TEST_F(BurstTest, TinyRfkcRebuildsEvictedContextsMidBurst) {
   const auto seal = [&](FbsEndpoint& s, std::uint16_t sport, bool secret,
                         const std::string& body) {
     const auto wire =
-        s.protect(datagram(s.self(), bob_node_->principal, body, sport),
-                  secret);
+        protect(s, datagram(s.self(), bob_node_->principal, body, sport),
+                secret);
     ASSERT_TRUE(wire.has_value());
     wires.push_back(*wire);
   };
@@ -304,7 +306,7 @@ TEST_F(BurstTest, ResuitedCopyDoesNotDisturbGenuineDatagram) {
   // copy rejected -- exactly as when each arrives alone.
   FbsConfig cfg;
   auto alice = sender(cfg);
-  const auto wire = alice->protect(
+  const auto wire = protect(*alice,
       datagram(alice->self(), bob_node_->principal,
                "genuine " + std::string(200, 'g')),
       /*secret=*/true);
@@ -335,8 +337,8 @@ TEST_F(BurstTest, ResuitedCopyLeavesCachedContextAlone) {
   auto alice = sender(cfg);
   const Datagram d = datagram(alice->self(), bob_node_->principal,
                               "genuine " + std::string(100, 'g'));
-  const auto first = alice->protect(d, /*secret=*/true);
-  const auto second = alice->protect(d, /*secret=*/true);
+  const auto first = protect(*alice, d, /*secret=*/true);
+  const auto second = protect(*alice, d, /*secret=*/true);
   ASSERT_TRUE(first.has_value() && second.has_value());
   auto header = FbsHeaderView::parse(*first);
   ASSERT_TRUE(header.has_value());
@@ -381,7 +383,7 @@ TEST_F(BurstTest, ForgedMacMidBurstRejectsOnlyThatDatagram) {
   auto alice = sender(cfg);
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 16; ++i) {
-    const auto wire = alice->protect(
+    const auto wire = protect(*alice,
         datagram(alice->self(), bob_node_->principal,
                  "lane " + std::to_string(i) + std::string(1300, 'm'),
                  static_cast<std::uint16_t>(7000 + i % 4)),
@@ -389,7 +391,7 @@ TEST_F(BurstTest, ForgedMacMidBurstRejectsOnlyThatDatagram) {
     ASSERT_TRUE(wire.has_value());
     wires.push_back(*wire);
   }
-  wires[8][FbsHeader::kFixedSize] ^= 0x01;  // first tag byte
+  wires[8][FbsHeaderView::kFixedSize] ^= 0x01;  // first tag byte
 
   auto bob_item = receiver(cfg);
   auto bob_burst = receiver(cfg);
@@ -424,7 +426,7 @@ TEST_F(BurstTest, MixedMacSuitesVerifyEachAgainstItsOwnSuite) {
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 16; ++i) {
     FbsEndpoint& s = *senders[i % senders.size()];
-    const auto wire = s.protect(
+    const auto wire = protect(s,
         datagram(s.self(), bob_node_->principal,
                  "mac mix " + std::to_string(i) + std::string(200 + i, 'q'),
                  static_cast<std::uint16_t>(7100 + i)),
@@ -445,7 +447,7 @@ TEST_F(BurstTest, BodiesLongerThan1600BytesStillVerify) {
   auto alice = sender(cfg);
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 12; ++i) {
-    const auto wire = alice->protect(
+    const auto wire = protect(*alice,
         datagram(alice->self(), bob_node_->principal,
                  std::string(1601 + 397 * i, static_cast<char>('a' + i)),
                  static_cast<std::uint16_t>(7200 + i % 3)),
@@ -491,8 +493,8 @@ TEST_F(BurstTest, ForgedSflFloodLeavesGenuineRfkcEntry) {
   auto bob = receiver(cfg);
   const Datagram d = datagram(alice->self(), bob_node_->principal,
                               "genuine " + std::string(200, 'g'));
-  const auto first = alice->protect(d, /*secret=*/true);
-  const auto second = alice->protect(d, /*secret=*/true);
+  const auto first = protect(*alice, d, /*secret=*/true);
+  const auto second = protect(*alice, d, /*secret=*/true);
   ASSERT_TRUE(first.has_value() && second.has_value());
   const Sfl sfl = FbsHeaderView::parse(*first)->sfl;
   WorkContext ctx;
@@ -552,14 +554,14 @@ TEST_F(BurstTest, ForgedLeadOfANewFlowCachesNothing) {
   auto alice = sender(cfg);
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 4; ++i) {
-    const auto wire = alice->protect(
+    const auto wire = protect(*alice,
         datagram(alice->self(), bob_node_->principal,
                  "new flow " + std::to_string(i) + std::string(300, 'n')),
         /*secret=*/true);
     ASSERT_TRUE(wire.has_value());
     wires.push_back(*wire);
   }
-  wires[0][FbsHeader::kFixedSize] ^= 0x01;  // first tag byte
+  wires[0][FbsHeaderView::kFixedSize] ^= 0x01;  // first tag byte
 
   auto bob_item = receiver(cfg);
   auto bob_burst = receiver(cfg);

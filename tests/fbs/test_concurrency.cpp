@@ -13,12 +13,14 @@
 #include "fbs/engine.hpp"
 #include "fbs/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 #include "util/ring.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::protect;
 using testing::TestWorld;
 
 constexpr int kThreads = 8;
@@ -63,10 +65,10 @@ TEST_F(ConcurrencyTest, ManyFlowsFromManyThreadsAllRoundTrip) {
                        world_.rng);
   // Prime the pair master key single-threaded so the threads race on the
   // datagram path, not on the (deliberately serial) keying upcall.
-  ASSERT_TRUE(sender
-                  .protect(datagram(a_.principal, b_.principal,
-                                    util::to_bytes("prime"), 999),
-                           true)
+  ASSERT_TRUE(protect(sender,
+                      datagram(a_.principal, b_.principal,
+                               util::to_bytes("prime"), 999),
+                      true)
                   .has_value());
 
   constexpr int kPerThread = 200;
@@ -106,10 +108,10 @@ TEST_F(ConcurrencyTest, OneFlowHammeredFromManyThreads) {
                      world_.rng);
   FbsEndpoint receiver(b_.principal, sharded(8), *b_.keys, world_.clock,
                        world_.rng);
-  ASSERT_TRUE(sender
-                  .protect(datagram(a_.principal, b_.principal,
-                                    util::to_bytes("prime"), 7),
-                           true)
+  ASSERT_TRUE(protect(sender,
+                      datagram(a_.principal, b_.principal,
+                               util::to_bytes("prime"), 7),
+                      true)
                   .has_value());
 
   constexpr int kPerThread = 150;
@@ -145,7 +147,7 @@ TEST_F(ConcurrencyTest, ConcurrentReplayAcceptedExactlyOnce) {
                      world_.rng);
   FbsEndpoint receiver(b_.principal, sharded(8, /*strict_replay=*/true),
                        *b_.keys, world_.clock, world_.rng);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a_.principal, b_.principal, util::to_bytes("exactly once"), 1),
       true);
   ASSERT_TRUE(wire.has_value());
@@ -214,7 +216,7 @@ TEST_F(ConcurrencyTest, ConcurrentSubmittersThroughThePipeline) {
   std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
-      const auto wire = sender.protect(
+      const auto wire = protect(sender,
           datagram(a_.principal, b_.principal, world_.rng.next_bytes(64),
                    static_cast<std::uint16_t>(1 + s * kPerSubmitter + i)),
           true);
@@ -332,7 +334,7 @@ TEST_F(ConcurrencyTest, ConcurrentBatchSubmittersThroughThePipeline) {
   std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
-      const auto wire = sender.protect(
+      const auto wire = protect(sender,
           datagram(a_.principal, b_.principal, world_.rng.next_bytes(64),
                    static_cast<std::uint16_t>(1 + (s * kPerSubmitter + i) % 32)),
           true);
@@ -401,7 +403,7 @@ TEST_F(ConcurrencyTest, StopRacingBatchSubmittersStaysConserved) {
   std::vector<std::vector<DatagramPipeline::Submission>> wires(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s)
     for (int i = 0; i < kPerSubmitter; ++i) {
-      const auto wire = sender.protect(
+      const auto wire = protect(sender,
           datagram(a_.principal, b_.principal, world_.rng.next_bytes(32),
                    static_cast<std::uint16_t>(1 + i % 16)),
           true);
@@ -444,10 +446,10 @@ TEST_F(ConcurrencyTest, MetricsSnapshotsRaceTrafficSafely) {
                      world_.rng);
   FbsEndpoint receiver(b_.principal, sharded(4), *b_.keys, world_.clock,
                        world_.rng);
-  ASSERT_TRUE(sender
-                  .protect(datagram(a_.principal, b_.principal,
-                                    util::to_bytes("prime"), 999),
-                           true)
+  ASSERT_TRUE(protect(sender,
+                      datagram(a_.principal, b_.principal,
+                               util::to_bytes("prime"), 999),
+                      true)
                   .has_value());
   obs::MetricsRegistry reg;
   sender.register_metrics(reg, "send");
@@ -494,10 +496,10 @@ TEST_F(ConcurrencyTest, ConcurrentStatsReadersRaceTrafficSafely) {
                      world_.rng);
   FbsEndpoint receiver(b_.principal, sharded(4), *b_.keys, world_.clock,
                        world_.rng);
-  ASSERT_TRUE(sender
-                  .protect(datagram(a_.principal, b_.principal,
-                                    util::to_bytes("prime"), 999),
-                           true)
+  ASSERT_TRUE(protect(sender,
+                      datagram(a_.principal, b_.principal,
+                               util::to_bytes("prime"), 999),
+                      true)
                   .has_value());
   obs::MetricsRegistry reg;
   receiver.register_metrics(reg, "recv");

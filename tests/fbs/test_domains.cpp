@@ -7,11 +7,15 @@
 #include <vector>
 
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 Datagram datagram(const Principal& src, const Principal& dst,
@@ -80,11 +84,11 @@ TEST_F(DomainTest, EveryDatagramOfAFlowLandsOnOneShard) {
   std::set<std::size_t> recv_shards;
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(sender.send_shard_of(d.attrs), send_shard);
-    const auto wire = sender.protect(d, true);
+    const auto wire = protect(sender, d, true);
     ASSERT_TRUE(wire.has_value());
     recv_shards.insert(receiver.recv_shard_of_wire(a_.principal, *wire));
     ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(
-        receiver.unprotect(a_.principal, *wire)));
+        unprotect(receiver, a_.principal, *wire)));
   }
   // Same flow -> same sfl -> same receive shard, every time.
   EXPECT_EQ(recv_shards.size(), 1u);
@@ -96,12 +100,12 @@ TEST_F(DomainTest, PerShardStatsSumToAggregates) {
   FbsEndpoint receiver(b_.principal, sharded(4), *b_.keys, world_.clock,
                        world_.rng);
   for (std::uint16_t port = 1; port <= 32; ++port) {
-    const auto wire = sender.protect(
+    const auto wire = protect(sender,
         datagram(a_.principal, b_.principal, util::to_bytes("s"), port),
         true);
     ASSERT_TRUE(wire.has_value());
     ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(
-        receiver.unprotect(a_.principal, *wire)));
+        unprotect(receiver, a_.principal, *wire)));
   }
 
   std::uint64_t sent = 0, accepted = 0, derived = 0;
@@ -130,10 +134,10 @@ TEST_F(DomainTest, FlowCryptoContextReusedWithinItsShard) {
   constexpr std::uint16_t kFlows = 16;
   for (int round = 0; round < 5; ++round)
     for (std::uint16_t port = 1; port <= kFlows; ++port)
-      ASSERT_TRUE(sender
-                      .protect(datagram(a_.principal, b_.principal,
-                                        util::to_bytes("r"), port),
-                               true)
+      ASSERT_TRUE(protect(sender,
+                          datagram(a_.principal, b_.principal,
+                                   util::to_bytes("r"), port),
+                          true)
                       .has_value());
   // One derivation per flow, ever: the cached FlowCryptoContext in the
   // flow's own shard serves all later datagrams.
@@ -153,10 +157,10 @@ TEST_F(DomainTest, SplitPathCachesEvictPerShard) {
                      world_.rng);
   for (int round = 0; round < 3; ++round)
     for (std::uint16_t port = 1; port <= 64; ++port)
-      ASSERT_TRUE(sender
-                      .protect(datagram(a_.principal, b_.principal,
-                                        util::to_bytes("e"), port),
-                               true)
+      ASSERT_TRUE(protect(sender,
+                          datagram(a_.principal, b_.principal,
+                                   util::to_bytes("e"), port),
+                          true)
                       .has_value());
   const CacheStats& agg = sender.tfkc_stats();
   EXPECT_GT(agg.cold_misses, 0u);
@@ -184,12 +188,12 @@ TEST_F(DomainTest, ReplayRejectionIsPerFlowUnderSharding) {
                      world_.rng);
   FbsEndpoint receiver(b_.principal, config, *b_.keys, world_.clock,
                        world_.rng);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a_.principal, b_.principal, util::to_bytes("once")), true);
   ASSERT_TRUE(wire.has_value());
   EXPECT_TRUE(std::holds_alternative<ReceivedDatagram>(
-      receiver.unprotect(a_.principal, *wire)));
-  const auto replay = receiver.unprotect(a_.principal, *wire);
+      unprotect(receiver, a_.principal, *wire)));
+  const auto replay = unprotect(receiver, a_.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceiveError>(replay));
   EXPECT_EQ(std::get<ReceiveError>(replay), ReceiveError::kReplay);
 
@@ -208,18 +212,18 @@ TEST_F(DomainTest, RekeyTargetsTheFlowsOwnShard) {
                      world_.rng);
   const Datagram d =
       datagram(a_.principal, b_.principal, util::to_bytes("k"));
-  const auto before = sender.protect(d, true);
+  const auto before = protect(sender, d, true);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ(sender.send_stats().flow_keys_derived, 1u);
-  ASSERT_TRUE(sender.protect(d, true).has_value());
+  ASSERT_TRUE(protect(sender, d, true).has_value());
   EXPECT_EQ(sender.send_stats().flow_keys_derived, 1u);  // cached
 
   sender.rekey(d.attrs);
-  const auto after = sender.protect(d, true);
+  const auto after = protect(sender, d, true);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(sender.send_stats().flow_keys_derived, 2u);  // fresh key
-  EXPECT_NE(FbsHeader::parse(*before)->header.sfl,
-            FbsHeader::parse(*after)->header.sfl);
+  EXPECT_NE(FbsHeaderView::parse(*before)->sfl,
+            FbsHeaderView::parse(*after)->sfl);
 }
 
 TEST_F(DomainTest, WorkContextOverloadsRoundTrip) {
@@ -245,20 +249,20 @@ TEST_F(DomainTest, ClearSoftStateWipesEveryShard) {
   FbsEndpoint sender(a_.principal, sharded(8), *a_.keys, world_.clock,
                      world_.rng);
   for (std::uint16_t port = 1; port <= 16; ++port)
-    ASSERT_TRUE(sender
-                    .protect(datagram(a_.principal, b_.principal,
-                                      util::to_bytes("c"), port),
-                             true)
+    ASSERT_TRUE(protect(sender,
+                        datagram(a_.principal, b_.principal,
+                                 util::to_bytes("c"), port),
+                        true)
                     .has_value());
   const std::uint64_t derived = sender.send_stats().flow_keys_derived;
   EXPECT_EQ(derived, 16u);
   sender.clear_soft_state();
   // Every flow re-derives: no shard kept a stale combined entry.
   for (std::uint16_t port = 1; port <= 16; ++port)
-    ASSERT_TRUE(sender
-                    .protect(datagram(a_.principal, b_.principal,
-                                      util::to_bytes("c"), port),
-                             true)
+    ASSERT_TRUE(protect(sender,
+                        datagram(a_.principal, b_.principal,
+                                 util::to_bytes("c"), port),
+                        true)
                     .has_value());
   EXPECT_EQ(sender.send_stats().flow_keys_derived, derived + 16u);
 }

@@ -6,11 +6,15 @@
 #include <set>
 
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 Datagram datagram(const Principal& src, const Principal& dst,
@@ -42,10 +46,10 @@ TEST_P(PayloadSweep, RoundTripAtEverySize) {
                        world.rng);
 
   const util::Bytes body = world.rng.next_bytes(size);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a.principal, b.principal, body), secret);
   ASSERT_TRUE(wire.has_value());
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   EXPECT_EQ(std::get<ReceivedDatagram>(outcome).datagram.body, body);
 }
@@ -65,11 +69,11 @@ TEST(EngineProperties, OakleyGroup2KeyingAgrees) {
                      world.rng);
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a.principal, b.principal, util::to_bytes("1024-bit modp")),
       true);
   ASSERT_TRUE(wire.has_value());
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
 }
 
@@ -92,7 +96,7 @@ TEST(EngineProperties, ManyPeersIndependentKeys) {
   // only (cross-delivery must fail on the wrong pair key).
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 8; ++i) {
-    const auto wire = sender.protect(
+    const auto wire = protect(sender,
         datagram(hub.principal, peers[i],
                  util::to_bytes("for peer " + std::to_string(i))),
         true);
@@ -100,10 +104,10 @@ TEST(EngineProperties, ManyPeersIndependentKeys) {
     wires.push_back(*wire);
   }
   for (int i = 0; i < 8; ++i) {
-    auto own = receivers[i]->unprotect(hub.principal, wires[i]);
+    auto own = unprotect(*receivers[i], hub.principal, wires[i]);
     EXPECT_TRUE(std::holds_alternative<ReceivedDatagram>(own)) << i;
     auto crossed =
-        receivers[(i + 1) % 8]->unprotect(hub.principal, wires[i]);
+        unprotect(*receivers[(i + 1) % 8], hub.principal, wires[i]);
     EXPECT_TRUE(std::holds_alternative<ReceiveError>(crossed)) << i;
   }
 }
@@ -119,8 +123,8 @@ TEST(EngineProperties, ConfounderNeverRepeatsOverManyDatagrams) {
   std::set<std::uint32_t> confounders;
   constexpr int kDatagrams = 5000;
   for (int i = 0; i < kDatagrams; ++i) {
-    const auto wire = sender.protect(d, false);
-    confounders.insert(FbsHeader::parse(*wire)->header.confounder);
+    const auto wire = protect(sender, d, false);
+    confounders.insert(FbsHeaderView::parse(*wire)->confounder);
   }
   // Statistically random 32-bit values: collisions in 5000 draws are
   // possible but should be at most a couple (birthday bound ~0.3%).
@@ -137,9 +141,9 @@ TEST(EngineProperties, SenderClockSkewWithinWindowTolerated) {
                      world.rng);
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a.principal, b.principal, util::to_bytes("skewed")), false);
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   EXPECT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
 }
 
@@ -152,10 +156,10 @@ TEST(EngineProperties, SenderClockSkewBeyondWindowRejected) {
                      world.rng);
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
-  const auto wire = sender.protect(
+  const auto wire = protect(sender,
       datagram(a.principal, b.principal, util::to_bytes("too skewed")),
       false);
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceiveError>(outcome));
   EXPECT_EQ(std::get<ReceiveError>(outcome), ReceiveError::kStale);
 }
@@ -173,7 +177,7 @@ TEST(EngineProperties, DirectoryOutageFailsClosedThenRecovers) {
   // peer is negative-cached as unresolvable.
   const auto cert = *world.directory.fetch(b.principal.address);
   world.directory.revoke(b.principal.address);
-  EXPECT_FALSE(sender.protect(d, true).has_value());
+  EXPECT_FALSE(protect(sender, d, true).has_value());
   EXPECT_EQ(sender.send_stats().key_unavailable, 1u);
   EXPECT_EQ(a.mkd->stats().negative_cache_inserts, 1u);
 
@@ -181,13 +185,13 @@ TEST(EngineProperties, DirectoryOutageFailsClosedThenRecovers) {
   // fail without hammering the directory (upcall-storm protection)...
   world.directory.publish(cert);
   const auto fetches = a.mkd->stats().directory_fetches;
-  EXPECT_FALSE(sender.protect(d, true).has_value());
+  EXPECT_FALSE(protect(sender, d, true).has_value());
   EXPECT_EQ(a.mkd->stats().directory_fetches, fetches);
   EXPECT_GE(a.mkd->stats().negative_cache_hits, 1u);
 
   // ...and once it expires, the next datagram succeeds -- no restart.
   world.clock.advance(a.mkd->retry_policy().negative_ttl);
-  EXPECT_TRUE(sender.protect(d, true).has_value());
+  EXPECT_TRUE(protect(sender, d, true).has_value());
 }
 
 TEST(EngineProperties, MasterKeyCachedAcrossDirectoryOutage) {
@@ -200,10 +204,10 @@ TEST(EngineProperties, MasterKeyCachedAcrossDirectoryOutage) {
                      world.rng);
   const Datagram d =
       datagram(a.principal, b.principal, util::to_bytes("x"));
-  ASSERT_TRUE(sender.protect(d, true).has_value());  // primes MKC
+  ASSERT_TRUE(protect(sender, d, true).has_value());  // primes MKC
   world.directory.revoke(b.principal.address);
   for (int i = 0; i < 5; ++i)
-    EXPECT_TRUE(sender.protect(d, true).has_value());
+    EXPECT_TRUE(protect(sender, d, true).has_value());
 }
 
 TEST(EngineProperties, PerKindRejectionCountersMatchNamedFields) {
@@ -214,10 +218,10 @@ TEST(EngineProperties, PerKindRejectionCountersMatchNamedFields) {
                      world.rng);
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
-  auto wire = *sender.protect(
+  auto wire = *protect(sender,
       datagram(a.principal, b.principal, util::to_bytes("payload")), false);
   wire.back() ^= 0x01;  // tamper with the body
-  const auto outcome = receiver.unprotect(a.principal, wire);
+  const auto outcome = unprotect(receiver, a.principal, wire);
   ASSERT_TRUE(std::holds_alternative<ReceiveError>(outcome));
   EXPECT_EQ(std::get<ReceiveError>(outcome), ReceiveError::kBadMac);
 
@@ -238,16 +242,51 @@ TEST(EngineProperties, WireSizeIsDeterministicPerSuite) {
                      world.rng);
   // Plain mode: overhead exactly header size, independent of content.
   for (std::size_t n : {0u, 13u, 100u}) {
-    const auto wire = sender.protect(
+    const auto wire = protect(sender,
         datagram(a.principal, b.principal, world.rng.next_bytes(n)), false);
     EXPECT_EQ(wire->size(), n + sender.header_overhead());
   }
   // Secret mode: header + padded body, never more than max_wire_overhead.
   for (std::size_t n : {0u, 13u, 100u}) {
-    const auto wire = sender.protect(
+    const auto wire = protect(sender,
         datagram(a.principal, b.principal, world.rng.next_bytes(n)), true);
     EXPECT_GT(wire->size(), n + sender.header_overhead());
     EXPECT_LE(wire->size(), n + sender.max_wire_overhead());
+  }
+}
+
+TEST(EngineProperties, WireSizeMatchesTheSealedWireForEveryCipher) {
+  // One padding rule (the block modes ECB and CBC pad, the stream modes do
+  // not): the size admit's item predicts is the size the seal writes, and
+  // the growth stays within max_wire_overhead.
+  TestWorld world(59);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  WorkContext ctx;
+  for (const auto cipher :
+       {crypto::CipherAlgorithm::kNone, crypto::CipherAlgorithm::kDesCbc,
+        crypto::CipherAlgorithm::kDesEcb, crypto::CipherAlgorithm::kDesCfb,
+        crypto::CipherAlgorithm::kDesOfb,
+        crypto::CipherAlgorithm::kDes3Ede}) {
+    FbsConfig config;
+    config.suite.cipher = cipher;
+    FbsEndpoint sender(a.principal, config, *a.keys, world.clock, world.rng);
+    for (const bool secret : {false, true}) {
+      for (const std::size_t n : {0u, 1u, 7u, 8u, 1400u}) {
+        const Datagram d =
+            datagram(a.principal, b.principal, world.rng.next_bytes(n));
+        SealItem item;
+        ASSERT_TRUE(sender.admit(ctx, d, secret, item));
+        util::Bytes wire;
+        item.wire_out = &wire;
+        const std::size_t predicted = FbsEndpoint::wire_size(item);
+        sender.seal_burst_into(ctx, {&item, 1});
+        EXPECT_EQ(wire.size(), predicted)
+            << "cipher " << int(cipher) << " secret " << secret << " n " << n;
+        EXPECT_LE(wire.size(), n + sender.max_wire_overhead())
+            << "cipher " << int(cipher) << " secret " << secret << " n " << n;
+      }
+    }
   }
 }
 

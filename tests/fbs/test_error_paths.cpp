@@ -7,11 +7,15 @@
 #include "net/simnet.hpp"
 #include "fbs/tunnel.hpp"
 #include "net/udp.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 TEST(TunnelErrorPaths, GarbageInnerPacketCounted) {
@@ -34,7 +38,7 @@ TEST(TunnelErrorPaths, GarbageInnerPacketCounted) {
   d.source = Principal::from_ipv4(s1.address());
   d.destination = Principal::from_ipv4(s2.address());
   d.body = util::to_bytes("not an ip packet at all");
-  const auto wire = rogue.protect(d, true);
+  const auto wire = protect(rogue, d, true);
   ASSERT_TRUE(wire.has_value());
   s1.output(s2.address(), net::IpProto::kFbsTunnel, *wire);
   net.run();
@@ -111,7 +115,7 @@ TEST(AppMapErrorPaths, TruncatedConversationIdCounted) {
   d.source = app_principal(sa.address(), 700);
   d.destination = app_principal(sb.address(), 700);
   d.body = util::to_bytes("abc");  // < 8 bytes
-  const auto wire = rogue.protect(d, true);
+  const auto wire = protect(rogue, d, true);
   ASSERT_TRUE(wire.has_value());
   ua.send(sb.address(), 700, 700, *wire);
   net.run();
@@ -139,9 +143,9 @@ TEST(EngineDegenerateConfigs, TinyTablesStillCorrect) {
     d.attrs.source_port = static_cast<std::uint16_t>(1000 + i % 3);
     d.attrs.destination_port = 9;
     d.body = util::to_bytes("datagram " + std::to_string(i));
-    const auto wire = sender.protect(d, true);
+    const auto wire = protect(sender, d, true);
     ASSERT_TRUE(wire.has_value()) << i;
-    auto outcome = receiver.unprotect(a.principal, *wire);
+    auto outcome = unprotect(receiver, a.principal, *wire);
     ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome)) << i;
     EXPECT_EQ(std::get<ReceivedDatagram>(outcome).datagram.body, d.body);
   }

@@ -6,11 +6,15 @@
 #include "fbs/ip_map.hpp"
 #include "net/simnet.hpp"
 #include "net/icmp.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 Datagram datagram(const Principal& src, const Principal& dst,
@@ -40,7 +44,7 @@ class LifetimeTest : public ::testing::Test {
   }
 
   Sfl sfl_of(const util::Bytes& wire) {
-    return FbsHeader::parse(wire)->header.sfl;
+    return FbsHeaderView::parse(wire)->sfl;
   }
 
   TestWorld world_;
@@ -53,7 +57,7 @@ TEST_F(LifetimeTest, RekeyAfterDatagramCount) {
   const Datagram d = datagram(world_["a"].principal, world_["b"].principal, 64);
 
   std::set<Sfl> sfls;
-  for (int i = 0; i < 12; ++i) sfls.insert(sfl_of(*sender.protect(d, false)));
+  for (int i = 0; i < 12; ++i) sfls.insert(sfl_of(*protect(sender, d, false)));
   // 12 datagrams at 5 per key -> 3 distinct flows.
   EXPECT_EQ(sfls.size(), 3u);
   EXPECT_EQ(sender.send_stats().lifetime_rekeys, 2u);
@@ -67,7 +71,7 @@ TEST_F(LifetimeTest, RekeyAfterByteCount) {
       datagram(world_["a"].principal, world_["b"].principal, 4000);
 
   std::set<Sfl> sfls;
-  for (int i = 0; i < 6; ++i) sfls.insert(sfl_of(*sender.protect(d, false)));
+  for (int i = 0; i < 6; ++i) sfls.insert(sfl_of(*protect(sender, d, false)));
   // 4000B each, limit 10KB: rekey roughly every 3 datagrams.
   EXPECT_GE(sfls.size(), 2u);
   EXPECT_GE(sender.send_stats().lifetime_rekeys, 1u);
@@ -79,11 +83,11 @@ TEST_F(LifetimeTest, RekeyAfterAge) {
   auto sender = make_sender(cfg);
   const Datagram d = datagram(world_["a"].principal, world_["b"].principal, 8);
 
-  const Sfl first = sfl_of(*sender.protect(d, false));
+  const Sfl first = sfl_of(*protect(sender, d, false));
   world_.clock.advance(util::seconds(50));
-  EXPECT_EQ(sfl_of(*sender.protect(d, false)), first);  // young key
+  EXPECT_EQ(sfl_of(*protect(sender, d, false)), first);  // young key
   world_.clock.advance(util::seconds(51));
-  EXPECT_NE(sfl_of(*sender.protect(d, false)), first);  // worn out
+  EXPECT_NE(sfl_of(*protect(sender, d, false)), first);  // worn out
   EXPECT_EQ(sender.send_stats().lifetime_rekeys, 1u);
 }
 
@@ -92,7 +96,7 @@ TEST_F(LifetimeTest, NoPolicyNeverRekeys) {
   auto sender = make_sender(cfg);
   const Datagram d = datagram(world_["a"].principal, world_["b"].principal, 64);
   std::set<Sfl> sfls;
-  for (int i = 0; i < 50; ++i) sfls.insert(sfl_of(*sender.protect(d, false)));
+  for (int i = 0; i < 50; ++i) sfls.insert(sfl_of(*protect(sender, d, false)));
   EXPECT_EQ(sfls.size(), 1u);
   EXPECT_EQ(sender.send_stats().lifetime_rekeys, 0u);
 }
@@ -106,9 +110,9 @@ TEST_F(LifetimeTest, ReceiverFollowsRekeysWithoutCoordination) {
                        world_.rng);
   const Datagram d = datagram(world_["a"].principal, b.principal, 32);
   for (int i = 0; i < 10; ++i) {
-    auto wire = sender.protect(d, true);
+    auto wire = protect(sender, d, true);
     ASSERT_TRUE(wire.has_value());
-    auto outcome = receiver.unprotect(world_["a"].principal, *wire);
+    auto outcome = unprotect(receiver, world_["a"].principal, *wire);
     ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome)) << i;
   }
   EXPECT_EQ(receiver.receive_stats().accepted, 10u);
@@ -124,7 +128,7 @@ TEST_F(LifetimeTest, SplitModeAlsoRekeysByCount) {
   auto sender = make_sender(cfg);
   const Datagram d = datagram(world_["a"].principal, world_["b"].principal, 8);
   std::set<Sfl> sfls;
-  for (int i = 0; i < 8; ++i) sfls.insert(sfl_of(*sender.protect(d, false)));
+  for (int i = 0; i < 8; ++i) sfls.insert(sfl_of(*protect(sender, d, false)));
   EXPECT_EQ(sfls.size(), 2u);
   EXPECT_EQ(sender.send_stats().lifetime_rekeys, 1u);
 }
@@ -141,7 +145,7 @@ TEST_F(LifetimeTest, SplitModeRekeysByByteCount) {
   const Datagram d =
       datagram(world_["a"].principal, world_["b"].principal, 4000);
   std::set<Sfl> sfls;
-  for (int i = 0; i < 6; ++i) sfls.insert(sfl_of(*sender.protect(d, false)));
+  for (int i = 0; i < 6; ++i) sfls.insert(sfl_of(*protect(sender, d, false)));
   EXPECT_EQ(sfls.size(), 2u);
   EXPECT_GE(sender.send_stats().lifetime_rekeys, 1u);
 }
@@ -157,7 +161,7 @@ TEST_F(LifetimeTest, BytesOnlyRekeyMatchesAcrossModes) {
         datagram(world_["a"].principal, world_["b"].principal, 600);
     std::set<Sfl> sfls;
     for (int i = 0; i < 6; ++i)
-      sfls.insert(sfl_of(*sender.protect(d, false)));
+      sfls.insert(sfl_of(*protect(sender, d, false)));
     // 600B each, limit 1KB: every second datagram wears the key out.
     EXPECT_EQ(sfls.size(), 3u) << (combined ? "combined" : "split");
     EXPECT_EQ(sender.send_stats().lifetime_rekeys, 2u)
@@ -265,11 +269,11 @@ TEST(NullMacSuite, NopConfigurationRoundTrips) {
   FbsEndpoint receiver(b.principal, cfg, *b.keys, world.clock, world.rng);
 
   Datagram d = datagram(a.principal, b.principal, 100);
-  const auto wire = sender.protect(d, false);
+  const auto wire = protect(sender, d, false);
   ASSERT_TRUE(wire.has_value());
   // Same wire size as the real MD5 suite: fair overhead comparison.
-  EXPECT_EQ(wire->size(), d.body.size() + FbsHeader::overhead({}));
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  EXPECT_EQ(wire->size(), d.body.size() + FbsHeaderView::overhead({}));
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   EXPECT_EQ(std::get<ReceivedDatagram>(outcome).datagram.body, d.body);
 }

@@ -7,11 +7,15 @@
 #include "net/headers.hpp"
 #include "net/icmp.hpp"
 #include "net/ip.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 class FuzzSeed : public ::testing::TestWithParam<std::uint64_t> {};
@@ -26,7 +30,7 @@ TEST_P(FuzzSeed, RandomBytesNeverParseAsAccepted) {
 
   for (int i = 0; i < 200; ++i) {
     const util::Bytes junk = rng.next_bytes(rng.next_below(200));
-    auto outcome = receiver.unprotect(a.principal, junk);
+    auto outcome = unprotect(receiver, a.principal, junk);
     // Random bytes must never authenticate (a forged MAC is a 2^-128 event).
     EXPECT_TRUE(std::holds_alternative<core::ReceiveError>(outcome));
   }
@@ -49,7 +53,7 @@ TEST_P(FuzzSeed, MutatedGenuineWireNeverYieldsWrongBody) {
   d.attrs.source_port = 5;
   d.attrs.destination_port = 6;
   d.body = rng.next_bytes(64);
-  const auto wire = sender.protect(d, true);
+  const auto wire = protect(sender, d, true);
   ASSERT_TRUE(wire.has_value());
 
   for (int i = 0; i < 300; ++i) {
@@ -63,8 +67,8 @@ TEST_P(FuzzSeed, MutatedGenuineWireNeverYieldsWrongBody) {
     if (rng.next_below(4) == 0)
       mutated.resize(rng.next_below(mutated.size() + 1));
 
-    auto outcome = receiver.unprotect(a.principal, mutated);
-    if (auto* got = std::get_if<core::ReceivedDatagram>(&outcome)) {
+    auto outcome = unprotect(receiver, a.principal, mutated);
+    if (auto* got = std::get_if<ReceivedDatagram>(&outcome)) {
       // Only acceptable if the mutation round-tripped to the same bytes
       // (possible when mutations cancel); the body must never differ.
       EXPECT_EQ(got->datagram.body, d.body);
@@ -83,7 +87,7 @@ TEST_P(FuzzSeed, NetworkParsersDigestGarbage) {
     (void)net::UdpHeader::parse(src, dst, junk);
     (void)net::TcpHeader::parse(src, dst, junk);
     (void)net::IcmpMessage::parse(junk);
-    (void)core::FbsHeader::parse(junk);
+    (void)core::FbsHeaderView::parse(junk);
     (void)net::peek_ports(junk);
   }
   SUCCEED();

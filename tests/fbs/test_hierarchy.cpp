@@ -6,10 +6,15 @@
 
 #include "crypto/dh.hpp"
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
+
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 
 struct HierarchicalWorld {
   HierarchicalWorld()
@@ -68,9 +73,9 @@ TEST(Hierarchy, EndToEndUnderOrgCa) {
   d.attrs.source_port = 1;
   d.attrs.destination_port = 2;
   d.body = util::to_bytes("chained trust");
-  const auto wire = sender.protect(d, true);
+  const auto wire = protect(sender, d, true);
   ASSERT_TRUE(wire.has_value());
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   EXPECT_EQ(std::get<ReceivedDatagram>(outcome).datagram.body, d.body);
 }

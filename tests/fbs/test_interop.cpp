@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 Datagram make_datagram(const Principal& src, const Principal& dst) {
@@ -45,9 +49,9 @@ TEST_P(SuiteAgility, MixedConfigurationsInteroperate) {
 
   const Datagram d = make_datagram(a.principal, b.principal);
   const bool secret = pair.sender.cipher != crypto::CipherAlgorithm::kNone;
-  const auto wire = sender.protect(d, secret);
+  const auto wire = protect(sender, d, secret);
   ASSERT_TRUE(wire.has_value());
-  auto outcome = receiver.unprotect(a.principal, *wire);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   const auto& got = std::get<ReceivedDatagram>(outcome);
   EXPECT_EQ(got.datagram.body, d.body);
@@ -86,11 +90,11 @@ TEST(Interop, ReceiverRejectsDowngradedMacLength) {
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
   const auto wire =
-      sender.protect(make_datagram(a.principal, b.principal), false);
+      protect(sender, make_datagram(a.principal, b.principal), false);
   util::Bytes downgraded = *wire;
   downgraded[1] = crypto::encode_suite(
       {crypto::MacAlgorithm::kKeyedMd5, crypto::CipherAlgorithm::kNone});
-  auto outcome = receiver.unprotect(a.principal, downgraded);
+  auto outcome = unprotect(receiver, a.principal, downgraded);
   ASSERT_TRUE(std::holds_alternative<ReceiveError>(outcome));
 }
 
@@ -110,8 +114,8 @@ TEST(Interop, NopSuiteNeverAcceptedAsRealTraffic) {
   FbsEndpoint receiver(b.principal, FbsConfig{}, *b.keys, world.clock,
                        world.rng);
   const auto wire =
-      sender.protect(make_datagram(a.principal, b.principal), false);
-  auto outcome = receiver.unprotect(a.principal, *wire);
+      protect(sender, make_datagram(a.principal, b.principal), false);
+  auto outcome = unprotect(receiver, a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceiveError>(outcome));
   EXPECT_EQ(std::get<ReceiveError>(outcome), ReceiveError::kMalformed);
   EXPECT_EQ(receiver.receive_stats().rejected_malformed, 1u);

@@ -15,11 +15,13 @@
 
 #include "fbs/ip_map.hpp"
 #include "net/udp.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::protect;
 using testing::TestWorld;
 
 Datagram datagram(const Principal& src, const Principal& dst,
@@ -94,7 +96,7 @@ TEST_F(PipelineTest, DeliversEveryDatagramAcrossFlows) {
   for (int i = 0; i < kDatagrams; ++i) {
     const std::string text = "datagram " + std::to_string(i);
     ++expected[text];
-    const auto wire = sender_.protect(
+    const auto wire = protect(sender_,
         datagram(a_.principal, b_.principal, util::to_bytes(text),
                  static_cast<std::uint16_t>(1 + i % 16)),
         true);
@@ -126,7 +128,7 @@ TEST_F(PipelineTest, SameFlowStaysInOrder) {
 
   constexpr int kDatagrams = 200;
   for (int i = 0; i < kDatagrams; ++i) {
-    const auto wire = sender_.protect(
+    const auto wire = protect(sender_,
         datagram(a_.principal, b_.principal,
                  util::to_bytes(std::to_string(i)), 7),
         true);
@@ -156,7 +158,7 @@ TEST_F(PipelineTest, IngressDropsAttributedToTheOverloadedShard) {
   std::vector<util::Bytes> wires;
   wires.reserve(kDatagrams);
   for (int i = 0; i < kDatagrams; ++i) {
-    auto wire = sender_.protect(
+    auto wire = protect(sender_,
         datagram(a_.principal, b_.principal,
                  util::to_bytes(std::to_string(i)), 7),
         true);
@@ -210,7 +212,7 @@ TEST_F(PipelineTest, RejectionsAreCountedAndReported) {
   // Authenticated plaintext: flipping a body byte is a clean MAC mismatch
   // (on a secret wire the same flip would corrupt the cipher padding and
   // surface as kDecryptFailed instead).
-  auto wire = sender_.protect(
+  auto wire = protect(sender_,
       datagram(a_.principal, b_.principal, util::to_bytes("intact"), 1),
       false);
   ASSERT_TRUE(wire.has_value());
@@ -250,7 +252,7 @@ TEST_F(PipelineTest, SubmitBatchDeliversEverythingInPerFlowOrder) {
     const int flow = i % kFlows;
     const std::string text =
         "f" + std::to_string(flow) + ":" + std::to_string(seq[flow]++);
-    auto wire = sender_.protect(
+    auto wire = protect(sender_,
         datagram(a_.principal, b_.principal, util::to_bytes(text),
                  static_cast<std::uint16_t>(100 + flow)),
         true);
@@ -302,7 +304,7 @@ TEST_F(PipelineTest, DrainAllTerminatesAfterStopWithBacklog) {
   constexpr int kDatagrams = 64;
   std::vector<util::Bytes> wires;
   for (int i = 0; i < kDatagrams; ++i) {
-    auto wire = sender_.protect(
+    auto wire = protect(sender_,
         datagram(a_.principal, b_.principal,
                  util::to_bytes(std::to_string(i)), 7),
         true);
@@ -379,7 +381,7 @@ TEST_F(PipelineTest, WorkerBusyTimeAccumulates) {
   pc.workers = 1;
   DatagramPipeline pipe(receiver_, pc);
   for (int i = 0; i < 32; ++i) {
-    const auto wire = sender_.protect(
+    const auto wire = protect(sender_,
         datagram(a_.principal, b_.principal, world_.rng.next_bytes(512),
                  static_cast<std::uint16_t>(1 + i)),
         true);

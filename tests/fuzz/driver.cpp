@@ -144,6 +144,7 @@ DriverStats run_target(const FuzzTarget& target,
   DriverStats stats;
   Xoshiro256 rng(options.seed ^ fnv1a(util::to_bytes(target.name)));
 
+  if (target.reset) target.reset();
   std::vector<util::Bytes> pool = target.seeds();
   pool.insert(pool.end(), options.extra_seeds.begin(),
               options.extra_seeds.end());

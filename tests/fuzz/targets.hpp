@@ -32,6 +32,9 @@ struct FuzzTarget {
   std::function<bool(util::BytesView)> run;
   /// Structure-aware starting points built with the real encoders.
   std::function<std::vector<util::Bytes>()> seeds;
+  /// Rebuild any state the target keeps between inputs, so that a driver
+  /// run depends only on its seed; empty for stateless targets.
+  std::function<void()> reset = nullptr;
 };
 
 /// Every registered target, in a stable order.

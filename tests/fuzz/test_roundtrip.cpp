@@ -25,21 +25,17 @@ TEST(Roundtrip, FbsHeaderThroughBothSerializers) {
        {crypto::MacAlgorithm::kKeyedMd5, crypto::MacAlgorithm::kHmacMd5,
         crypto::MacAlgorithm::kKeyedSha1, crypto::MacAlgorithm::kHmacSha1,
         crypto::MacAlgorithm::kNull}) {
-    core::FbsHeader h;
+    const util::Bytes tag(crypto::mac_size(mac), 0x7E);
+    core::FbsHeaderView h;
     h.suite = {mac, crypto::CipherAlgorithm::kDesCbc};
     h.sfl = 0xA1B2C3D4E5F60718;
     h.confounder = 0x01020304;
     h.timestamp_minutes = 525600;
     h.secret = mac != crypto::MacAlgorithm::kNull;
-    h.mac.assign(crypto::mac_size(mac), 0x7E);
-    util::Bytes wire = h.serialize();
+    h.mac = tag;
+    util::Bytes wire;
+    h.serialize_into(wire);
     wire.insert(wire.end(), {9, 8, 7});
-
-    const auto parsed = core::FbsHeader::parse(wire);
-    ASSERT_TRUE(parsed.has_value());
-    util::Bytes re = parsed->header.serialize();
-    re.insert(re.end(), parsed->body.begin(), parsed->body.end());
-    EXPECT_EQ(re, wire);
 
     const auto view = core::FbsHeaderView::parse(wire);
     ASSERT_TRUE(view.has_value());

@@ -78,8 +78,8 @@ TEST_F(StackTest, WrongDestinationNotDelivered) {
 
 TEST_F(StackTest, OutputHookCanTransformPayload) {
   IpStack::SecurityHooks hooks;
-  hooks.output = [](Ipv4Header&, util::Bytes& payload) {
-    payload.insert(payload.begin(), 0xAB);  // prepend a pseudo header
+  hooks.admit = [](IpStack::OutputDatagram& d) {
+    d.payload.insert(d.payload.begin(), 0xAB);  // prepend a pseudo header
     return true;
   };
   a_.set_security_hooks(std::move(hooks));
@@ -91,7 +91,7 @@ TEST_F(StackTest, OutputHookCanTransformPayload) {
 
 TEST_F(StackTest, OutputHookDropCounted) {
   IpStack::SecurityHooks hooks;
-  hooks.output = [](Ipv4Header&, util::Bytes&) { return false; };
+  hooks.admit = [](IpStack::OutputDatagram&) { return false; };
   a_.set_security_hooks(std::move(hooks));
   EXPECT_FALSE(a_.output(kB, IpProto::kUdp, util::to_bytes("x")));
   EXPECT_EQ(a_.counters().hook_drops_out, 1u);

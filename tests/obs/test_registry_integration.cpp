@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "fbs/engine.hpp"
+#include "support/protect.hpp"
 #include "support/world.hpp"
 
 namespace fbs::core {
 namespace {
 
+using testing::ReceivedDatagram;
+using testing::protect;
+using testing::unprotect;
 using testing::TestWorld;
 
 Datagram make_datagram(const Principal& src, const Principal& dst,
@@ -47,17 +51,17 @@ TEST(RegistryIntegration, OneSnapshotCoversEveryLayer) {
 
   for (int i = 0; i < 5; ++i) {
     const auto wire =
-        alice.protect(make_datagram(a.principal, b.principal, "ping"), true);
+        protect(alice, make_datagram(a.principal, b.principal, "ping"), true);
     ASSERT_TRUE(wire.has_value());
-    auto outcome = bob.unprotect(a.principal, *wire);
+    auto outcome = unprotect(bob, a.principal, *wire);
     ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   }
   // One tampered datagram exercises a reject path.
   auto wire =
-      alice.protect(make_datagram(a.principal, b.principal, "pong"), false);
+      protect(alice, make_datagram(a.principal, b.principal, "pong"), false);
   ASSERT_TRUE(wire.has_value());
   wire->back() ^= 0xFF;
-  (void)bob.unprotect(a.principal, *wire);
+  (void)unprotect(bob, a.principal, *wire);
 
   const obs::MetricsSnapshot snap = reg.snapshot();
 
@@ -106,7 +110,7 @@ TEST(RegistryIntegration, TracingOffByDefaultKeepsStagesSilent) {
   obs::MetricsRegistry reg;
   alice.register_metrics(reg, "a");
   const auto wire =
-      alice.protect(make_datagram(a.principal, b.principal, "x"), false);
+      protect(alice, make_datagram(a.principal, b.principal, "x"), false);
   ASSERT_TRUE(wire.has_value());
   EXPECT_TRUE(reg.snapshot().latencies.empty());
 }
