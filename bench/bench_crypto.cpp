@@ -433,6 +433,32 @@ void emit_metrics() {
     }
     reg.gauge("crypto.des_cbc_seal4_speedup").set(best_one / best_chains);
   }
+  // The receive side's scalar open: one 177-block (1416 B) message on
+  // cbc_decrypt_blocks, four blocks a step, against the one-block loop.
+  {
+    const crypto::Des open_des(buffer_of(8));
+    const util::Bytes ct = buffer_of(177 * 8);
+    util::Bytes pt(ct.size());
+    const auto one_block = [&] {
+      std::uint64_t chain = 42;
+      for (std::size_t off = 0; off < ct.size(); off += 8) {
+        const std::uint64_t c = crypto::Des::load_be64(&ct[off]);
+        crypto::Des::store_be64(open_des.decrypt_block(c) ^ chain, &pt[off]);
+        chain = c;
+      }
+      benchmark::DoNotOptimize(pt.data());
+    };
+    const auto interleaved = [&] {
+      crypto::cbc_decrypt_blocks(open_des, 42, ct.data(), pt.data(), 177);
+      benchmark::DoNotOptimize(pt.data());
+    };
+    double best_four = 1e30, best_one = 1e30;
+    for (int rep = 0; rep < 8; ++rep) {
+      best_one = std::min(best_one, time_leg(one_block));
+      best_four = std::min(best_four, time_leg(interleaved));
+    }
+    reg.gauge("crypto.des_cbc_open4_speedup").set(best_one / best_four);
+  }
   // Burst-width sweep: how quickly the transpose + key-load overhead
   // amortizes as lanes light up (batch=1 still splits one datagram's 183
   // blocks across lanes -- see DESIGN.md 5h).

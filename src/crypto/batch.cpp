@@ -55,19 +55,27 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   // CBC decrypt is block-parallel across (and within) datagrams: treat the
   // burst as one job-major global block sequence and give each lane a
   // contiguous run, so a lane's key only changes when its cursor crosses a
-  // job boundary. Lane state is raw pointers plus the running chain word,
-  // so the steady-state pass touches no job metadata at all.
-  struct Cursor {
-    const std::uint8_t* ct = nullptr;  // next ciphertext block
-    std::uint8_t* pt = nullptr;        // next plaintext slot
-    std::uint64_t chain = 0;           // CBC chain into the next block
-    std::size_t remaining = 0;         // blocks left in this lane's run
-    std::size_t left_in_job = 0;       // blocks left in the current job
-    std::size_t job = 0;               // index into jobs
-  };
-  Cursor cur[kLanes];
+  // job boundary. Every lit lane advances one block per pass, so the lane
+  // state is a few flat arrays the pass loop streams through, and the job
+  // crossings are events at known passes; the passes in between touch no
+  // job metadata at all.
+  constexpr std::size_t kNever = ~std::size_t{0};
+  // A lane reads its block of pass p at ct[lane] + 8p and writes it at
+  // pt[lane] + 8p: addresses biased back by the pass at which the lane
+  // entered its job, so the pass loop only reads them.
+  std::uintptr_t ct[kLanes];
+  std::uintptr_t pt[kLanes];
+  std::uint64_t chain[kLanes];  // CBC chain into the next block
+  std::size_t job[kLanes];      // index into jobs
+  // The pass at which the lane leaves its job for the next one, or kNever
+  // when its run ends first.
+  std::size_t job_end[kLanes];
   const Des* lane_key[kLanes];  // each lane's key at the first pass
   std::size_t rekeys = 0;       // mid-run key changes the passes will make
+  // Lanes [0, rem) run q + 1 blocks, the rest q.
+  const auto run_blocks = [&](std::size_t lane) {
+    return q + (lane < rem ? 1 : 0);
+  };
   {
     // Invariant between lanes: (j, b) points at an unconsumed block.
     std::size_t j = 0;
@@ -80,22 +88,26 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
     };
     normalize();
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      std::size_t len = q + (lane < rem ? 1 : 0);
-      Cursor& c = cur[lane];
-      c.remaining = len;
+      std::size_t len = run_blocks(lane);
       if (len == 0) {
         // Unlit lanes (only ever the last ones) extend the previous run.
         lane_key[lane] = lane_key[lane - 1];
+        job_end[lane] = kNever;
         continue;
       }
-      const CbcOpenJob& job = jobs[j];
-      c.job = j;
-      c.ct = job.ciphertext.data() + Des::kBlockSize * b;
-      c.pt = job.plaintext + Des::kBlockSize * b;
-      c.left_in_job = open_blocks(job) - b;
-      c.chain = b == 0 ? job.iv : Des::load_be64(c.ct - Des::kBlockSize);
-      lane_key[lane] = job.des;
-      const Des* key = job.des;
+      const CbcOpenJob& first = jobs[j];
+      job[lane] = j;
+      ct[lane] = reinterpret_cast<std::uintptr_t>(first.ciphertext.data()) +
+                 Des::kBlockSize * b;
+      pt[lane] = reinterpret_cast<std::uintptr_t>(first.plaintext) +
+                 Des::kBlockSize * b;
+      chain[lane] = b == 0 ? first.iv
+                           : Des::load_be64(first.ciphertext.data() +
+                                            Des::kBlockSize * (b - 1));
+      const std::size_t left_in_job = open_blocks(first) - b;
+      job_end[lane] = left_in_job < len ? left_in_job : kNever;
+      lane_key[lane] = first.des;
+      const Des* key = first.des;
       while (len > 0) {
         const std::size_t step = std::min(len, open_blocks(jobs[j]) - b);
         b += step;
@@ -112,7 +124,7 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   // Price the wide plan -- passes, lane keying, mid-run rekeys and the
   // scalar spill -- against the scalar loop over the whole burst. Keying
   // is what makes a small multi-flow burst lose: every run of lanes under
-  // one key costs about one group's keying, the transpose a flat price.
+  // one key costs about one range keying, the transpose a flat price.
   const std::size_t runs = key_runs(lane_key);
   if (passes * kPassBlocks + keying_blocks(runs) + rekeys * kKeyGroupBlocks +
           spill >=
@@ -122,39 +134,49 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   }
   key_lanes(lane_key, runs);
 
+  std::size_t next_event = *std::min_element(job_end, job_end + kLanes);
   for (std::size_t pass = 0; pass < passes; ++pass) {
+    // Every lane is lit but in a short last pass, where lanes [0, rem) are.
+    const std::size_t lit = pass < q ? kLanes : rem;
     std::uint64_t blocks[kLanes];
     std::uint64_t cin[kLanes];
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      blocks[lane] = cin[lane] =
-          cur[lane].remaining != 0 ? Des::load_be64(cur[lane].ct) : 0;
+    std::fill(blocks + lit, blocks + kLanes, 0);
+    const std::uintptr_t off = Des::kBlockSize * pass;
+    for (std::size_t lane = 0; lane < lit; ++lane) {
+      blocks[lane] = cin[lane] = Des::load_be64(
+          reinterpret_cast<const std::uint8_t*>(ct[lane] + off));
     }
     engine_.decrypt(blocks);
     ++stats_.passes;
+    for (std::size_t lane = 0; lane < lit; ++lane) {
+      Des::store_be64(blocks[lane] ^ chain[lane],
+                      reinterpret_cast<std::uint8_t*>(pt[lane] + off));
+      chain[lane] = cin[lane];
+    }
+    if (pass + 1 != next_event) continue;
+    // Lanes whose job ended with this pass move on to the next non-empty
+    // job, rekeying if it is another flow's.
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      Cursor& c = cur[lane];
-      if (c.remaining == 0) continue;
-      Des::store_be64(blocks[lane] ^ c.chain, c.pt);
-      c.chain = cin[lane];
-      c.ct += Des::kBlockSize;
-      c.pt += Des::kBlockSize;
-      --c.remaining;
-      if (--c.left_in_job == 0 && c.remaining != 0) {
-        std::size_t j = c.job + 1;
-        while (open_blocks(jobs[j]) == 0) ++j;
-        const CbcOpenJob& job = jobs[j];
-        c.job = j;
-        c.ct = job.ciphertext.data();
-        c.pt = job.plaintext;
-        c.chain = job.iv;
-        c.left_in_job = open_blocks(job);
-        if (job.des != lane_key[lane]) {
-          engine_.set_lane(lane, job.des->round_keys());
-          lane_key[lane] = job.des;
-          ++stats_.lane_rekeys;
-        }
+      if (job_end[lane] != pass + 1) continue;
+      std::size_t j = job[lane] + 1;
+      while (open_blocks(jobs[j]) == 0) ++j;
+      const CbcOpenJob& next = jobs[j];
+      job[lane] = j;
+      const std::size_t entered = pass + 1;
+      const std::uintptr_t bias = Des::kBlockSize * entered;
+      ct[lane] =
+          reinterpret_cast<std::uintptr_t>(next.ciphertext.data()) - bias;
+      pt[lane] = reinterpret_cast<std::uintptr_t>(next.plaintext) - bias;
+      chain[lane] = next.iv;
+      const std::size_t leaves = entered + open_blocks(next);
+      job_end[lane] = leaves < run_blocks(lane) ? leaves : kNever;
+      if (next.des != lane_key[lane]) {
+        engine_.set_lane(lane, next.des->round_keys());
+        lane_key[lane] = next.des;
+        ++stats_.lane_rekeys;
       }
     }
+    next_event = *std::min_element(job_end, job_end + kLanes);
   }
   stats_.bitsliced_blocks += wide_total;
   // The last `spill` blocks of the global sequence run scalar.

@@ -16,7 +16,8 @@
 // Cost model. The planner prices both plans in units of one scalar CBC
 // block and takes the cheaper, so a burst is never planned slower than
 // the scalar loop (constants measured on a 4-vCPU AVX-512 guest, DESIGN.md
-// 5h; one scalar block is ~115 ns there):
+// 5h; one scalar block -- cbc_decrypt_blocks, four blocks a step -- is
+// ~42 ns there):
 //
 //   scalar = total blocks
 //   wide   = passes * kPassBlocks            (transposes, gates, cursors)
@@ -27,7 +28,7 @@
 // Lane keys come in runs of equal keys over the lanes. One run is a
 // broadcast (kKeyAllBlocks); a few runs key range by range, each costing
 // about one 64-lane group's keying; many runs fall back to the per-lane
-// transpose (kKeyLanesBlocks), which by itself costs more than a 192-block
+// transpose (kKeyLanesBlocks), which by itself costs more than a 180-block
 // scalar burst, so a small multi-flow burst must never pay it. A
 // leftover shorter than one pass (spill < kPassBlocks) runs scalar rather
 // than taking a mostly-empty pass. The scalar plan and the spill both run
@@ -65,14 +66,14 @@ class CryptoBatch {
 
   /// Cost-model constants, in scalar CBC blocks (see the header comment).
   /// One kLanes-wide open pass, including the cursor loads and stores
-  /// (measured 6-8 us against ~113 ns per scalar block).
-  static constexpr std::size_t kPassBlocks = 64;
-  /// set_all_lanes: every lane under one key (~0.9 us).
-  static constexpr std::size_t kKeyAllBlocks = 8;
-  /// set_lane_range within one 64-lane group, or one set_lane (~0.5 us).
-  static constexpr std::size_t kKeyGroupBlocks = 4;
-  /// set_lanes: the per-lane transpose, whatever the keys (22-27 us).
-  static constexpr std::size_t kKeyLanesBlocks = 220;
+  /// (measured 2.8-3.4 us against ~42 ns per scalar block).
+  static constexpr std::size_t kPassBlocks = 68;
+  /// set_all_lanes: every lane under one key (~0.4 us).
+  static constexpr std::size_t kKeyAllBlocks = 10;
+  /// set_lane_range within one 64-lane group, or one set_lane (~0.37 us).
+  static constexpr std::size_t kKeyGroupBlocks = 9;
+  /// set_lanes: the per-lane transpose, whatever the keys (~8 us).
+  static constexpr std::size_t kKeyLanesBlocks = 190;
 
   void open_cbc(std::span<const CbcOpenJob> jobs);
 

@@ -51,24 +51,26 @@ inline bool pkcs7_unpad_in_place(util::Bytes& data) {
 
 }  // namespace detail
 
+/// Most blocks the interleaved CBC kernels run at once: four CBC-encrypt
+/// chains, or four blocks of one CBC-decrypt run. One block is a chain of
+/// dependent table loads; four fill the out-of-order window
+/// (EXPERIMENTS.md), and eight gained nothing more.
+inline constexpr std::size_t kCbcLanes = 4;
+
 /// The one scalar CBC-decrypt loop: `blocks` whole blocks from `ct` into
 /// `pt`, chained from `chain` -- the IV at the start of a message, or the
 /// ciphertext block before `ct` when a run starts mid-message (CBC decrypt
-/// needs no earlier plaintext). `pt` may equal `ct` but must not otherwise
-/// overlap it. A header template so the batch planner's scalar plan and
-/// spill compile under its kernel flags (crypto/CMakeLists.txt).
+/// needs no earlier plaintext). The blocks are independent, so it decrypts
+/// kCbcLanes at a time through Cipher::decrypt_lanes, a pair and then one
+/// block for the rest, loading each step's ciphertext before storing any
+/// of its plaintext. `pt` may equal `ct` but must not otherwise overlap
+/// it. Runs decrypt_into's kCbc case and the batch planner's scalar plan
+/// and spill; instantiated for Des and Des3 in cbc_chains.cpp, under the
+/// kernel flags (crypto/CMakeLists.txt).
 template <class Cipher>
-inline void cbc_decrypt_blocks(const Cipher& cipher, std::uint64_t chain,
-                               const std::uint8_t* ct, std::uint8_t* pt,
-                               std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint64_t c = Des::load_be64(ct);
-    Des::store_be64(cipher.decrypt_block(c) ^ chain, pt);
-    chain = c;
-    ct += Des::kBlockSize;
-    pt += Des::kBlockSize;
-  }
-}
+void cbc_decrypt_blocks(const Cipher& cipher, std::uint64_t chain,
+                        const std::uint8_t* ct, std::uint8_t* pt,
+                        std::size_t blocks);
 
 /// The one scalar CBC-encrypt loop: `blocks` whole blocks at `data`
 /// (plaintext already padded) encrypted in place, chained from `iv`. Runs
@@ -94,25 +96,7 @@ struct CbcChain {
   std::size_t blocks = 0;
 };
 
-/// Most chains cbc_encrypt_chains runs interleaved. One CBC-encrypt chain
-/// is a chain of dependent table loads; four fill the out-of-order window
-/// (EXPERIMENTS.md), and eight gained nothing more.
-inline constexpr std::size_t kCbcLanes = 4;
-
 namespace detail {
-
-inline std::uint64_t load_be(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = v << 8 | p[i];
-  return v;
-}
-
-inline void store_be(std::uint64_t v, std::uint8_t* p) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
-}
 
 template <class Cipher>
 struct CbcLane {
@@ -134,11 +118,11 @@ inline void cbc_encrypt_lanes(CbcLane<Cipher>* lanes) {
   for (std::size_t s = 0; s < steps; ++s) {
     std::uint64_t blocks[W];
     for (std::size_t c = 0; c < W; ++c)
-      blocks[c] = load_be(lanes[c].data) ^ lanes[c].chain;
+      blocks[c] = Des::load_be64(lanes[c].data) ^ lanes[c].chain;
     Cipher::template encrypt_lanes<W>(keys, blocks);
     for (std::size_t c = 0; c < W; ++c) {
       lanes[c].chain = blocks[c];
-      store_be(blocks[c], lanes[c].data);
+      Des::store_be64(blocks[c], lanes[c].data);
       lanes[c].data += Des::kBlockSize;
     }
   }
@@ -153,8 +137,8 @@ inline void cbc_encrypt_lanes(CbcLane<Cipher>* lanes) {
 /// through Cipher::encrypt_lanes; a lane whose message ends takes the next
 /// one. With fewer than four left, two run as a pair, and a last one runs
 /// alone on cbc_encrypt_blocks. Bit-exact with encrypt_into's kCbc case on
-/// each padded message. A header template like cbc_decrypt_blocks, so it
-/// compiles under the kernel flags: instantiated for Des in cbc_chains.cpp.
+/// each padded message. Instantiated for Des in cbc_chains.cpp, so it
+/// compiles under the kernel flags.
 template <class Cipher>
 void cbc_encrypt_chains(std::span<const CbcChain<Cipher>> chains) {
   detail::CbcLane<Cipher> lanes[kCbcLanes];

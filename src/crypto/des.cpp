@@ -138,17 +138,4 @@ void Des::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
   store_be64(decrypt_block(load_be64(in)), out);
 }
 
-std::uint64_t Des::load_be64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = v << 8 | p[i];
-  return v;
-}
-
-void Des::store_be64(std::uint64_t v, std::uint8_t* p) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
-}
-
 }  // namespace fbs::crypto

@@ -24,11 +24,13 @@
 // the standard survives as the test oracle DesReference
 // (tests/support/des_reference.hpp) and the two are tested bit-exact round
 // by round. The round itself lives in des_round.hpp, which the interleaved
-// CBC-encrypt kernel shares.
+// CBC kernels share.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "util/bytes.hpp"
 
@@ -62,13 +64,15 @@ class Des {
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
-  /// Encrypt blocks[c] under *keys[c] for each of L lanes with the lanes'
-  /// rounds interleaved, so their table loads overlap where one block's
-  /// are a single dependent chain. Bit-exact with encrypt_block. Defined
-  /// in des_round.hpp, for the kernel file that runs the interleaved
-  /// CBC-encrypt chains (block_modes.hpp, cbc_encrypt_chains).
+  /// Encrypt (decrypt) blocks[c] under *keys[c] for each of L lanes with
+  /// the lanes' rounds interleaved, so their table loads overlap where one
+  /// block's are a single dependent chain. Bit-exact with encrypt_block
+  /// (decrypt_block). Defined in des_round.hpp, for the kernel file that
+  /// runs the interleaved CBC chains (block_modes.hpp, cbc_chains.cpp).
   template <std::size_t L>
   static void encrypt_lanes(const Des* const* keys, std::uint64_t* blocks);
+  template <std::size_t L>
+  static void decrypt_lanes(const Des* const* keys, std::uint64_t* blocks);
 
   /// Per-round intermediate values (FIPS 46 notation): l[0]/r[0] are L0/R0
   /// (after IP), l[i]/r[i] are Li/Ri after round i. For tests comparing
@@ -80,11 +84,26 @@ class Des {
   std::uint64_t crypt_trace(std::uint64_t block, bool decrypt,
                             RoundTrace& trace) const;
 
-  static std::uint64_t load_be64(const std::uint8_t* p);
-  static void store_be64(std::uint64_t v, std::uint8_t* p);
+  /// A block as the cores take it: eight bytes, big-endian. Inline, so a
+  /// block loop pays no call per block.
+  static std::uint64_t load_be64(const std::uint8_t* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::little)
+      v = __builtin_bswap64(v);
+    return v;
+  }
+  static void store_be64(std::uint64_t v, std::uint8_t* p) {
+    if constexpr (std::endian::native == std::endian::little)
+      v = __builtin_bswap64(v);
+    std::memcpy(p, &v, sizeof v);
+  }
 
  private:
   std::uint64_t crypt(std::uint64_t block, bool decrypt) const;
+  /// The body of encrypt_lanes and decrypt_lanes (des_round.hpp).
+  template <std::size_t L, bool kDecrypt>
+  static void crypt_lanes(const Des* const* keys, std::uint64_t* blocks);
 
   DesRoundKeys round_keys_{};
   /// The same round keys as two 32-bit words each, for the round function.

@@ -31,6 +31,12 @@ class Des3 {
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
+  /// decrypt_block on L blocks at once, block c under *keys[c], each of
+  /// the three passes run on Des's interleaved lanes. Defined in
+  /// des_round.hpp, for the interleaved CBC-decrypt kernel (cbc_chains.cpp).
+  template <std::size_t L>
+  static void decrypt_lanes(const Des3* const* keys, std::uint64_t* blocks);
+
  private:
   Des k1_;
   Des k2_;

@@ -249,48 +249,68 @@ inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
    }());
 }
 
-}  // namespace
-
-void DesBitslice::transpose64(std::uint64_t m[kGroupLanes]) {
-  // Hacker's Delight 7-3, in place: swap progressively smaller off-diagonal
-  // sub-blocks. Three nested log-steps, ~700 ops total.
+/// kWords 64x64 tiles at once, tile w's row k being word w of m[k]:
+/// Hacker's Delight 7-3 in place -- swap progressively smaller off-diagonal
+/// sub-blocks, three nested log-steps -- with every step one Word op
+/// covering all the tiles.
+inline void transpose_tiles(Word m[DesBitslice::kGroupLanes]) {
   std::uint64_t mask = 0x00000000FFFFFFFFull;
   for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
     for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = (m[k] ^ (m[k | j] >> j)) & mask;
+      const Word t = (m[k] ^ (m[k | j] >> j)) & mask;
       m[k] ^= t;
       m[k | j] ^= t << j;
     }
   }
 }
 
+/// Group w's 64 blocks, one per lane, as the rows of tile w, and back.
+inline void load_tiles(const std::uint64_t* blocks,
+                       Word m[DesBitslice::kGroupLanes]) {
+  for (std::size_t k = 0; k < DesBitslice::kGroupLanes; ++k)
+    for (std::size_t w = 0; w < DesBitslice::kWords; ++w)
+      m[k][w] = blocks[w * DesBitslice::kGroupLanes + k];
+}
+
+inline void store_tiles(const Word m[DesBitslice::kGroupLanes],
+                        std::uint64_t* blocks) {
+  for (std::size_t k = 0; k < DesBitslice::kGroupLanes; ++k)
+    for (std::size_t w = 0; w < DesBitslice::kWords; ++w)
+      blocks[w * DesBitslice::kGroupLanes + k] = m[k][w];
+}
+
+}  // namespace
+
+void DesBitslice::transpose(std::uint64_t m[kLanes]) {
+  Word tiles[kGroupLanes];
+  load_tiles(m, tiles);
+  transpose_tiles(tiles);
+  store_tiles(tiles, m);
+}
+
 void DesBitslice::set_all_lanes(const DesRoundKeys& ks) {
   for (int round = 0; round < 16; ++round) {
     const std::uint64_t sk = ks[static_cast<std::size_t>(round)];
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t t = 0; t < 48; ++t) {
-      const std::uint64_t v = (sk >> (47 - t)) & 1 ? ~0ull : 0;
-      for (std::size_t w = 0; w < kWords; ++w) dst[t * kWords + w] = v;
-    }
+    Word* dst =
+        reinterpret_cast<Word*>(ks_[static_cast<std::size_t>(round)].data());
+    for (std::size_t t = 0; t < 48; ++t)
+      dst[t] = Word{} | (0 - ((sk >> (47 - t)) & 1));
   }
 }
 
 void DesBitslice::set_lanes(
     const std::array<const DesRoundKeys*, kLanes>& lanes) {
-  // Per round, per 64-lane group: gather the group's 48-bit subkeys
-  // left-aligned, transpose, and the first 48 rows are exactly the group's
-  // lane-mask words.
-  for (int round = 0; round < 16; ++round) {
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t w = 0; w < kWords; ++w) {
-      std::uint64_t m[kGroupLanes];
-      for (std::size_t i = 0; i < kGroupLanes; ++i) {
-        m[i] = (*lanes[w * kGroupLanes + i])[static_cast<std::size_t>(round)]
-               << 16;
-      }
-      transpose64(m);
-      for (std::size_t t = 0; t < 48; ++t) dst[t * kWords + w] = m[t];
-    }
+  // Per round: gather every lane's 48-bit subkey left-aligned as its
+  // group's tile row, transpose the tiles, and the first 48 rows are
+  // exactly the round's lane-mask Words.
+  for (std::size_t round = 0; round < 16; ++round) {
+    Word m[kGroupLanes];
+    for (std::size_t k = 0; k < kGroupLanes; ++k)
+      for (std::size_t w = 0; w < kWords; ++w)
+        m[k][w] = (*lanes[w * kGroupLanes + k])[round] << 16;
+    transpose_tiles(m);
+    Word* dst = reinterpret_cast<Word*>(ks_[round].data());
+    for (std::size_t t = 0; t < 48; ++t) dst[t] = m[t];
   }
 }
 
@@ -316,13 +336,12 @@ void DesBitslice::set_lane_range(std::size_t first, std::size_t last,
 }
 
 void DesBitslice::decrypt(std::uint64_t blocks[kLanes]) const {
-  // To sliced form, one 64x64 tile per group: after the transposes,
-  // blocks[w * 64 + j] is the standard's input bit j+1 across group w's
-  // lanes (lane w*64+i at word bit 63-i). The Word gathers below then
-  // stack the kWords groups into one wide lane vector per bit position.
-  for (std::size_t w = 0; w < kWords; ++w) {
-    transpose64(blocks + w * kGroupLanes);
-  }
+  // To sliced form, all groups at once: after the transpose, Word j is the
+  // standard's input bit j+1 across every lane (lane w*64+i at bit 63-i of
+  // word w).
+  Word m[kGroupLanes];
+  load_tiles(blocks, m);
+  transpose_tiles(m);
 
   // IP, then split into L/R bit-vector banks. All 16 rounds are unrolled
   // with the Feistel swap done by alternating which bank a round XORs into,
@@ -330,16 +349,8 @@ void DesBitslice::decrypt(std::uint64_t blocks[kLanes]) const {
   Word bank_l[32];
   Word bank_r[32];
   for (std::size_t i = 0; i < 32; ++i) {
-    const auto a = static_cast<std::size_t>(kIp[i] - 1);
-    const auto b = static_cast<std::size_t>(kIp[32 + i] - 1);
-    Word l{};
-    Word r{};
-    for (std::size_t w = 0; w < kWords; ++w) {
-      l[w] = blocks[w * kGroupLanes + a];
-      r[w] = blocks[w * kGroupLanes + b];
-    }
-    bank_l[i] = l;
-    bank_r[i] = r;
+    bank_l[i] = m[kIp[i] - 1];
+    bank_r[i] = m[kIp[32 + i] - 1];
   }
 
   // Round R (0-based): l ^= f(r, key) turns l into R_{R+1} while the other
@@ -358,16 +369,11 @@ void DesBitslice::decrypt(std::uint64_t blocks[kLanes]) const {
 
   // After round 15 (odd) bank_r holds R16 and bank_l holds L16; preoutput
   // is R16 L16 -- positions 1..32 read bank_r, 33..64 read bank_l -- folded
-  // straight into FP, scattered back out per group.
-  for (std::size_t j = 0; j < 64; ++j) {
-    const Word v = kFp[j] <= 32 ? bank_r[kFp[j] - 1] : bank_l[kFp[j] - 33];
-    for (std::size_t w = 0; w < kWords; ++w) {
-      blocks[w * kGroupLanes + j] = v[w];
-    }
-  }
-  for (std::size_t w = 0; w < kWords; ++w) {
-    transpose64(blocks + w * kGroupLanes);
-  }
+  // straight into FP, then transposed back to one block per lane.
+  for (std::size_t j = 0; j < 64; ++j)
+    m[j] = kFp[j] <= 32 ? bank_r[kFp[j] - 1] : bank_l[kFp[j] - 33];
+  transpose_tiles(m);
+  store_tiles(m, blocks);
 }
 
 }  // namespace fbs::crypto

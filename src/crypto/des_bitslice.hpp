@@ -51,8 +51,8 @@ class DesBitslice {
   void set_all_lanes(const DesRoundKeys& ks);
 
   /// Mixed keys, bulk: lane i takes lanes[i] (must all be non-null). Done
-  /// with one 64x64 transpose per round per group, whatever the keys --
-  /// several cipher passes' worth (22-27 us against a ~4 us pass), so it
+  /// with one transpose of all groups' tiles per round, whatever the keys
+  /// -- several cipher passes' worth (~8 us against a ~1.7 us pass), so it
   /// pays only when the keys come in many short runs over the lanes.
   void set_lanes(const std::array<const DesRoundKeys*, kLanes>& l);
 
@@ -74,10 +74,12 @@ class DesBitslice {
   /// anything -- every lane is computed regardless.
   void decrypt(std::uint64_t blocks[kLanes]) const;
 
-  /// In-place 64x64 bit-matrix transpose, bit (63-c) of m[r] <-> bit
-  /// (63-r) of m[c]. Exposed for tests and the key-schedule expansion;
-  /// decrypt applies it per 64-lane group.
-  static void transpose64(std::uint64_t m[kGroupLanes]);
+  /// The transpose decrypt and set_lanes run: every group's 64x64 tile
+  /// m[w * 64 .. w * 64 + 63] transposed in place (bit 63-c of row r <->
+  /// bit 63-r of row c), all kWords tiles at once -- each swap step of the
+  /// network is one op on the gate network's wide word. Exposed so tests
+  /// can check it against a one-tile oracle.
+  static void transpose(std::uint64_t m[kLanes]);
 
  private:
   /// ks_[round][t * kWords + w]: lane-mask word for round-key bit t+1

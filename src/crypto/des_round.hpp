@@ -1,7 +1,7 @@
 // The table-driven DES round of des.hpp, shared by Des itself (des.cpp) and
-// the interleaved CBC-encrypt kernel (cbc_chains.cpp, built under the
-// kernel flags), which runs several independent blocks through the same
-// round with their table loads overlapped. Internal to the crypto library.
+// the interleaved CBC kernels (cbc_chains.cpp, built under the kernel
+// flags), which run several independent blocks through the same round with
+// their table loads overlapped. Internal to the crypto library.
 #pragma once
 
 #include <array>
@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "crypto/des.hpp"
+#include "crypto/des3.hpp"
 #include "crypto/des_tables.hpp"
 
 namespace fbs::crypto::des_round {
@@ -82,8 +83,8 @@ inline std::uint32_t feistel(std::uint32_t u, const DesRoundWords& k) {
 
 namespace fbs::crypto {
 
-template <std::size_t L>
-void Des::encrypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
+template <std::size_t L, bool kDecrypt>
+void Des::crypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
   using namespace des_round;
   std::uint32_t l[L];
   std::uint32_t r[L];
@@ -94,11 +95,14 @@ void Des::encrypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
     l[c] = std::rotr(l[c], 1);
     r[c] = std::rotr(r[c], 1);
   }
-  for (int round = 0; round < 16; round += 2) {
+  // Decryption is the same network with the round keys in reverse order.
+  for (int i = 0; i < 16; i += 2) {
+    const int k0 = kDecrypt ? 15 - i : i;
+    const int k1 = kDecrypt ? 14 - i : i + 1;
     for (std::size_t c = 0; c < L; ++c)
-      l[c] ^= feistel(r[c], keys[c]->round_words_[round]);
+      l[c] ^= feistel(r[c], keys[c]->round_words_[k0]);
     for (std::size_t c = 0; c < L; ++c)
-      r[c] ^= feistel(l[c], keys[c]->round_words_[round + 1]);
+      r[c] ^= feistel(l[c], keys[c]->round_words_[k1]);
   }
   for (std::size_t c = 0; c < L; ++c) {
     l[c] = std::rotl(l[c], 1);
@@ -106,6 +110,27 @@ void Des::encrypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
     final_permutation(r[c], l[c]);
     blocks[c] = static_cast<std::uint64_t>(r[c]) << 32 | l[c];
   }
+}
+
+template <std::size_t L>
+void Des::encrypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
+  crypt_lanes<L, false>(keys, blocks);
+}
+
+template <std::size_t L>
+void Des::decrypt_lanes(const Des* const* keys, std::uint64_t* blocks) {
+  crypt_lanes<L, true>(keys, blocks);
+}
+
+template <std::size_t L>
+void Des3::decrypt_lanes(const Des3* const* keys, std::uint64_t* blocks) {
+  const Des* k[L];
+  for (std::size_t c = 0; c < L; ++c) k[c] = &keys[c]->k3_;
+  Des::decrypt_lanes<L>(k, blocks);
+  for (std::size_t c = 0; c < L; ++c) k[c] = &keys[c]->k2_;
+  Des::encrypt_lanes<L>(k, blocks);
+  for (std::size_t c = 0; c < L; ++c) k[c] = &keys[c]->k1_;
+  Des::decrypt_lanes<L>(k, blocks);
 }
 
 }  // namespace fbs::crypto

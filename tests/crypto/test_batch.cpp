@@ -197,6 +197,32 @@ TEST(CryptoBatch, OpenMatchesScalarLoopOnRandomShapes) {
   EXPECT_GT(batch.stats().bitsliced_blocks, 0u);
   EXPECT_GT(batch.stats().scalar_blocks, 0u);
 
+  // The scalar plan runs cbc_decrypt_blocks, four blocks a step, then a
+  // pair and a single block: bursts of 1-8 jobs of 1-9 blocks under 1-4
+  // keys, every tail length, all opened by it and all bit for bit as the
+  // one-block loop.
+  CryptoBatch small;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t njobs = 1 + rng.next_below(8);
+    const std::size_t nkeys = 1 + rng.next_below(4);
+    std::vector<util::Bytes> cts(njobs);
+    std::vector<util::Bytes> got(njobs);
+    std::vector<CbcOpenJob> jobs;
+    for (std::size_t j = 0; j < njobs; ++j) {
+      cts[j] = rng.next_bytes(Des::kBlockSize * (1 + rng.next_below(9)));
+      got[j].resize(cts[j].size());
+      jobs.push_back(CbcOpenJob{&flows[rng.next_below(nkeys)].des,
+                                rng.next_u64(), cts[j], got[j].data()});
+    }
+    small.open_cbc(jobs);
+    for (std::size_t j = 0; j < njobs; ++j) {
+      ASSERT_EQ(got[j], scalar_cbc_open(*jobs[j].des, jobs[j].iv, cts[j]))
+          << "small trial " << trial << " job " << j << " of " << njobs;
+    }
+  }
+  EXPECT_EQ(small.stats().passes, 0u);
+  EXPECT_GT(small.stats().scalar_blocks, 0u);
+
   // Fixed shapes whose scalar spill starts at a chosen place, each job
   // checked against decrypt_into. One key and one full pass each, so the
   // wide plan wins and the last total % kLanes blocks spill.
@@ -208,6 +234,9 @@ TEST(CryptoBatch, OpenMatchesScalarLoopOnRandomShapes) {
       {"spill starts mid-job", {100, 100, 76}},
       {"spill starts at a job boundary", {128, 128, 30}},
       {"spill follows zero-block jobs", {150, 106, 0, 0, 12, 0, 9}},
+      {"spill starts one block into a job", {255, 23}},
+      {"spill starts two blocks into a job", {254, 29}},
+      {"spill starts three blocks into a job", {253, 6}},
   };
   for (const Shape& shape : shapes) {
     std::vector<util::Bytes> cts;

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "crypto/des3.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {
@@ -226,6 +227,59 @@ TEST(BlockModes, EncryptChainsMatchEncryptIntoOnRandomShapes) {
           << "trial " << trial << " chain " << i << " of " << n;
     }
   }
+}
+
+/// The one-block CBC-decrypt recurrence cbc_decrypt_blocks must match.
+template <class Cipher>
+util::Bytes one_block_cbc_decrypt(const Cipher& cipher, std::uint64_t chain,
+                                  const util::Bytes& ct) {
+  util::Bytes out(ct.size());
+  for (std::size_t off = 0; off < ct.size(); off += Des::kBlockSize) {
+    const std::uint64_t c = Des::load_be64(ct.data() + off);
+    Des::store_be64(cipher.decrypt_block(c) ^ chain, out.data() + off);
+    chain = c;
+  }
+  return out;
+}
+
+// The interleaved open against the one-block loop: every length from 0 to
+// 9 blocks (each tail of the four-block steps) and a 177-block message,
+// out of place and in place (pt == ct, where a step that stored before it
+// loaded would chain from plaintext), from an IV or from the ciphertext
+// block before a run that starts mid-message.
+template <class Cipher>
+void check_decrypt_blocks(std::uint64_t seed, std::size_t key_bytes) {
+  util::SplitMix64 rng(seed);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Cipher cipher(rng.next_bytes(key_bytes));
+    for (std::size_t blocks = 0; blocks <= 10; ++blocks) {
+      const std::size_t n = blocks == 10 ? 177 : blocks;
+      // A run from block `skip` of an (n + skip)-block message chains from
+      // the ciphertext block before it.
+      const std::size_t skip = rng.next_below(3);
+      const util::Bytes msg = rng.next_bytes(Des::kBlockSize * (n + skip));
+      const std::uint64_t iv = rng.next_u64();
+      const std::uint64_t chain =
+          skip == 0 ? iv
+                    : Des::load_be64(msg.data() + Des::kBlockSize * (skip - 1));
+      const util::Bytes ct(msg.begin() + Des::kBlockSize * skip, msg.end());
+      const util::Bytes want = one_block_cbc_decrypt(cipher, chain, ct);
+
+      util::Bytes out(ct.size());
+      cbc_decrypt_blocks(cipher, chain, ct.data(), out.data(), n);
+      EXPECT_EQ(out, want) << "out of place, trial " << trial << ", " << n
+                           << " blocks from block " << skip;
+      util::Bytes in_place = ct;
+      cbc_decrypt_blocks(cipher, chain, in_place.data(), in_place.data(), n);
+      EXPECT_EQ(in_place, want) << "in place, trial " << trial << ", " << n
+                                << " blocks from block " << skip;
+    }
+  }
+}
+
+TEST(BlockModes, DecryptBlocksMatchesOneBlockLoopOnRandomShapes) {
+  check_decrypt_blocks<Des>(29, Des::kKeySize);
+  check_decrypt_blocks<Des3>(31, Des3::kKeySize);
 }
 
 }  // namespace

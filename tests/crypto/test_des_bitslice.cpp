@@ -4,9 +4,11 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/des.hpp"
 #include "support/des_reference.hpp"
+#include "support/transpose64.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {
@@ -15,12 +17,15 @@ namespace {
 constexpr std::size_t kLanes = DesBitslice::kLanes;
 constexpr std::size_t kGroup = DesBitslice::kGroupLanes;
 
+constexpr std::size_t kWords = DesBitslice::kWords;
+using fbs::testing::transpose64;
+
 TEST(DesBitslice, Transpose64IsInvolutionAndMovesBits) {
   util::SplitMix64 rng(101);
   std::uint64_t m[kGroup];
   std::uint64_t orig[kGroup];
   for (std::size_t i = 0; i < kGroup; ++i) m[i] = orig[i] = rng.next_u64();
-  DesBitslice::transpose64(m);
+  transpose64(m);
   // M'(r, c) == M(c, r) under MSB-first column numbering.
   for (std::size_t r = 0; r < kGroup; ++r) {
     for (std::size_t c = 0; c < kGroup; ++c) {
@@ -28,8 +33,34 @@ TEST(DesBitslice, Transpose64IsInvolutionAndMovesBits) {
           << "r=" << r << " c=" << c;
     }
   }
-  DesBitslice::transpose64(m);
+  transpose64(m);
   for (std::size_t i = 0; i < kGroup; ++i) EXPECT_EQ(m[i], orig[i]);
+}
+
+TEST(DesBitslice, TransposeMatchesOneTileOracleOnRandomTiles) {
+  // The engine's transpose runs the swap network on all kWords tiles at
+  // once: each 64-row tile must come out as the one-tile oracle transposes
+  // it, and a second run must restore it.
+  util::SplitMix64 rng(108);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint64_t m[kLanes];
+    std::uint64_t want[kLanes];
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      // Sparse and dense rows as well as uniform ones.
+      const std::uint64_t v = rng.next_u64();
+      m[i] = want[i] = trial % 3 == 0   ? v & rng.next_u64() & rng.next_u64()
+                       : trial % 3 == 1 ? v | rng.next_u64()
+                                        : v;
+    }
+    const std::vector<std::uint64_t> orig(m, m + kLanes);
+    for (std::size_t w = 0; w < kWords; ++w) transpose64(want + w * kGroup);
+    DesBitslice::transpose(m);
+    for (std::size_t i = 0; i < kLanes; ++i)
+      ASSERT_EQ(m[i], want[i]) << "trial " << trial << " tile " << i / kGroup
+                               << " row " << i % kGroup;
+    DesBitslice::transpose(m);
+    for (std::size_t i = 0; i < kLanes; ++i) ASSERT_EQ(m[i], orig[i]);
+  }
 }
 
 TEST(DesBitslice, KeyScheduleMatchesReference) {
