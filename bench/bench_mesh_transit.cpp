@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "net/mesh.hpp"
 #include "support/harness.hpp"
 #include "support/metrics_io.hpp"
+#include "support/transit_mesh.hpp"
 
 using namespace fbs;
 

@@ -36,18 +36,6 @@ constexpr std::array<std::array<std::uint64_t, 16>, 14> build_pc2_nibbles() {
 constexpr auto kPc1Nibble = build_pc1_nibbles();
 constexpr auto kPc2Nibble = build_pc2_nibbles();
 
-/// A 48-bit round key as the two words the round XORs in: chunk i (FIPS
-/// round-key bits 6i+1 .. 6i+6, S-box i's share) lands at bit 26 - 8(i/2)
-/// of word i % 2, where S-box i's input sits in R or rotl(R, 4).
-constexpr DesRoundWords round_words(std::uint64_t k) {
-  DesRoundWords w{};
-  for (unsigned i = 0; i < 8; ++i) {
-    const auto chunk = static_cast<std::uint32_t>(k >> (42 - 6 * i)) & 0x3F;
-    w[i % 2] |= chunk << (26 - 8 * (i / 2));
-  }
-  return w;
-}
-
 }  // namespace
 
 DesRoundKeys Des::key_schedule(std::uint64_t k64) {
@@ -98,28 +86,6 @@ std::uint64_t Des::crypt(std::uint64_t block, bool decrypt) const {
   r = std::rotl(r, 1);
   final_permutation(r, l);
   return static_cast<std::uint64_t>(r) << 32 | l;
-}
-
-std::uint64_t Des::crypt_trace(std::uint64_t block, bool decrypt,
-                               RoundTrace& trace) const {
-  std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
-  std::uint32_t r = static_cast<std::uint32_t>(block);
-  initial_permutation(l, r);
-  trace.l[0] = l;
-  trace.r[0] = r;
-  l = std::rotr(l, 1);
-  r = std::rotr(r, 1);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint32_t next =
-        l ^ feistel(r, round_words_[decrypt ? 15 - round : round]);
-    l = r;
-    r = next;
-    trace.l[round + 1] = std::rotl(l, 1);
-    trace.r[round + 1] = std::rotl(r, 1);
-  }
-  std::uint32_t outl = std::rotl(r, 1), outr = std::rotl(l, 1);  // swap
-  final_permutation(outl, outr);
-  return static_cast<std::uint64_t>(outl) << 32 | outr;
 }
 
 std::uint64_t Des::encrypt_block(std::uint64_t block) const {

@@ -40,8 +40,9 @@ namespace fbs::crypto {
 /// round-key bit 1.
 using DesRoundKeys = std::array<std::uint64_t, 16>;
 
-/// One round key in the layout the table-driven round XORs in (des.cpp):
-/// the even S-boxes' 6-bit chunks in word 0, the odd ones in word 1.
+/// One round key in the layout the table-driven round XORs in
+/// (des_round.hpp): the even S-boxes' 6-bit chunks in word 0, the odd ones
+/// in word 1.
 using DesRoundWords = std::array<std::uint32_t, 2>;
 
 class Des {
@@ -73,16 +74,6 @@ class Des {
   static void encrypt_lanes(const Des* const* keys, std::uint64_t* blocks);
   template <std::size_t L>
   static void decrypt_lanes(const Des* const* keys, std::uint64_t* blocks);
-
-  /// Per-round intermediate values (FIPS 46 notation): l[0]/r[0] are L0/R0
-  /// (after IP), l[i]/r[i] are Li/Ri after round i. For tests comparing
-  /// this implementation against DesReference round by round.
-  struct RoundTrace {
-    std::array<std::uint32_t, 17> l{};
-    std::array<std::uint32_t, 17> r{};
-  };
-  std::uint64_t crypt_trace(std::uint64_t block, bool decrypt,
-                            RoundTrace& trace) const;
 
   /// A block as the cores take it: eight bytes, big-endian. Inline, so a
   /// block loop pays no call per block.

@@ -44,6 +44,18 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> build_sp_tables() {
 
 inline constexpr auto kSp = build_sp_tables();
 
+/// A 48-bit round key as the two words the round XORs in: chunk i (FIPS
+/// round-key bits 6i+1 .. 6i+6, S-box i's share) lands at bit 26 - 8(i/2)
+/// of word i % 2, where S-box i's input sits in R or rotl(R, 4).
+inline constexpr DesRoundWords round_words(std::uint64_t k) {
+  DesRoundWords w{};
+  for (unsigned i = 0; i < 8; ++i) {
+    const auto chunk = static_cast<std::uint32_t>(k >> (42 - 6 * i)) & 0x3F;
+    w[i % 2] |= chunk << (26 - 8 * (i / 2));
+  }
+  return w;
+}
+
 /// IP as a 5-stage bit-swap network on the big-endian-loaded halves
 /// (l = FIPS bits 1-32, r = 33-64); verified bit-exact against the kIp
 /// table walk. FP is the inverse: the same involutive stages in reverse.

@@ -14,7 +14,7 @@ std::unique_ptr<FlowPolicy> make_policy(const FbsConfig& config,
                                             /*expire_in_mapper=*/true);
   return std::make_unique<FiveTuplePolicy>(
       config.fst_size, config.flow_threshold, sfl_alloc,
-      /*expire_in_mapper=*/true, config.cache_hash);
+      /*expire_in_mapper=*/true);
 }
 
 }  // namespace
@@ -25,10 +25,9 @@ FlowDomain::FlowDomain(const FbsConfig& config, const util::Clock& clock,
     : confounder_gen(confounder_seed),
       policy(make_policy(config, sfl_alloc)),
       combined(config.combined_fst_tfkc ? config.fst_size : 0),
-      tfkc(config.tfkc_size, config.cache_ways, config.cache_hash),
-      rfkc(config.rfkc_size, config.cache_ways, config.cache_hash),
-      freshness(clock, config.freshness_window_minutes,
-                config.strict_replay) {
+      tfkc(config.tfkc_size, kFlowKeyCacheWays),
+      rfkc(config.rfkc_size, kFlowKeyCacheWays),
+      freshness(clock, kFreshnessWindowMinutes, config.strict_replay) {
   tracer.set_enabled(config.trace_stages);
 }
 

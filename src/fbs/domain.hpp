@@ -51,6 +51,13 @@
 
 namespace fbs::core {
 
+/// Replay window half-width (Section 6.2): a timestamp within +/- this many
+/// minutes of the receiver's clock is fresh.
+inline constexpr std::uint32_t kFreshnessWindowMinutes = 5;
+/// The flow key caches (TFKC, RFKC) are direct-mapped; they, the FST and
+/// the combined FST+TFKC are indexed by CRC-32 (Section 7.2).
+inline constexpr std::size_t kFlowKeyCacheWays = 1;
+
 struct FbsConfig {
   crypto::AlgorithmSuite suite{};  // keyed MD5 + DES-CBC by default
 
@@ -62,16 +69,13 @@ struct FbsConfig {
   /// Flow key caches (per domain, like the FST).
   std::size_t tfkc_size = 256;
   std::size_t rfkc_size = 256;
-  CacheHashKind cache_hash = CacheHashKind::kCrc32;
-  std::size_t cache_ways = 1;
 
   /// Section 7.2's optimization: merge the FST and the TFKC so mapper and
   /// key lookup are one probe. false exercises the split Figure 4/6 path.
   bool combined_fst_tfkc = true;
 
-  /// Replay window half-width (Section 6.2) and the optional strict
-  /// within-window replay cache extension.
-  std::uint32_t freshness_window_minutes = 5;
+  /// The optional strict within-window replay cache extension (Section
+  /// 6.2 concedes replays inside the freshness window).
   bool strict_replay = false;
 
   /// Key-lifetime policy (Section 5.2: "With use, an encryption key will

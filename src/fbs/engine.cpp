@@ -213,7 +213,7 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
     // ctx.attrs already holds the encoded attributes (the caller encoded
     // them to pick this domain).
     const std::size_t idx =
-        cache_index(config_.cache_hash, ctx.attrs, dom.combined.size());
+        cache_index(CacheHashKind::kCrc32, ctx.attrs, dom.combined.size());
     CombinedFlowEntry& e = dom.combined[idx];
     if (e.valid && e.attrs == d.attrs &&
         !flow_expired(e.last, now, config_.flow_threshold)) {
@@ -701,7 +701,8 @@ void FbsEndpoint::rekey(const FlowAttributes& attrs) {
   std::lock_guard<std::mutex> lock(dom.mu);
   if (config_.combined_fst_tfkc) {
     const std::size_t idx =
-        cache_index(config_.cache_hash, attrs.encode(), dom.combined.size());
+        cache_index(CacheHashKind::kCrc32, attrs.encode(),
+                    dom.combined.size());
     CombinedFlowEntry& e = dom.combined[idx];
     if (e.valid && e.attrs == attrs) e.valid = false;
     return;

@@ -68,12 +68,11 @@ std::size_t table_active(const std::vector<FlowStateEntry>& table,
 
 FiveTuplePolicy::FiveTuplePolicy(std::size_t fst_size, util::TimeUs threshold,
                                  SflAllocator& sfl_alloc,
-                                 bool expire_in_mapper, CacheHashKind hash)
+                                 bool expire_in_mapper)
     : table_(fst_size ? fst_size : 1),
       threshold_(threshold),
       sfl_alloc_(sfl_alloc),
-      expire_in_mapper_(expire_in_mapper),
-      hash_(hash) {}
+      expire_in_mapper_(expire_in_mapper) {}
 
 std::string FiveTuplePolicy::name() const {
   return "five-tuple(threshold=" +
@@ -81,7 +80,7 @@ std::string FiveTuplePolicy::name() const {
 }
 
 std::size_t FiveTuplePolicy::index_of(const FlowAttributes& attrs) const {
-  return cache_index(hash_, attrs.encode(), table_.size());
+  return cache_index(CacheHashKind::kCrc32, attrs.encode(), table_.size());
 }
 
 MapResult FiveTuplePolicy::map(const Datagram& d, util::TimeUs now) {

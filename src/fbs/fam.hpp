@@ -149,8 +149,7 @@ class FiveTuplePolicy final : public FlowPolicy {
  public:
   FiveTuplePolicy(std::size_t fst_size, util::TimeUs threshold,
                   SflAllocator& sfl_alloc,
-                  bool expire_in_mapper = true,
-                  CacheHashKind hash = CacheHashKind::kCrc32);
+                  bool expire_in_mapper = true);
 
   std::string name() const override;
   MapResult map(const Datagram& d, util::TimeUs now) override;
@@ -171,7 +170,6 @@ class FiveTuplePolicy final : public FlowPolicy {
   util::TimeUs threshold_;
   SflAllocator& sfl_alloc_;
   bool expire_in_mapper_;
-  CacheHashKind hash_;
   FamStats stats_;
 };
 

@@ -47,41 +47,40 @@ FlowCryptoContext make_flow_crypto_context(const FlowKey& key,
   return ctx;
 }
 
+namespace {
+
+/// Mix the daemon's principal address (FNV-1a) into the policy seed so a
+/// fleet of daemons still draws per-daemon schedules (decorrelation's
+/// premise).
+std::uint64_t jitter_seed(const Principal& self) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : self.address) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return RetryPolicy::seed ^ h;
+}
+
+}  // namespace
+
 MasterKeyDaemon::MasterKeyDaemon(Principal self, bignum::Uint private_value,
                                  const crypto::DhGroup& group,
                                  const cert::Verifier& verifier,
                                  cert::DirectoryService& directory,
                                  const util::Clock& clock,
-                                 std::size_t pvc_size, CacheHashKind hash,
-                                 std::size_t pvc_ways)
+                                 std::size_t pvc_size)
     : self_(std::move(self)),
       private_value_(std::move(private_value)),
       group_(group),
       verifier_(verifier),
       directory_(directory),
       clock_(clock),
-      pvc_(pvc_size, pvc_ways, hash) {
-  jitter_rng_ = util::SplitMix64(jitter_seed(retry_.seed));
-}
-
-std::uint64_t MasterKeyDaemon::jitter_seed(std::uint64_t base) const {
-  // FNV-1a over the principal address.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : self_.address) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return base ^ h;
-}
+      pvc_(pvc_size, kKeyCacheWays),
+      jitter_rng_(jitter_seed(self_)) {}
 
 void MasterKeyDaemon::pin_certificate(
     const cert::PublicValueCertificate& cert) {
   pvc_.insert(cert.subject, cert);
-}
-
-void MasterKeyDaemon::set_retry_policy(const RetryPolicy& policy) {
-  retry_ = policy;
-  jitter_rng_ = util::SplitMix64(jitter_seed(policy.seed));
 }
 
 void MasterKeyDaemon::clear_soft_state() {
@@ -90,39 +89,24 @@ void MasterKeyDaemon::clear_soft_state() {
 }
 
 cert::FetchResult MasterKeyDaemon::fetch_with_retry(const Principal& peer) {
-  const std::uint32_t attempts = retry_.max_attempts ? retry_.max_attempts : 1;
-  util::TimeUs backoff = retry_.initial_backoff;  // legacy: next nominal wait
-  util::TimeUs prev = retry_.initial_backoff;     // decorrelated: last wait
+  util::TimeUs prev = RetryPolicy::initial_backoff;  // the last wait
   for (std::uint32_t attempt = 1;; ++attempt) {
     ++stats_.directory_fetches;
     auto result = directory_.fetch(peer.address);
-    if (!result.transient() || attempt >= attempts) return result;
+    if (!result.transient() || attempt >= RetryPolicy::max_attempts)
+      return result;
     // Transient failure: back off (with jitter, so a population of daemons
-    // retrying the same outage does not stampede) and try again.
+    // retrying the same outage does not stampede) and try again. wait =
+    // U[initial, 3 * prev], capped: each draw's upper bound chases the
+    // previous *actual* wait, not a shared nominal schedule.
     ++stats_.directory_retries;
-    util::TimeUs wait;
-    if (retry_.decorrelated) {
-      // wait = U[initial, 3 * prev], capped. Each draw's upper bound chases
-      // the previous *actual* wait, not a shared nominal schedule.
-      const double lo = static_cast<double>(retry_.initial_backoff);
-      double hi = 3.0 * static_cast<double>(prev);
-      if (retry_.max_backoff > 0)
-        hi = std::min(hi, static_cast<double>(retry_.max_backoff));
-      hi = std::max(hi, lo);
-      wait = static_cast<util::TimeUs>(
-          lo + jitter_rng_.next_double() * (hi - lo));
-      prev = wait;
-    } else {
-      wait = backoff;
-      if (retry_.jitter > 0) {
-        const double scale = 1.0 - retry_.jitter * jitter_rng_.next_double();
-        wait = static_cast<util::TimeUs>(static_cast<double>(wait) * scale);
-      }
-      backoff = static_cast<util::TimeUs>(static_cast<double>(backoff) *
-                                          retry_.multiplier);
-      if (retry_.max_backoff > 0)
-        backoff = std::min(backoff, retry_.max_backoff);
-    }
+    const double lo = static_cast<double>(RetryPolicy::initial_backoff);
+    const double hi = std::max(
+        lo, std::min(3.0 * static_cast<double>(prev),
+                     static_cast<double>(RetryPolicy::max_backoff)));
+    const auto wait = static_cast<util::TimeUs>(
+        lo + jitter_rng_.next_double() * (hi - lo));
+    prev = wait;
     stats_.backoff_waited_us += static_cast<std::uint64_t>(wait);
     if (waiter_ && wait > 0) waiter_(wait);
   }
@@ -156,7 +140,7 @@ MasterKeyDaemon::obtain_certificate(const Principal& peer) {
   auto fetched = fetch_with_retry(peer);
   if (!fetched.ok()) {
     ++stats_.directory_failures;
-    negative_[peer.address] = clock_.now() + retry_.negative_ttl;
+    negative_[peer.address] = clock_.now() + RetryPolicy::negative_ttl;
     ++stats_.negative_cache_inserts;
     return std::nullopt;
   }

@@ -83,29 +83,29 @@ struct MkdStats {
   std::uint64_t backoff_waited_us = 0;       // cumulative backoff time
 };
 
-/// Bounded retry with backoff + jitter for transient directory failures
-/// (outages, timeouts), plus the TTL of the negative cache that absorbs
-/// upcall storms for peers that stay unresolvable. All state this
+/// Bounded retry with decorrelated-jitter backoff for transient directory
+/// failures (outages, timeouts), plus the TTL of the negative cache that
+/// absorbs upcall storms for peers that stay unresolvable. All state this
 /// produces is soft: wiping it merely costs re-fetching.
+///
+/// Waits follow wait_n = min(max_backoff, U[initial_backoff,
+/// 3 * wait_{n-1}]), with wait_0 = initial_backoff. Unlike a jittered
+/// exponential schedule, the draws of different daemons spread over the
+/// whole interval instead of clustering near a shared nominal schedule, so
+/// a population retrying the same directory outage does not re-stampede in
+/// synchronized waves.
 struct RetryPolicy {
-  std::uint32_t max_attempts = 4;  // total fetch attempts per upcall
-  util::TimeUs initial_backoff = util::TimeUs{50'000};  // before attempt 2
-  double multiplier = 2.0;         // legacy schedule only
-  util::TimeUs max_backoff = util::seconds(2);
-  double jitter = 0.5;  // legacy schedule: each wait scaled by U[1-jitter, 1]
-  /// Decorrelated jitter (default): wait_n = min(max_backoff,
-  /// U[initial_backoff, 3 * wait_{n-1}]), with wait_0 = initial_backoff.
-  /// Compared with jittered exponential backoff, the draws of different
-  /// daemons spread over the whole interval instead of clustering near the
-  /// shared nominal schedule, so a population retrying the same directory
-  /// outage does not re-stampede in synchronized waves. Set false for the
-  /// legacy multiplier/jitter schedule above.
-  bool decorrelated = true;
-  util::TimeUs negative_ttl = util::seconds(30);
+  static constexpr std::uint32_t max_attempts = 4;  // fetches per upcall
+  static constexpr util::TimeUs initial_backoff{50'000};  // before attempt 2
+  static constexpr util::TimeUs max_backoff = util::seconds(2);
+  static constexpr util::TimeUs negative_ttl = util::seconds(30);
   /// Jitter RNG seed. Each daemon mixes its own principal address into
-  /// this, so a fleet sharing one policy still draws distinct schedules.
-  std::uint64_t seed = 42;
+  /// this, so a fleet sharing the policy still draws distinct schedules.
+  static constexpr std::uint64_t seed = 42;
 };
+
+/// Associativity of the PVC and the MKC (both CRC-32 indexed).
+inline constexpr std::size_t kKeyCacheWays = 2;
 
 /// User-space master key daemon: PVC + certificate fetch/verify + DH.
 class MasterKeyDaemon {
@@ -116,9 +116,7 @@ class MasterKeyDaemon {
                   const crypto::DhGroup& group,
                   const cert::Verifier& verifier,
                   cert::DirectoryService& directory, const util::Clock& clock,
-                  std::size_t pvc_size = 64,
-                  CacheHashKind hash = CacheHashKind::kCrc32,
-                  std::size_t pvc_ways = 2);
+                  std::size_t pvc_size = 64);
 
   /// The Upcall() of Figure 6: produce the pair-based master key for `peer`
   /// (fixed-width big-endian), or nullopt if no valid certificate can be
@@ -130,8 +128,6 @@ class MasterKeyDaemon {
   /// initialization", Section 5.3).
   void pin_certificate(const cert::PublicValueCertificate& cert);
 
-  /// Replace the retry/backoff/negative-cache parameters.
-  void set_retry_policy(const RetryPolicy& policy);
   /// How backoff waits are served. In simulation this should advance the
   /// VirtualClock (so directory outages can clear while we wait); unset,
   /// retries are immediate.
@@ -145,7 +141,7 @@ class MasterKeyDaemon {
 
   const Principal& self() const { return self_; }
   const crypto::DhGroup& group() const { return group_; }
-  const RetryPolicy& retry_policy() const { return retry_; }
+  static constexpr RetryPolicy retry_policy() { return {}; }
   const MkdStats& stats() const { return stats_; }
   const CacheStats& pvc_stats() const { return pvc_.stats(); }
 
@@ -157,9 +153,6 @@ class MasterKeyDaemon {
   std::optional<cert::PublicValueCertificate> obtain_certificate(
       const Principal& peer);
   cert::FetchResult fetch_with_retry(const Principal& peer);
-  /// Mix the daemon's principal address into the policy seed so identical
-  /// policies still yield per-daemon schedules (decorrelation's premise).
-  std::uint64_t jitter_seed(std::uint64_t base) const;
 
   Principal self_;
   bignum::Uint private_value_;
@@ -168,8 +161,7 @@ class MasterKeyDaemon {
   cert::DirectoryService& directory_;
   const util::Clock& clock_;
   SetAssociativeCache<cert::PublicValueCertificate> pvc_;
-  RetryPolicy retry_;
-  util::SplitMix64 jitter_rng_{42};
+  util::SplitMix64 jitter_rng_;
   std::function<void(util::TimeUs)> waiter_;
   std::map<util::Bytes, util::TimeUs> negative_;  // peer -> entry expiry
   MkdStats stats_;
@@ -184,10 +176,8 @@ class MasterKeyDaemon {
 /// waits, DH exponentiation) stays single-threaded and lock-free inside.
 class KeyManager {
  public:
-  KeyManager(MasterKeyDaemon& daemon, std::size_t mkc_size = 64,
-             CacheHashKind hash = CacheHashKind::kCrc32,
-             std::size_t mkc_ways = 2)
-      : daemon_(daemon), mkc_(mkc_size, mkc_ways, hash) {}
+  KeyManager(MasterKeyDaemon& daemon, std::size_t mkc_size = 64)
+      : daemon_(daemon), mkc_(mkc_size, kKeyCacheWays) {}
 
   /// K_{S,D} for self<->peer, copied into `out` (its capacity reused, so
   /// an MKC hit does not allocate); cached in the MKC. false if no master

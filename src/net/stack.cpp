@@ -39,7 +39,7 @@ bool IpStack::output(Ipv4Address destination, IpProto proto,
                      util::BytesView payload, bool dont_fragment) {
   // Part [1]: header construction and (trivial, fully-connected) routing,
   // into the next free slot of the seal queue.
-  assert(!draining_ && "a seal or transmit hook sent on its own stack");
+  assert(!draining_ && "a seal hook or the transport sent on its own stack");
   OutputDatagram& d = queue_[held_];
   d.header = Ipv4Header{};
   d.header.id = next_id_++;
@@ -78,8 +78,8 @@ void IpStack::flush() { drain(Drain::kFlush); }
 
 void IpStack::drain(Drain why) {
   if (why == Drain::kPump) holding_ = false;
-  // A transmit hook that sets a timer (a transit router's serializer)
-  // flushes holders from inside a drain; the drain under way sends all.
+  // A transport whose send() sets a timer (a link serializer) flushes
+  // holders from inside a drain; the drain under way sends all.
   if (held_ == 0 || draining_) return;
   switch (why) {
     case Drain::kFull: ++counters_.drains_full; break;
@@ -101,15 +101,7 @@ void IpStack::send_datagram(const OutputDatagram& d) {
   // Part [3]: transmit on the chosen interface (toward the next hop).
   counters_.fragments_out += packets.size();
   const Ipv4Address hop = next_hop_for(d.header.destination);
-  for (auto& p : packets) transmit(hop, std::move(p));
-}
-
-void IpStack::transmit(Ipv4Address next_hop, util::Bytes frame) {
-  if (transmit_hook_) {
-    transmit_hook_(next_hop, std::move(frame));
-    return;
-  }
-  network_.send(address_, next_hop, std::move(frame));
+  for (auto& p : packets) network_.send(address_, hop, std::move(p));
 }
 
 void IpStack::add_route(Ipv4Address network, int prefix_len,
@@ -144,7 +136,7 @@ bool IpStack::forward_packet(Ipv4Header header, util::BytesView payload) {
   }
   ++counters_.forwarded;
   const Ipv4Address hop = next_hop_for(header.destination);
-  for (auto& p : packets) transmit(hop, std::move(p));
+  for (auto& p : packets) network_.send(address_, hop, std::move(p));
   return true;
 }
 

@@ -185,7 +185,7 @@ class IpStack : private Transport::Holder {
   /// is fully connected).
   void add_route(Ipv4Address network, int prefix_len, Ipv4Address next_hop);
   /// Drop every installed route (a routing recomputation reinstalls from
-  /// scratch -- see MeshNetwork::recompute_routes).
+  /// scratch).
   void clear_routes() { routes_.clear(); }
   /// Route for everything without a more specific entry.
   void set_default_route(Ipv4Address next_hop) { add_route({}, 0, next_hop); }
@@ -206,17 +206,6 @@ class IpStack : private Transport::Holder {
   /// another host -- the forwarding transmit path (no output hooks; those
   /// are for locally originated traffic).
   bool forward_packet(Ipv4Header header, util::BytesView payload);
-
-  /// Seam between the stack and the wire: when set, every frame this stack
-  /// emits (locally originated and forwarded alike) is handed to the hook
-  /// instead of Transport::send. A transit router installs its egress
-  /// queue/serialization model here; the hook owns the frame and decides
-  /// whether it is queued, delayed, or dropped (with its own accounting).
-  using TransmitHook =
-      std::function<void(Ipv4Address next_hop, util::Bytes frame)>;
-  void set_transmit_hook(TransmitHook hook) {
-    transmit_hook_ = std::move(hook);
-  }
 
   const Counters& counters() const { return counters_; }
   /// Incomplete datagrams currently held by the reassembly queue (lost
@@ -245,7 +234,6 @@ class IpStack : private Transport::Holder {
   void on_frame(util::BytesView frame);
   /// Run the input hook over the collected datagrams and dispatch them.
   void flush_input();
-  void transmit(Ipv4Address next_hop, util::Bytes frame);
   Ipv4Address next_hop_for(Ipv4Address destination) const;
 
   struct Route {
@@ -263,7 +251,6 @@ class IpStack : private Transport::Holder {
   std::vector<Route> routes_;
   bool forwarding_ = false;
   ForwardFilter forward_filter_;
-  TransmitHook transmit_hook_;
   Counters counters_;
   std::uint16_t next_id_ = 1;
   /// Datagrams collected for the input hook; kept for its capacity.

@@ -5,9 +5,11 @@
 // backend has due for its binding at once, in arrival order, so the layers
 // above can open a whole batch with one burst call (a lone frame is a
 // batch of one). Everything above this line -- IpStack, TcpService,
-// the transit mesh, FBS endpoints and tunnels -- consumes `Transport&`;
-// which wire actually moves the bytes (the discrete-event SimNetwork or a
-// real UDP socket, see udp_transport.hpp) is the backend's business.
+// FBS endpoints and tunnels -- consumes `Transport&`; which wire actually
+// moves the bytes (the discrete-event SimNetwork or a real UDP socket, see
+// udp_transport.hpp) is the backend's business. A transport may also wrap
+// another and pass most calls through, as the test-side transit mesh's
+// routers do to put a link queue under their stacks' send().
 //
 // A sender may hold frames back between calls (IpStack's seal queue). It
 // registers as a Holder, and the backend flushes every registered holder

@@ -137,6 +137,12 @@ std::size_t UdpTransport::drain_socket() {
     if (n < 0) break;  // EWOULDBLOCK: socket drained
     ++counters_.received;
     ++read;
+    if (static_cast<std::size_t>(n) > config_.mtu) {
+      // The read cut it to mtu + 1 bytes: a truncated frame is no frame,
+      // and its unauthenticated source is no peer to learn.
+      ++counters_.oversized;
+      continue;
+    }
     frame.resize(static_cast<std::size_t>(n));
     if (frame.size() < kIpHeaderMin) {
       ++counters_.rx_malformed;

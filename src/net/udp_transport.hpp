@@ -33,6 +33,8 @@ struct UdpTransportConfig {
   /// Frames longer than this are dropped before sendto (counted in
   /// `oversized`), the same clamp EMSGSIZE would impose further down --
   /// surfacing the MTU as an explicit counted drop instead of an errno.
+  /// A longer frame read off the socket is dropped into the same bucket
+  /// before its source is learned as a peer.
   std::size_t mtu = 1500;
   /// Receive queue between the socket and the sinks, and the read budget
   /// of one socket drain: each pass of poll() reads at most this many
@@ -90,7 +92,7 @@ class UdpTransport final : public Transport {
     std::atomic<std::uint64_t> received{0};      // read off the socket
     std::atomic<std::uint64_t> delivered{0};     // handed to a sink
     std::atomic<std::uint64_t> unknown_peer{0};  // no endpoint for `to`
-    std::atomic<std::uint64_t> oversized{0};     // MTU clamp or EMSGSIZE
+    std::atomic<std::uint64_t> oversized{0};     // MTU clamp (tx, rx), EMSGSIZE
     std::atomic<std::uint64_t> send_failed{0};   // other sendto errno
     std::atomic<std::uint64_t> rx_malformed{0};  // shorter than an IP header
     std::atomic<std::uint64_t> no_sink{0};       // no attach() for dest

@@ -53,7 +53,7 @@ constexpr std::uint32_t kWorkedRounds[17][2] = {
 
 TEST(DesReference, RoundTraceWorkedExample) {
   const DesReference ref(*util::from_hex(kWorkedKey));
-  Des::RoundTrace trace;
+  DesRoundTrace trace;
   EXPECT_EQ(ref.crypt_trace(kWorkedPlain, /*decrypt=*/false, trace),
             kWorkedCipher);
   for (int i = 0; i <= 16; ++i) {
@@ -63,11 +63,13 @@ TEST(DesReference, RoundTraceWorkedExample) {
 }
 
 TEST(Des, RoundTraceWorkedExample) {
-  // The table-driven path reproduces the same standard-notation trace even
-  // though internally it runs unrolled round pairs with no L/R swap.
+  // The table-driven round's pieces (the IP/FP swap networks, the fused SP
+  // tables, the round-word layout of Des's schedule) reproduce the same
+  // standard-notation trace, though Des itself runs unrolled round pairs
+  // with no L/R swap.
   const Des des(*util::from_hex(kWorkedKey));
-  Des::RoundTrace trace;
-  EXPECT_EQ(des.crypt_trace(kWorkedPlain, /*decrypt=*/false, trace),
+  DesRoundTrace trace;
+  EXPECT_EQ(des_round_trace(des, kWorkedPlain, /*decrypt=*/false, trace),
             kWorkedCipher);
   for (int i = 0; i <= 16; ++i) {
     EXPECT_EQ(trace.l[i], kWorkedRounds[i][0]) << "L" << i;
@@ -85,8 +87,8 @@ TEST(DesReference, RoundTraceAgreesWithTableDrivenOnRandomInputs) {
     const DesReference ref(key);
     const std::uint64_t block = rng.next_u64();
     for (const bool decrypt : {false, true}) {
-      Des::RoundTrace ft, rt;
-      const std::uint64_t fo = fast.crypt_trace(block, decrypt, ft);
+      DesRoundTrace ft, rt;
+      const std::uint64_t fo = des_round_trace(fast, block, decrypt, ft);
       const std::uint64_t ro = ref.crypt_trace(block, decrypt, rt);
       ASSERT_EQ(fo, ro) << "trial " << trial << " decrypt=" << decrypt;
       for (int i = 0; i <= 16; ++i) {

@@ -165,7 +165,7 @@ TEST_F(EngineTest, TruncatedWireMalformed) {
 TEST_F(EngineTest, StaleTimestampRejected) {
   const auto wire = protect(*alice_,
       datagram(alice_->self(), bob_->self(), "old"), false);
-  world_.clock.advance(util::minutes(config_.freshness_window_minutes + 2));
+  world_.clock.advance(util::minutes(kFreshnessWindowMinutes + 2));
   EXPECT_EQ(expect_reject(*bob_, alice_->self(), *wire),
             ReceiveError::kStale);
   EXPECT_EQ(bob_->receive_stats().rejected_stale, 1u);

@@ -182,34 +182,6 @@ TEST_F(KeyingTest, DecorrelatedBackoffWaitsStayWithinEnvelope) {
   EXPECT_EQ(a.mkd->stats().directory_failures, 1u);
 }
 
-TEST_F(KeyingTest, LegacyExponentialBackoffStillAvailable) {
-  TestWorld w(302);
-  auto& a = w.add_node("a", "10.1.0.1");
-  auto& b = w.add_node("b", "10.1.0.2");
-  RetryPolicy policy = a.mkd->retry_policy();
-  policy.decorrelated = false;
-  a.mkd->set_retry_policy(policy);
-  std::vector<util::TimeUs> waits;
-  a.mkd->set_backoff_waiter([&](util::TimeUs wait) {
-    waits.push_back(wait);
-    w.clock.advance(wait);
-  });
-  w.directory.add_outage(w.clock.now(), w.clock.now() + util::minutes(10));
-  EXPECT_FALSE(a.mkd->upcall(b.principal).has_value());
-
-  ASSERT_EQ(waits.size(), policy.max_attempts - 1);
-  util::TimeUs nominal = policy.initial_backoff;
-  for (const util::TimeUs wait : waits) {
-    EXPECT_GE(wait, nominal / 2);  // jitter shrinks by at most `jitter`
-    EXPECT_LE(wait, nominal);
-    nominal = std::min(
-        static_cast<util::TimeUs>(static_cast<double>(nominal) *
-                                  policy.multiplier),
-        policy.max_backoff);
-  }
-  EXPECT_EQ(a.mkd->stats().directory_failures, 1u);
-}
-
 TEST_F(KeyingTest, DaemonsSharingAPolicyDrawDistinctBackoffSchedules) {
   // The decorrelation premise: a fleet configured identically must not
   // retry in lockstep. Each daemon mixes its principal address into the

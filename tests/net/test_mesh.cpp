@@ -3,8 +3,8 @@
 // frame-conservation accounting the chaos scenarios build on.
 #include <gtest/gtest.h>
 
-#include "net/mesh.hpp"
 #include "net/udp.hpp"
+#include "support/transit_mesh.hpp"
 
 namespace fbs::net {
 namespace {
@@ -98,6 +98,39 @@ TEST_F(MeshTest, BandwidthSerializesQueuedFrames) {
   const auto* ls = mesh_.router(r[0]).link_stats(r[1]);
   ASSERT_NE(ls, nullptr);
   EXPECT_GT(ls->queue.highwater, 1u);  // frames actually queued behind tx
+}
+
+TEST_F(MeshTest, RouterOriginatedFramesLeaveThroughTheLinkQueue) {
+  // Not just forwarded traffic: what the router's own stack sends also
+  // goes through the egress queue and its serializer.
+  TransitLinkConfig slow;
+  slow.bandwidth_bps = 1e6;  // 1000-byte frame = 8ms on the wire
+  TransitRouter& r = mesh_.add_router(mesh_router_address(0));
+  auto a = make_host(kHostA, r.address(), slow);
+  mesh_.recompute_routes();
+
+  UdpService r_udp(r.stack()), a_udp(*a);
+  std::vector<util::TimeUs> arrivals;
+  a_udp.bind(9, [&](Ipv4Address, std::uint16_t, util::Bytes) {
+    arrivals.push_back(clock_.now());
+  });
+  const util::TimeUs t0 = clock_.now();
+  for (int i = 0; i < 3; ++i)
+    r_udp.send(kHostA, 1, 9, util::Bytes(972, 'x'));  // 1000B on the wire
+  net_.run();
+
+  ASSERT_EQ(arrivals.size(), 3u);
+  const auto* ls = r.link_stats(kHostA);
+  ASSERT_NE(ls, nullptr);
+  EXPECT_EQ(ls->queue.enqueued, 3u);
+  EXPECT_EQ(ls->queue.dequeued, 3u);
+  EXPECT_EQ(ls->sent, 3u);
+  EXPECT_EQ(r.stack().counters().forwarded, 0u);
+  // Serialized back to back at the link rate: the k-th frame cannot
+  // arrive before k full serialization times.
+  for (std::size_t k = 0; k < arrivals.size(); ++k)
+    EXPECT_GE(arrivals[k] - t0, static_cast<util::TimeUs>(8'000 * (k + 1)))
+        << k;
 }
 
 TEST_F(MeshTest, CrashWipesQueuedFramesAndRestartResumesService) {

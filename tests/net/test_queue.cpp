@@ -1,7 +1,7 @@
-// Queue discipline unit tests (transit-router egress, net/queue.hpp).
+// Queue discipline unit tests (transit-router egress, link_queue.hpp).
 #include <gtest/gtest.h>
 
-#include "net/queue.hpp"
+#include "support/link_queue.hpp"
 
 namespace fbs::net {
 namespace {

@@ -131,6 +131,39 @@ TEST(UdpTransport, MtuClampIsACountedDrop) {
   expect_conservation(t);
 }
 
+TEST(UdpTransport, OversizedReceiveIsACountedDropAndLearnsNoPeer) {
+  util::SteadyClock clock;
+  UdpTransportConfig small;
+  small.mtu = 256;
+  UdpTransport a(clock), b(clock, small);
+  ASSERT_TRUE(a.ok() && b.ok());
+  // b does not know kAlice; the read cuts the frame to mtu + 1 bytes.
+  a.add_peer(kBob, "127.0.0.1", b.local_port());
+  std::size_t sunk = 0;
+  b.attach(kBob, [&](std::span<const util::Bytes> f) { sunk += f.size(); });
+
+  const util::Bytes big = make_frame(kAlice, kBob, 1000 - Ipv4Header::kSize);
+  ASSERT_EQ(big.size(), 1000u);
+  a.send(kAlice, kBob, big);
+  int idle = 0;
+  for (int i = 0; i < 2000 && idle < 3; ++i) {
+    const std::size_t n =
+        a.poll(util::TimeUs{1000}) + b.poll(util::TimeUs{1000});
+    idle = n == 0 ? idle + 1 : 0;
+  }
+
+  EXPECT_EQ(a.counters().tx_wire, 1u);
+  EXPECT_EQ(b.counters().received, 1u);
+  EXPECT_EQ(b.counters().oversized, 1u);
+  EXPECT_EQ(b.counters().delivered, 0u);
+  EXPECT_EQ(sunk, 0u);
+  // Its source was not learned: there is still no way back to kAlice.
+  b.send(kBob, kAlice, make_frame(kBob, kAlice, 8));
+  EXPECT_EQ(b.counters().unknown_peer, 1u);
+  EXPECT_EQ(b.counters().tx_wire, 0u);
+  expect_conservation(b);
+}
+
 TEST(UdpTransport, NoSinkIsACountedDrop) {
   Pair p;
   // Nothing attached on b.

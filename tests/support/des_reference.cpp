@@ -1,7 +1,9 @@
 #include "support/des_reference.hpp"
 
+#include <bit>
 #include <cassert>
 
+#include "crypto/des_round.hpp"
 #include "crypto/des_tables.hpp"
 
 namespace fbs::crypto {
@@ -42,7 +44,7 @@ DesReference::DesReference(util::BytesView key) {
 }
 
 std::uint64_t DesReference::crypt(std::uint64_t block, bool decrypt,
-                                  Des::RoundTrace* trace) const {
+                                  DesRoundTrace* trace) const {
   const std::uint64_t ip = permute(block, kIp, 64);
   std::uint32_t l = static_cast<std::uint32_t>(ip >> 32);
   std::uint32_t r = static_cast<std::uint32_t>(ip);
@@ -74,8 +76,32 @@ std::uint64_t DesReference::decrypt_block(std::uint64_t block) const {
 }
 
 std::uint64_t DesReference::crypt_trace(std::uint64_t block, bool decrypt,
-                                        Des::RoundTrace& trace) const {
+                                        DesRoundTrace& trace) const {
   return crypt(block, decrypt, &trace);
+}
+
+std::uint64_t des_round_trace(const Des& des, std::uint64_t block,
+                              bool decrypt, DesRoundTrace& trace) {
+  std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
+  std::uint32_t r = static_cast<std::uint32_t>(block);
+  des_round::initial_permutation(l, r);
+  trace.l[0] = l;
+  trace.r[0] = r;
+  // The round keeps its halves rotated right one bit (des_round.hpp).
+  l = std::rotr(l, 1);
+  r = std::rotr(r, 1);
+  for (int round = 0; round < 16; ++round) {
+    const std::uint64_t k = des.round_keys()[decrypt ? 15 - round : round];
+    const std::uint32_t next =
+        l ^ des_round::feistel(r, des_round::round_words(k));
+    l = r;
+    r = next;
+    trace.l[round + 1] = std::rotl(l, 1);
+    trace.r[round + 1] = std::rotl(r, 1);
+  }
+  std::uint32_t outl = std::rotl(r, 1), outr = std::rotl(l, 1);  // swap
+  des_round::final_permutation(outl, outr);
+  return static_cast<std::uint64_t>(outl) << 32 | outr;
 }
 
 }  // namespace fbs::crypto

@@ -1,4 +1,4 @@
-#include "net/queue.hpp"
+#include "support/link_queue.hpp"
 
 #include <algorithm>
 

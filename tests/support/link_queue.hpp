@@ -1,4 +1,4 @@
-// Egress queue disciplines for transit routers (mesh.hpp).
+// Egress queue disciplines for transit routers (transit_mesh.hpp).
 //
 // A router's output port holds a bounded frame queue drained at the link's
 // serialization rate; the discipline decides what happens when traffic

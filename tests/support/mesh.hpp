@@ -1,9 +1,9 @@
 // Mesh scenario harness: FBS endpoints attached to a multi-hop transit
-// fabric (net/mesh.hpp), with the same auditing spine as the two-host chaos
-// rig -- a PayloadLedger for genuineness/leak checks, a seeded schedule
-// RNG, and per-host delivery bookkeeping. Scenarios compose a topology,
-// attach hosts, schedule traffic and router-granularity faults, and then
-// assert the survival invariants:
+// fabric (support/transit_mesh.hpp), with the same auditing spine as the
+// two-host chaos rig -- a PayloadLedger for genuineness/leak checks, a
+// seeded schedule RNG, and per-host delivery bookkeeping. Scenarios
+// compose a topology, attach hosts, schedule traffic and router-granularity
+// faults, and then assert the survival invariants:
 //   1. every delivered payload is byte-identical to one that was sent;
 //   2. no payload is ever delivered twice (replay/duplication rejected);
 //   3. secret payloads never cross any link in plaintext;
@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "fbs/ip_map.hpp"
-#include "net/mesh.hpp"
 #include "net/udp.hpp"
 #include "support/chaos.hpp"
+#include "support/transit_mesh.hpp"
 #include "support/world.hpp"
 
 namespace fbs::testing {

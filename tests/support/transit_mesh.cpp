@@ -1,4 +1,4 @@
-#include "net/mesh.hpp"
+#include "support/transit_mesh.hpp"
 
 #include <algorithm>
 #include <deque>
@@ -11,11 +11,8 @@ namespace fbs::net {
 TransitRouter::TransitRouter(Transport& net, const util::Clock& clock,
                              Ipv4Address addr, util::RandomSource& rng,
                              std::size_t mtu)
-    : net_(net), clock_(clock), stack_(net, clock, addr, mtu), rng_(rng) {
+    : net_(net), clock_(clock), stack_(egress_, clock, addr, mtu), rng_(rng) {
   stack_.enable_forwarding(true);
-  stack_.set_transmit_hook([this](Ipv4Address next_hop, util::Bytes frame) {
-    transmit(next_hop, std::move(frame));
-  });
 }
 
 void TransitRouter::add_link(Ipv4Address neighbor,

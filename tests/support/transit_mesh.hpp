@@ -1,22 +1,25 @@
-// Multi-hop transit mesh: routed topology over SimNetwork.
+// Multi-hop transit mesh: routed topology over SimNetwork, for the mesh
+// tests and bench_mesh_transit. It is test infrastructure, not part of the
+// datagram system: nothing under src/ uses it.
 //
 // The paper's tunnel mode (Section 6, firewall-to-firewall) presumes
 // datagrams crossing a routed internet, but SimNetwork alone models a
 // fully-connected segment. This module adds the transit fabric:
 //
 //   TransitRouter -- an IpStack in the gateway role plus one egress queue
-//     per neighbor. Frames leave through the stack's transmit seam into a
-//     LinkQueue (queue.hpp discipline) drained at the link's serialization
-//     rate on the simulation clock; the wire hop itself (propagation delay,
-//     loss, corruption) stays SimNetwork's job. FBS endpoints and tunnels
-//     run across transit nodes unchanged -- they only ever see IP.
+//     per neighbor. The stack sits on a Transport adapter whose send()
+//     puts each frame into a LinkQueue (link_queue.hpp discipline) drained
+//     at the link's serialization rate on the simulation clock; the wire
+//     hop itself (propagation delay, loss, corruption) stays SimNetwork's
+//     job. FBS endpoints and tunnels run across transit nodes unchanged --
+//     they only ever see IP.
 //
 //   MeshNetwork -- owns the routers, the topology (edges + host
 //     attachments), static shortest-path route computation, the hop-local
 //     backpressure wiring (a congested router xoffs its upstream
 //     neighbors), and router-granularity faults: link flaps and router
 //     crash/restart with soft-state loss (queued frames wiped), extending
-//     the PR-1 FaultPlan substrate from endpoints to the transit fabric.
+//     the chaos suite's FaultPlan from endpoints to the transit fabric.
 //
 // Routing is deliberately static-with-recomputation: a fault or heal
 // triggers recompute_routes(), modeling an idealized routing protocol that
@@ -31,10 +34,10 @@
 #include <string>
 #include <vector>
 
-#include "net/queue.hpp"
 #include "net/simnet.hpp"
 #include "net/stack.hpp"
 #include "obs/metrics.hpp"
+#include "support/link_queue.hpp"
 
 namespace fbs::net {
 
@@ -130,12 +133,41 @@ class TransitRouter {
         : neighbor(n), cfg(c), queue(c.queue, rng) {}
   };
 
+  /// The stack's way to the wire: send() offers each frame to the link
+  /// queue toward its next hop; the rest passes through to the shared
+  /// backend.
+  class Egress final : public Transport {
+   public:
+    explicit Egress(TransitRouter& router) : router_(router) {}
+    void hold(Holder& holder) override { router_.net_.hold(holder); }
+    void release(Holder& holder) override { router_.net_.release(holder); }
+    void attach(Ipv4Address addr, ReceiveFn receive) override {
+      router_.net_.attach(addr, std::move(receive));
+    }
+    void detach(Ipv4Address addr) override { router_.net_.detach(addr); }
+    void send(Ipv4Address, Ipv4Address next_hop, util::Bytes frame) override {
+      router_.transmit(next_hop, std::move(frame));
+    }
+    void call_later(util::TimeUs delay, std::function<void()> fn) override {
+      router_.net_.call_later(delay, std::move(fn));
+    }
+    Totals totals() const override { return router_.net_.totals(); }
+    void register_metrics(obs::MetricsRegistry& registry,
+                          const std::string& prefix) const override {
+      router_.net_.register_metrics(registry, prefix);
+    }
+
+   private:
+    TransitRouter& router_;
+  };
+
   void transmit(Ipv4Address next_hop, util::Bytes frame);
   void start_tx(Link& link);
   void update_congestion(Link& link);
 
   Transport& net_;
   const util::Clock& clock_;
+  Egress egress_{*this};
   IpStack stack_;
   util::RandomSource& rng_;
   std::map<Ipv4Address, std::unique_ptr<Link>> links_;

@@ -21,8 +21,10 @@
 #                                 # suites (ctest -L mesh): router/queue
 #                                 # unit tests plus the routed-topology
 #                                 # survival scenarios (congestion, rekey
-#                                 # failover, rebinding, 30-node soaks)
-#   tools/check.sh --udp-smoke    # build the real-socket backend, run the
+#                                 # failover, rebinding, 30-node soaks);
+#                                 # the mesh itself is test code
+#                                 # (tests/support/transit_mesh.*)
+#   tools/check.sh --udp-smoke   # build the real-socket backend, run the
 #                                 # cross-process loopback interop (ctest -L
 #                                 # udp: two OS processes, FBS handshake +
 #                                 # protected datagrams + replay injection
@@ -36,6 +38,15 @@
 #                                 # internet trace), then the megaflow bench
 #                                 # at 64k flows with its steady-state /
 #                                 # expiry / memory-ceiling gates asserted
+#   tools/check.sh --src-delta [REF]  # no build: the line delta of src/
+#                                 # against REF (default HEAD). Prints wc -l
+#                                 # over src/**/*.{hpp,cpp} at REF and in
+#                                 # the work tree, the whole-file renames
+#                                 # out of src/ (moves, listed apart from
+#                                 # deletions), and the lines added and
+#                                 # deleted inside src/ (git diff -M
+#                                 # --numstat). The parts add up: REF -
+#                                 # moved + added - deleted = work tree
 #   FBS_CHECK_JOBS=8 tools/check.sh   # override parallelism (default: nproc)
 #
 # Exit status is non-zero as soon as any step fails (--bench-smoke runs all
@@ -140,6 +151,79 @@ EOF
     exit 1
   fi
   echo "Bench smoke passed."
+  exit 0
+fi
+
+if [ "${1:-}" = "--src-delta" ]; then
+  REF="${2:-HEAD}"
+  git rev-parse --verify --quiet "$REF^{commit}" >/dev/null || {
+    echo "--src-delta: unknown ref $REF" >&2
+    exit 2
+  }
+  python3 - "$REF" <<'EOF'
+import subprocess, sys
+
+ref = sys.argv[1]
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout
+
+def counted(path):
+    return path.startswith("src/") and path.endswith((".hpp", ".cpp"))
+
+def wc_l(text):
+    return text.count("\n")
+
+def at_ref(path):
+    return wc_l(git("show", f"{ref}:{path}"))
+
+def in_tree(path):
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return wc_l(f.read())
+
+ref_total = sum(at_ref(p) for p in
+                git("ls-tree", "-r", "--name-only", ref, "--", "src").split()
+                if counted(p))
+untracked = [p for p in git("ls-files", "--others", "--exclude-standard",
+                            "--", "src").split() if counted(p)]
+gone = set(git("ls-files", "--deleted", "--", "src").split())
+tree_total = sum(in_tree(p) for p in
+                 git("ls-files", "--", "src").split() + untracked
+                 if counted(p) and p not in gone)
+
+# With -z, numstat prints "added\tdeleted\tpath\0", or for a rename
+# "added\tdeleted\t\0old\0new\0".
+fields = git("diff", "-M", "--numstat", "-z", ref).split("\0")
+moved, added, deleted = [], 0, 0
+i = 0
+while i < len(fields) - 1:
+    a, d, path = fields[i].split("\t")
+    old = new = path
+    i += 1
+    if not path:
+        old, new = fields[i], fields[i + 1]
+        i += 2
+    if counted(old) and not new.startswith("src/"):
+        moved.append((old, new, at_ref(old)))
+        continue
+    if a != "-":  # not binary
+        added += int(a) if counted(new) else 0
+        deleted += int(d) if counted(old) else 0
+added += sum(in_tree(p) for p in untracked)
+
+moved_total = sum(n for _, _, n in moved)
+print(f"src/**/*.{{hpp,cpp}} at {ref}: {ref_total} lines")
+print(f"src/**/*.{{hpp,cpp}} in the work tree: {tree_total} lines "
+      f"({tree_total - ref_total:+d})")
+print(f"moved out of src/ (whole-file renames): {moved_total} lines")
+for old, new, n in moved:
+    print(f"  {old} -> {new} ({n} lines at {ref})")
+print(f"edited inside src/ (git diff -M --numstat): +{added} -{deleted} "
+      f"({added - deleted:+d})")
+if ref_total - moved_total + added - deleted != tree_total:
+    print("warning: the parts do not add up to the work tree count")
+EOF
   exit 0
 fi
 
