@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <ctime>
+#include <utility>
 #include <vector>
 
 #include "bignum/prime.hpp"
@@ -344,10 +345,9 @@ void emit_metrics() {
         std::chrono::steady_clock::now() - wall0;
     return std::min(thread_seconds() - cpu0, wall.count());
   };
-  // Bitsliced DES on the worker-burst shape: 64 distinct-key MTU-sized
-  // datagrams, ~2.2 MB per timed leg.
-  {
-    BitsliceBurst burst(64);
+  // One burst's open: the best of interleaved reps of the scalar loop and
+  // of open_cbc, {scalar, wide} seconds per timed leg.
+  const auto time_open = [&](BitsliceBurst& burst) {
     crypto::CryptoBatch batch;
     double best_wide = 1e30, best_scalar = 1e30;
     for (int rep = 0; rep < 8; ++rep) {
@@ -356,6 +356,13 @@ void emit_metrics() {
       best_wide =
           std::min(best_wide, time_leg([&] { batch.open_cbc(burst.jobs); }));
     }
+    return std::pair{best_scalar, best_wide};
+  };
+  // Bitsliced DES on the worker-burst shape: 64 distinct-key MTU-sized
+  // datagrams, ~2.2 MB per timed leg.
+  {
+    BitsliceBurst burst(64);
+    const auto [best_scalar, best_wide] = time_open(burst);
     const double bytes = static_cast<double>(kPasses) *
                          static_cast<double>(burst.bytes());
     reg.gauge("crypto.des_bitslice.kBps").set(bytes / 1000.0 / best_wide);
@@ -369,15 +376,17 @@ void emit_metrics() {
   // 1.0 the planner took a wide plan the scalar loop beats.
   {
     BitsliceBurst burst(16, 8, 44 * crypto::Des::kBlockSize);
-    crypto::CryptoBatch batch;
-    double best_wide = 1e30, best_scalar = 1e30;
-    for (int rep = 0; rep < 8; ++rep) {
-      best_scalar =
-          std::min(best_scalar, time_leg([&] { burst.decrypt_scalar(); }));
-      best_wide =
-          std::min(best_wide, time_leg([&] { batch.open_cbc(burst.jobs); }));
-    }
+    const auto [best_scalar, best_wide] = time_open(burst);
     reg.gauge("crypto.des_open_multikey_speedup").set(best_scalar / best_wide);
+  }
+  // A pipeline worker's burst on the campus trace: 16 jobs of 177 blocks (a
+  // 1408 B datagram's body) under 5 interleaved keys. open_cbc over the
+  // scalar loop: the job-major plan keys 5 ranges of lanes once and streams
+  // one span per job and pass.
+  {
+    BitsliceBurst burst(16, 5, 177 * crypto::Des::kBlockSize);
+    const auto [best_scalar, best_wide] = time_open(burst);
+    reg.gauge("crypto.des_open_campus_speedup").set(best_scalar / best_wide);
   }
   // Keyed MD5 on eight MTU-sized messages of distinct flows, one MacBatch
   // (one 8-lane pass per block) against the same eight on the scalar

@@ -2,238 +2,299 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "crypto/block_modes.hpp"
 
 namespace fbs::crypto {
 namespace {
 
+constexpr std::size_t kLanes = CryptoBatch::kLanes;
+/// Distinct keys beyond which keying range by range cannot beat the
+/// transpose (each range touches at least one group), so the jobs are not
+/// grouped by key at all.
+constexpr std::size_t kMaxKeyRanges =
+    CryptoBatch::kKeyLanesBlocks / CryptoBatch::kKeyGroupBlocks;
+
 std::size_t open_blocks(const CbcOpenJob& job) {
   return job.ciphertext.size() / Des::kBlockSize;
 }
 
+/// The 64-lane groups lanes [first, last) touch: what set_lane_range pays.
+std::size_t groups_touched(std::size_t first, std::size_t last) {
+  if (first == last) return 0;
+  return (last - 1) / DesBitslice::kGroupLanes -
+         first / DesBitslice::kGroupLanes + 1;
+}
+
+/// One pass count's lane allocation over the jobs in lane order.
+struct Allocation {
+  std::size_t passes = 0;  // P: job i's blocks [0, P * lanes[i]) fit
+  std::size_t spill = 0;   // blocks left to the scalar loop
+  std::size_t keying = 0;  // the lanes' keying, in scalar blocks
+  std::uint16_t lanes[kLanes];
+
+  std::size_t cost() const {
+    return passes * CryptoBatch::kPassBlocks + keying + spill;
+  }
+};
+
 }  // namespace
 
 void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
+  for (std::size_t at = 0; at < jobs.size(); at += kLanes)
+    open_window(jobs.subspan(at, std::min(kLanes, jobs.size() - at)));
+}
+
+void CryptoBatch::open_window(std::span<const CbcOpenJob> jobs) {
   std::size_t total = 0;
   for (const CbcOpenJob& job : jobs) total += open_blocks(job);
-  if (total == 0) return;
-
-  // A non-multiple-of-kLanes total would spend a whole extra pass on a
-  // mostly-empty lane set. A leftover the scalar core finishes faster than
-  // one wide pass is peeled off the end of the global sequence and run
-  // scalar instead, keeping every wide pass full.
-  std::size_t spill = total % kLanes;
-  if (spill >= kPassBlocks) spill = 0;
-  const std::size_t wide_total = total - spill;
-  const std::size_t q = wide_total / kLanes;
-  const std::size_t rem = wide_total % kLanes;
-  const std::size_t passes = q + (rem != 0 ? 1 : 0);
-  // Each key change along the wide part of the sequence either starts a
-  // run of lanes or rekeys a lane mid-run, so the keying costs at least
-  // kKeyAllBlocks plus kKeyGroupBlocks per change (or the transpose). When
-  // even that bound loses -- every burst under kPassBlocks + kKeyAllBlocks
-  // blocks, and small multi-flow ones -- skip laying out the lanes.
-  std::size_t changes = 0;
-  const Des* prev = nullptr;
-  for (std::size_t j = 0, seen = 0; j < jobs.size() && seen < wide_total;
-       ++j) {
-    if (open_blocks(jobs[j]) == 0) continue;
-    changes += prev != nullptr && jobs[j].des != prev;
-    prev = jobs[j].des;
-    seen += open_blocks(jobs[j]);
-  }
-  if (passes * kPassBlocks +
-          std::min(kKeyAllBlocks + changes * kKeyGroupBlocks,
-                   kKeyLanesBlocks) +
-          spill >=
-      total) {
-    open_scalar(jobs, 0);
-    return;
-  }
-
-  // CBC decrypt is block-parallel across (and within) datagrams: treat the
-  // burst as one job-major global block sequence and give each lane a
-  // contiguous run, so a lane's key only changes when its cursor crosses a
-  // job boundary. Every lit lane advances one block per pass, so the lane
-  // state is a few flat arrays the pass loop streams through, and the job
-  // crossings are events at known passes; the passes in between touch no
-  // job metadata at all.
-  constexpr std::size_t kNever = ~std::size_t{0};
-  // A lane reads its block of pass p at ct[lane] + 8p and writes it at
-  // pt[lane] + 8p: addresses biased back by the pass at which the lane
-  // entered its job, so the pass loop only reads them.
-  std::uintptr_t ct[kLanes];
-  std::uintptr_t pt[kLanes];
-  std::uint64_t chain[kLanes];  // CBC chain into the next block
-  std::size_t job[kLanes];      // index into jobs
-  // The pass at which the lane leaves its job for the next one, or kNever
-  // when its run ends first.
-  std::size_t job_end[kLanes];
-  const Des* lane_key[kLanes];  // each lane's key at the first pass
-  std::size_t rekeys = 0;       // mid-run key changes the passes will make
-  // Lanes [0, rem) run q + 1 blocks, the rest q.
-  const auto run_blocks = [&](std::size_t lane) {
-    return q + (lane < rem ? 1 : 0);
+  // A wide plan costs at least its passes and one broadcast keying; every
+  // burst under kPassBlocks + kKeyAllBlocks blocks stops here.
+  const std::size_t min_passes = std::max<std::size_t>(1, total / kLanes);
+  const auto run_scalar = [&] {
+    for (const CbcOpenJob& job : jobs) open_scalar(job, 0);
   };
-  {
-    // Invariant between lanes: (j, b) points at an unconsumed block.
-    std::size_t j = 0;
-    std::size_t b = 0;
-    const auto normalize = [&] {
-      while (j < jobs.size() && b >= open_blocks(jobs[j])) {
-        ++j;
-        b = 0;
+  if (min_passes * kPassBlocks + kKeyAllBlocks >= total) {
+    run_scalar();
+    return;
+  }
+
+  // Sort the non-empty jobs by key: key_of[j] is job j's index into keys,
+  // the distinct keys in order of first use. Past kMaxKeyRanges keys the
+  // transpose keys the lanes whatever their order, so the jobs keep theirs.
+  const Des* keys[kMaxKeyRanges];
+  std::size_t nkeys = 0;
+  bool grouped = true;
+  std::uint8_t key_of[kLanes];
+  std::size_t key_jobs[kMaxKeyRanges] = {};
+  for (std::size_t j = 0, k = 0; j < jobs.size(); ++j) {
+    if (open_blocks(jobs[j]) == 0) continue;
+    // Neighbours mostly share a key: try the previous job's first.
+    if (k == nkeys || keys[k] != jobs[j].des) {
+      for (k = 0; k < nkeys && keys[k] != jobs[j].des; ++k) {
       }
-    };
-    normalize();
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      std::size_t len = run_blocks(lane);
-      if (len == 0) {
-        // Unlit lanes (only ever the last ones) extend the previous run.
-        lane_key[lane] = lane_key[lane - 1];
-        job_end[lane] = kNever;
-        continue;
-      }
-      const CbcOpenJob& first = jobs[j];
-      job[lane] = j;
-      ct[lane] = reinterpret_cast<std::uintptr_t>(first.ciphertext.data()) +
-                 Des::kBlockSize * b;
-      pt[lane] = reinterpret_cast<std::uintptr_t>(first.plaintext) +
-                 Des::kBlockSize * b;
-      chain[lane] = b == 0 ? first.iv
-                           : Des::load_be64(first.ciphertext.data() +
-                                            Des::kBlockSize * (b - 1));
-      const std::size_t left_in_job = open_blocks(first) - b;
-      job_end[lane] = left_in_job < len ? left_in_job : kNever;
-      lane_key[lane] = first.des;
-      const Des* key = first.des;
-      while (len > 0) {
-        const std::size_t step = std::min(len, open_blocks(jobs[j]) - b);
-        b += step;
-        len -= step;
-        normalize();
-        if (len > 0 && jobs[j].des != key) {
-          key = jobs[j].des;
-          ++rekeys;
+      if (k == nkeys) {
+        if (nkeys == kMaxKeyRanges) {
+          grouped = false;
+          break;
         }
+        keys[nkeys++] = jobs[j].des;
       }
     }
+    key_of[j] = static_cast<std::uint8_t>(k);
+    ++key_jobs[k];
   }
-
-  // Price the wide plan -- passes, lane keying, mid-run rekeys and the
-  // scalar spill -- against the scalar loop over the whole burst. Keying
-  // is what makes a small multi-flow burst lose: every run of lanes under
-  // one key costs about one range keying, the transpose a flat price.
-  const std::size_t runs = key_runs(lane_key);
-  if (passes * kPassBlocks + keying_blocks(runs) + rekeys * kKeyGroupBlocks +
-          spill >=
-      total) {
-    open_scalar(jobs, 0);
+  // With several keys the keying costs at least one group per key.
+  if (grouped && nkeys > 1 &&
+      min_passes * kPassBlocks +
+              std::min(nkeys * kKeyGroupBlocks, kKeyLanesBlocks) >=
+          total) {
+    run_scalar();
     return;
   }
-  key_lanes(lane_key, runs);
 
-  std::size_t next_event = *std::min_element(job_end, job_end + kLanes);
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    // Every lane is lit but in a short last pass, where lanes [0, rem) are.
-    const std::size_t lit = pass < q ? kLanes : rem;
-    std::uint64_t blocks[kLanes];
-    std::uint64_t cin[kLanes];
-    std::fill(blocks + lit, blocks + kLanes, 0);
-    const std::uintptr_t off = Des::kBlockSize * pass;
-    for (std::size_t lane = 0; lane < lit; ++lane) {
-      blocks[lane] = cin[lane] = Des::load_be64(
-          reinterpret_cast<const std::uint8_t*>(ct[lane] + off));
+  // The lane order: order[i] is the job on the i-th run of lanes, blocks[i]
+  // its block count; key k's jobs are [key_first[k], key_first[k + 1]).
+  std::uint16_t order[kLanes];
+  std::uint32_t blocks[kLanes];
+  std::size_t key_first[kMaxKeyRanges + 1];
+  std::size_t m = 0;
+  if (grouped) {
+    std::size_t next[kMaxKeyRanges];
+    for (std::size_t k = 0; k < nkeys; ++k) {
+      key_first[k] = next[k] = m;
+      m += key_jobs[k];
     }
-    engine_.decrypt(blocks);
+    key_first[nkeys] = m;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (open_blocks(jobs[j]) == 0) continue;
+      const std::size_t i = next[key_of[j]]++;
+      order[i] = static_cast<std::uint16_t>(j);
+      blocks[i] = static_cast<std::uint32_t>(open_blocks(jobs[j]));
+    }
+  } else {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (open_blocks(jobs[j]) == 0) continue;
+      order[m] = static_cast<std::uint16_t>(j);
+      blocks[m++] = static_cast<std::uint32_t>(open_blocks(jobs[j]));
+    }
+  }
+
+  // The lanes key k's jobs take under allocation a: one range.
+  const auto key_lanes = [&](const Allocation& a, std::size_t k) {
+    std::size_t run = 0;
+    for (std::size_t i = key_first[k]; i < key_first[k + 1]; ++i)
+      run += a.lanes[i];
+    return run;
+  };
+  // Lay out P passes: floor(n / P) lanes per job, then one more lane each,
+  // in lane order, to the jobs with a remainder while lanes are left. If
+  // the floors alone overrun the lanes, the jobs take them in lane order and
+  // the rest spills.
+  const auto allocate = [&](std::uint32_t p, Allocation& a) {
+    a.passes = p;
+    std::size_t base = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      a.lanes[i] = static_cast<std::uint16_t>(blocks[i] / p);
+      base += a.lanes[i];
+    }
+    a.spill = 0;
+    if (base >= kLanes) {
+      std::size_t left = kLanes;
+      for (std::size_t i = 0; i < m; ++i) {
+        a.lanes[i] = static_cast<std::uint16_t>(
+            std::min<std::size_t>(a.lanes[i], left));
+        left -= a.lanes[i];
+      }
+      a.spill = total - p * kLanes;
+    } else {
+      std::size_t left = kLanes - base;
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t rem = blocks[i] - a.lanes[i] * p;
+        if (rem == 0) continue;
+        if (left == 0) {
+          a.spill += rem;
+          continue;
+        }
+        ++a.lanes[i];
+        --left;
+      }
+    }
+    if (nkeys == 1) {
+      a.keying = kKeyAllBlocks;
+    } else if (!grouped) {
+      a.keying = kKeyLanesBlocks;
+    } else {
+      std::size_t groups = 0;
+      std::size_t lane = 0;
+      for (std::size_t k = 0; k < nkeys; ++k) {
+        const std::size_t run = key_lanes(a, k);
+        groups += groups_touched(lane, lane + run);
+        lane += run;
+      }
+      a.keying = std::min(groups * kKeyGroupBlocks, kKeyLanesBlocks);
+    }
+  };
+  // P = min_passes spills at least total mod kLanes; one more pass spills
+  // only what the lane rounding leaves, so it pays only when it saves more
+  // than a pass of spill. More passes never pay.
+  Allocation plans[2];
+  allocate(static_cast<std::uint32_t>(min_passes), plans[0]);
+  const Allocation* plan = &plans[0];
+  if (plans[0].spill > kPassBlocks) {
+    allocate(static_cast<std::uint32_t>(min_passes + 1), plans[1]);
+    if (plans[1].cost() < plans[0].cost()) plan = &plans[1];
+  }
+  if (plan->cost() >= total) {
+    run_scalar();
+    return;
+  }
+
+  // Key every lane once for the whole burst.
+  if (nkeys == 1) {
+    engine_.set_all_lanes(keys[0]->round_keys());
+  } else if (plan->keying < kKeyLanesBlocks) {
+    std::size_t lane = 0;
+    for (std::size_t k = 0; k < nkeys; ++k) {
+      const std::size_t run = key_lanes(*plan, k);
+      if (run == 0) continue;
+      engine_.set_lane_range(lane, lane + run, keys[k]->round_keys());
+      ++stats_.key_ranges;
+      lane += run;
+    }
+  } else {
+    std::array<const DesRoundKeys*, kLanes> lane_keys;
+    lane_keys.fill(&jobs[order[0]].des->round_keys());
+    for (std::size_t i = 0, lane = 0; i < m; ++i)
+      for (std::size_t k = 0; k < plan->lanes[i]; ++k)
+        lane_keys[lane++] = &jobs[order[i]].des->round_keys();
+    engine_.set_lanes(lane_keys);
+  }
+
+  // The wide jobs in lane order, each with its span width and the blocks
+  // its lanes cover; pass p reads and writes blocks
+  // [p * lanes, min((p + 1) * lanes, covered)).
+  struct Span {
+    const std::uint8_t* ct;
+    std::uint8_t* pt;
+    std::uint64_t iv;
+    std::size_t lanes;
+    std::size_t covered;
+  };
+  Span spans[kLanes];
+  std::size_t nspans = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t k = plan->lanes[i];
+    const CbcOpenJob& job = jobs[order[i]];
+    assert(job.plaintext + job.ciphertext.size() <= job.ciphertext.data() ||
+           job.ciphertext.data() + job.ciphertext.size() <= job.plaintext);
+    const std::size_t covered =
+        std::min<std::size_t>(blocks[i], plan->passes * k);
+    if (k != 0)
+      spans[nspans++] = Span{job.ciphertext.data(), job.plaintext, job.iv, k,
+                             covered};
+  }
+  // Lanes no span reaches carry whatever they last held; zero them once so
+  // the engine never reads an unset block.
+  std::uint64_t lane_blocks[kLanes] = {};
+  for (std::size_t pass = 0; pass < plan->passes; ++pass) {
+    // Jobs that got an extra lane may all finish before pass P; a pass
+    // with nothing to load ends the plan.
+    bool lit = false;
+    std::size_t lane = 0;
+    for (std::size_t s = 0; s < nspans; ++s) {
+      const Span& span = spans[s];
+      const std::size_t first = pass * span.lanes;
+      if (first < span.covered) {
+        const std::size_t count = std::min(span.lanes, span.covered - first);
+        const std::uint8_t* ct = span.ct + Des::kBlockSize * first;
+        for (std::size_t i = 0; i < count; ++i)
+          lane_blocks[lane + i] = Des::load_be64(ct + Des::kBlockSize * i);
+        lit = true;
+      }
+      lane += span.lanes;
+    }
+    if (!lit) break;
+    engine_.decrypt(lane_blocks);
     ++stats_.passes;
-    for (std::size_t lane = 0; lane < lit; ++lane) {
-      Des::store_be64(blocks[lane] ^ chain[lane],
-                      reinterpret_cast<std::uint8_t*>(pt[lane] + off));
-      chain[lane] = cin[lane];
-    }
-    if (pass + 1 != next_event) continue;
-    // Lanes whose job ended with this pass move on to the next non-empty
-    // job, rekeying if it is another flow's.
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      if (job_end[lane] != pass + 1) continue;
-      std::size_t j = job[lane] + 1;
-      while (open_blocks(jobs[j]) == 0) ++j;
-      const CbcOpenJob& next = jobs[j];
-      job[lane] = j;
-      const std::size_t entered = pass + 1;
-      const std::uintptr_t bias = Des::kBlockSize * entered;
-      ct[lane] =
-          reinterpret_cast<std::uintptr_t>(next.ciphertext.data()) - bias;
-      pt[lane] = reinterpret_cast<std::uintptr_t>(next.plaintext) - bias;
-      chain[lane] = next.iv;
-      const std::size_t leaves = entered + open_blocks(next);
-      job_end[lane] = leaves < run_blocks(lane) ? leaves : kNever;
-      if (next.des != lane_key[lane]) {
-        engine_.set_lane(lane, next.des->round_keys());
-        lane_key[lane] = next.des;
-        ++stats_.lane_rekeys;
+    lane = 0;
+    for (std::size_t s = 0; s < nspans; ++s) {
+      const Span& span = spans[s];
+      const std::size_t first = pass * span.lanes;
+      if (first < span.covered) {
+        const std::size_t count = std::min(span.lanes, span.covered - first);
+        const std::uint8_t* ct = span.ct + Des::kBlockSize * first;
+        std::uint8_t* pt = span.pt + Des::kBlockSize * first;
+        // Each block's chain input is the ciphertext block before it.
+        Des::store_be64(lane_blocks[lane] ^
+                            (first == 0 ? span.iv
+                                        : Des::load_be64(ct - Des::kBlockSize)),
+                        pt);
+        for (std::size_t i = 1; i < count; ++i)
+          Des::store_be64(
+              lane_blocks[lane + i] ^
+                  Des::load_be64(ct + Des::kBlockSize * (i - 1)),
+              pt + Des::kBlockSize * i);
       }
+      lane += span.lanes;
     }
-    next_event = *std::min_element(job_end, job_end + kLanes);
   }
-  stats_.bitsliced_blocks += wide_total;
-  // The last `spill` blocks of the global sequence run scalar.
-  if (spill != 0) open_scalar(jobs, wide_total);
+  stats_.bitsliced_blocks += total - plan->spill;
+
+  // The spill: each job's blocks past its lanes' reach, on the scalar loop.
+  for (std::size_t i = 0; i < m; ++i)
+    open_scalar(jobs[order[i]], plan->passes * plan->lanes[i]);
 }
 
-std::size_t CryptoBatch::key_runs(const Des* const lane_key[kLanes]) {
-  std::size_t runs = 1;
-  for (std::size_t lane = 1; lane < kLanes; ++lane)
-    runs += lane_key[lane] != lane_key[lane - 1];
-  return runs;
-}
-
-std::size_t CryptoBatch::keying_blocks(std::size_t runs) {
-  if (runs == 1) return kKeyAllBlocks;
-  return std::min(kKeyLanesBlocks,
-                  (runs + DesBitslice::kWords - 1) * kKeyGroupBlocks);
-}
-
-void CryptoBatch::key_lanes(const Des* const lane_key[kLanes],
-                            std::size_t runs) {
-  if (runs == 1) {
-    engine_.set_all_lanes(lane_key[0]->round_keys());
-    return;
-  }
-  if (keying_blocks(runs) < kKeyLanesBlocks) {
-    std::size_t first = 0;
-    for (std::size_t lane = 1; lane <= kLanes; ++lane) {
-      if (lane < kLanes && lane_key[lane] == lane_key[first]) continue;
-      engine_.set_lane_range(first, lane, lane_key[first]->round_keys());
-      first = lane;
-    }
-    return;
-  }
-  std::array<const DesRoundKeys*, kLanes> ptrs;
-  for (std::size_t lane = 0; lane < kLanes; ++lane)
-    ptrs[lane] = &lane_key[lane]->round_keys();
-  engine_.set_lanes(ptrs);
-}
-
-void CryptoBatch::open_scalar(std::span<const CbcOpenJob> jobs,
-                              std::size_t first) {
-  // A start inside a job chains from the ciphertext block before it,
-  // exactly like a mid-job lane run.
-  for (const CbcOpenJob& job : jobs) {
-    const std::size_t n = open_blocks(job);
-    if (first >= n) {
-      first -= n;
-      continue;
-    }
-    const std::uint8_t* ct = job.ciphertext.data() + Des::kBlockSize * first;
-    cbc_decrypt_blocks(
-        *job.des, first == 0 ? job.iv : Des::load_be64(ct - Des::kBlockSize),
-        ct, job.plaintext + Des::kBlockSize * first, n - first);
-    stats_.scalar_blocks += n - first;
-    first = 0;
-  }
+void CryptoBatch::open_scalar(const CbcOpenJob& job, std::size_t first) {
+  const std::size_t n = open_blocks(job);
+  if (first >= n) return;
+  const std::uint8_t* ct = job.ciphertext.data() + Des::kBlockSize * first;
+  cbc_decrypt_blocks(
+      *job.des, first == 0 ? job.iv : Des::load_be64(ct - Des::kBlockSize), ct,
+      job.plaintext + Des::kBlockSize * first, n - first);
+  stats_.scalar_blocks += n - first;
 }
 
 }  // namespace fbs::crypto

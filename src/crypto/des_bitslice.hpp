@@ -20,9 +20,9 @@
 // keys (DesRoundKeys, read straight from the scalar Des that a flow's
 // crypto context already holds -- there is no second schedule) expand into
 // the engine's 16x48 lane-mask vectors all at once (broadcast, or a
-// per-lane transpose), over a contiguous range of lanes (a run of lanes
-// that share a key), or one lane at a time (the batch scheduler's
-// job-boundary rekey).
+// per-lane transpose), over a contiguous range of lanes (the open planner
+// lays the jobs that share a key side by side and keys each such range
+// once per burst), or one lane at a time.
 //
 // The engine decrypts only. CBC decryption is block-parallel even within
 // one datagram (the chain input is ciphertext, all of it in hand), so the
@@ -52,7 +52,7 @@ class DesBitslice {
 
   /// Mixed keys, bulk: lane i takes lanes[i] (must all be non-null). Done
   /// with one transpose of all groups' tiles per round, whatever the keys
-  /// -- several cipher passes' worth (~8 us against a ~1.7 us pass), so it
+  /// -- several cipher passes' worth (~6 us against a ~1.7 us pass), so it
   /// pays only when the keys come in many short runs over the lanes.
   void set_lanes(const std::array<const DesRoundKeys*, kLanes>& l);
 
@@ -63,8 +63,7 @@ class DesBitslice {
   void set_lane_range(std::size_t first, std::size_t last,
                       const DesRoundKeys& ks);
 
-  /// Rekey a single lane in place (the batch scheduler's incremental
-  /// update when a lane's cursor crosses a job boundary).
+  /// Key a single lane in place.
   void set_lane(std::size_t lane, const DesRoundKeys& ks) {
     set_lane_range(lane, lane + 1, ks);
   }

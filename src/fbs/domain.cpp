@@ -10,11 +10,9 @@ std::unique_ptr<FlowPolicy> make_policy(const FbsConfig& config,
                                         SflAllocator& sfl_alloc) {
   if (config.max_flows_per_shard != 0)
     return std::make_unique<MegaflowPolicy>(config.max_flows_per_shard,
-                                            config.flow_threshold, sfl_alloc,
-                                            /*expire_in_mapper=*/true);
-  return std::make_unique<FiveTuplePolicy>(
-      config.fst_size, config.flow_threshold, sfl_alloc,
-      /*expire_in_mapper=*/true);
+                                            config.flow_threshold, sfl_alloc);
+  return std::make_unique<FiveTuplePolicy>(config.fst_size,
+                                           config.flow_threshold, sfl_alloc);
 }
 
 }  // namespace

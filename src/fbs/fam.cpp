@@ -9,13 +9,12 @@ namespace {
 MapResult table_map(std::vector<FlowStateEntry>& table, std::size_t index,
                     const FlowAttributes& attrs, util::TimeUs now,
                     std::uint64_t bytes, util::TimeUs threshold,
-                    bool expire_in_mapper, SflAllocator& sfl_alloc,
-                    FamStats& stats) {
+                    SflAllocator& sfl_alloc, FamStats& stats) {
   ++stats.datagrams;
   FlowStateEntry& e = table[index];
 
   bool reusable = e.valid && e.attrs == attrs;
-  if (reusable && expire_in_mapper && flow_expired(e.last, now, threshold)) {
+  if (reusable && flow_expired(e.last, now, threshold)) {
     // Entry matches but went stale: same conversation boundary the sweeper
     // would have drawn; start a new flow (Section 7.2 combined behavior).
     ++stats.mapper_expirations;
@@ -67,12 +66,10 @@ std::size_t table_active(const std::vector<FlowStateEntry>& table,
 }  // namespace
 
 FiveTuplePolicy::FiveTuplePolicy(std::size_t fst_size, util::TimeUs threshold,
-                                 SflAllocator& sfl_alloc,
-                                 bool expire_in_mapper)
+                                 SflAllocator& sfl_alloc)
     : table_(fst_size ? fst_size : 1),
       threshold_(threshold),
-      sfl_alloc_(sfl_alloc),
-      expire_in_mapper_(expire_in_mapper) {}
+      sfl_alloc_(sfl_alloc) {}
 
 std::string FiveTuplePolicy::name() const {
   return "five-tuple(threshold=" +
@@ -85,7 +82,7 @@ std::size_t FiveTuplePolicy::index_of(const FlowAttributes& attrs) const {
 
 MapResult FiveTuplePolicy::map(const Datagram& d, util::TimeUs now) {
   return table_map(table_, index_of(d.attrs), d.attrs, now, d.body.size(),
-                   threshold_, expire_in_mapper_, sfl_alloc_, stats_);
+                   threshold_, sfl_alloc_, stats_);
 }
 
 std::size_t FiveTuplePolicy::sweep(util::TimeUs now) {
@@ -126,7 +123,7 @@ MapResult HostPairPolicy::map(const Datagram& d, util::TimeUs now) {
   const std::size_t index =
       cache_index(CacheHashKind::kCrc32, attrs.encode(), table_.size());
   return table_map(table_, index, attrs, now, d.body.size(), threshold_,
-                   /*expire_in_mapper=*/true, sfl_alloc_, stats_);
+                   sfl_alloc_, stats_);
 }
 
 std::size_t HostPairPolicy::sweep(util::TimeUs now) {

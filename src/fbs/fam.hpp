@@ -148,8 +148,7 @@ class FlowPolicy {
 class FiveTuplePolicy final : public FlowPolicy {
  public:
   FiveTuplePolicy(std::size_t fst_size, util::TimeUs threshold,
-                  SflAllocator& sfl_alloc,
-                  bool expire_in_mapper = true);
+                  SflAllocator& sfl_alloc);
 
   std::string name() const override;
   MapResult map(const Datagram& d, util::TimeUs now) override;
@@ -169,7 +168,6 @@ class FiveTuplePolicy final : public FlowPolicy {
   std::vector<FlowStateEntry> table_;
   util::TimeUs threshold_;
   SflAllocator& sfl_alloc_;
-  bool expire_in_mapper_;
   FamStats stats_;
 };
 

@@ -3,12 +3,10 @@
 namespace fbs::core {
 
 MegaflowPolicy::MegaflowPolicy(std::size_t max_flows, util::TimeUs threshold,
-                               SflAllocator& sfl_alloc, bool expire_in_mapper,
-                               unsigned tick_shift)
+                               SflAllocator& sfl_alloc, unsigned tick_shift)
     : max_flows_(max_flows ? max_flows : 1),
       threshold_(threshold),
       sfl_alloc_(sfl_alloc),
-      expire_in_mapper_(expire_in_mapper),
       wheel_(tick_shift) {
   // Reserve the whole budget up front: steady state must not grow the heap
   // (the bench asserts rehashes() and slab_grows stay zero).
@@ -62,7 +60,7 @@ MapResult MegaflowPolicy::map(const Datagram& d, util::TimeUs now) {
   ++stats_.datagrams;
   if (std::uint32_t* idx = map_.find(d.attrs)) {
     FlowStateEntry& e = slab_[*idx];
-    if (expire_in_mapper_ && flow_expired(e.last, now, threshold_)) {
+    if (flow_expired(e.last, now, threshold_)) {
       // Same conversation boundary the sweeper would have drawn; the slab
       // slot and map entry are reused in place for the successor flow. The
       // wheel timer stays at its stale deadline and lazily re-arms on fire.

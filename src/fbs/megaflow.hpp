@@ -63,8 +63,7 @@ class MegaflowPolicy final : public FlowPolicy {
   /// at construction). `tick_shift`: wheel tick granularity, log2
   /// microseconds (default ~1.05 s ticks; see timer_wheel.hpp).
   MegaflowPolicy(std::size_t max_flows, util::TimeUs threshold,
-                 SflAllocator& sfl_alloc, bool expire_in_mapper = true,
-                 unsigned tick_shift = 20);
+                 SflAllocator& sfl_alloc, unsigned tick_shift = 20);
 
   std::string name() const override;
   MapResult map(const Datagram& d, util::TimeUs now) override;
@@ -90,7 +89,6 @@ class MegaflowPolicy final : public FlowPolicy {
   std::size_t max_flows_;
   util::TimeUs threshold_;
   SflAllocator& sfl_alloc_;
-  bool expire_in_mapper_;
 
   std::vector<FlowStateEntry> slab_;
   std::vector<std::uint32_t> free_;  // retired slab ids, reused LIFO

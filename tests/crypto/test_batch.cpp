@@ -120,7 +120,7 @@ TEST(CryptoBatch, LargeBurstUsesBitsliceEngine) {
             (ct.size() / 8 + CryptoBatch::kLanes - 1) / CryptoBatch::kLanes);
 }
 
-TEST(CryptoBatch, MixedKeyBurstRekeysLanesAtJobBoundaries) {
+TEST(CryptoBatch, MixedKeyBurstKeysOneRangePerKey) {
   util::SplitMix64 rng(9);
   std::vector<Flow> flows;
   for (int i = 0; i < 4; ++i) flows.emplace_back(rng.next_bytes(8));
@@ -148,8 +148,10 @@ TEST(CryptoBatch, MixedKeyBurstRekeysLanesAtJobBoundaries) {
                            outs[i].begin()))
         << "job " << i;
   }
-  // 8 jobs spread over kLanes lanes: at most 7 boundary crossings can rekey.
-  EXPECT_LE(batch.stats().lane_rekeys, 7u);
+  // 8 jobs of 26 blocks fill 208 lanes in one pass; the jobs sharing a
+  // key sit side by side, so the lanes are keyed once, one range per key.
+  EXPECT_EQ(batch.stats().passes, 1u);
+  EXPECT_LE(batch.stats().key_ranges, 4u);
 }
 
 /// Raw CBC decrypt of `ct` (no unpadding): what open_cbc must produce.
@@ -309,6 +311,77 @@ TEST(CryptoBatch, SmallMultiKeyOpenPlansScalar) {
   const CryptoBatch::Stats single = open(1);
   EXPECT_EQ(single.bitsliced_blocks, 80u);
   EXPECT_EQ(single.passes, 1u);
+}
+
+TEST(CryptoBatch, JobMajorPlanShapesMatchScalarLoop) {
+  // Each job gets its own run of lanes, the jobs under one key side by
+  // side, and every lane is keyed once per burst: one set_lane_range per
+  // key that has lanes (a one-key burst is a broadcast and counts none).
+  // Each shape checks the plan it must take and its output against the
+  // one-block loop.
+  util::SplitMix64 rng(27);
+  std::vector<Flow> flows;
+  flows.reserve(5);
+  for (int i = 0; i < 5; ++i) flows.emplace_back(rng.next_bytes(8));
+  struct Shape {
+    const char* name;
+    std::vector<std::size_t> blocks;  // per job
+    std::vector<std::size_t> key;     // per job, an index into flows
+    std::uint64_t passes;
+    std::uint64_t key_ranges;
+    std::uint64_t scalar_blocks;
+  };
+  std::vector<std::size_t> campus_keys;
+  for (std::size_t j = 0; j < 16; ++j) campus_keys.push_back(j % 5);
+  std::vector<std::size_t> many_keys;
+  for (std::size_t j = 0; j < 300; ++j) many_keys.push_back(j % 3);
+  const Shape shapes[] = {
+      // 16 x 177 under 5 interleaved keys: 16 lanes a job over 11 passes,
+      // one block of each job spilled, five ranges.
+      {"campus", std::vector<std::size_t>(16, 177), campus_keys, 11, 5, 16},
+      // The 3-block job gets 2 lanes over 2 passes, one of them idle in
+      // the second.
+      {"job shorter than its lanes' reach", {200, 200, 3}, {0, 1, 0}, 2, 2,
+       0},
+      // Zero-block jobs take no lanes; the last full job runs out of lanes
+      // and spills 17 blocks, the other two one each.
+      {"zero-block jobs between full ones", {177, 0, 177, 0, 0, 177},
+       {0, 1, 0, 1, 0, 1}, 2, 2, 19},
+      // 256 jobs of one lane each over 4 passes, then the last 44 jobs in
+      // one pass of 4 lanes each; three ranges for each.
+      {"more jobs than lanes", std::vector<std::size_t>(300, 4), many_keys,
+       5, 6, 0},
+      // 128 lanes, 1 lane and 127 lanes over 2 passes: only the last block
+      // of the last job spills.
+      {"one-block job beside 255-block ones", {255, 1, 255}, {0, 0, 0}, 2, 0,
+       1},
+  };
+  for (const Shape& shape : shapes) {
+    std::vector<util::Bytes> cts;
+    std::vector<util::Bytes> got;
+    std::vector<CbcOpenJob> jobs;
+    cts.reserve(shape.blocks.size());
+    got.reserve(shape.blocks.size());
+    for (std::size_t j = 0; j < shape.blocks.size(); ++j) {
+      cts.push_back(rng.next_bytes(Des::kBlockSize * shape.blocks[j]));
+      got.emplace_back(cts.back().size());
+      jobs.push_back(CbcOpenJob{&flows[shape.key[j]].des, rng.next_u64(),
+                                cts.back(), got.back().data()});
+    }
+    CryptoBatch batch;
+    batch.open_cbc(jobs);
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      total += shape.blocks[j];
+      ASSERT_EQ(got[j], scalar_cbc_open(*jobs[j].des, jobs[j].iv, cts[j]))
+          << shape.name << ", job " << j;
+    }
+    EXPECT_EQ(batch.stats().passes, shape.passes) << shape.name;
+    EXPECT_EQ(batch.stats().key_ranges, shape.key_ranges) << shape.name;
+    EXPECT_EQ(batch.stats().scalar_blocks, shape.scalar_blocks) << shape.name;
+    EXPECT_EQ(batch.stats().bitsliced_blocks, total - shape.scalar_blocks)
+        << shape.name;
+  }
 }
 
 TEST(CryptoBatch, EmptyAndZeroBlockJobsAreSafe) {

@@ -82,7 +82,7 @@ TEST_F(MegaflowTest, GapBeyondThresholdStartsNewFlowInPlace) {
 TEST(MegaflowSweep, SweepBoundaryMatchesMapper) {
   util::SplitMix64 rng(20);
   SflAllocator alloc(rng);
-  MegaflowPolicy policy(64, /*threshold=*/1000, alloc, true, /*tick_shift=*/0);
+  MegaflowPolicy policy(64, /*threshold=*/1000, alloc, /*tick_shift=*/0);
   (void)policy.map(datagram_for(1000, 23), 0);
   EXPECT_EQ(policy.sweep(1000), 0u);  // gap exactly threshold: still live
   EXPECT_EQ(policy.live_flows(), 1u);
@@ -96,7 +96,7 @@ TEST(MegaflowSweep, SweepBoundaryMatchesMapper) {
 TEST(MegaflowSweep, LazyRearmKeepsActiveFlowAlive) {
   util::SplitMix64 rng(21);
   SflAllocator alloc(rng);
-  MegaflowPolicy policy(64, /*threshold=*/1000, alloc, true, /*tick_shift=*/0);
+  MegaflowPolicy policy(64, /*threshold=*/1000, alloc, /*tick_shift=*/0);
   (void)policy.map(datagram_for(1000, 23), 0);
   (void)policy.map(datagram_for(1000, 23), 500);  // hit: wheel untouched
   // Old deadline (0 + threshold + 1) passes: timer fires but must re-arm.
